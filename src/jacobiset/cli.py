@@ -32,9 +32,15 @@ from .fileio import (
     save_sgf,
     sniff_format,
 )
-from .jacobi import measures
+from .jacobi import (
+    assign_degenerate,
+    extract_jacobi_set,
+    jacobi_measures,
+    measures,
+    orientation_signs,
+)
 from .mesh import MeshError
-from .regions import VARIANTS, graph_to_dot, graph_to_json, neighborhood_graph
+from .regions import VARIANTS, build_regions, graph_to_dot, graph_to_json, neighborhood_graph
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -166,11 +172,12 @@ def run() -> None:
 def cmd_stats(args) -> int:
     t0 = perf_counter()
     field = load_field(args.input)
-    stats = measures(field, args.epsilon)
-    regions_per_variant = {}
-    for v in VARIANTS:
-        _, _, regs, _ = neighborhood_graph(field, v, args.epsilon)
-        regions_per_variant[v] = len(regs)
+    signs = orientation_signs(field, args.epsilon)
+    assignment = assign_degenerate(field, signs)
+    stats = jacobi_measures(field, extract_jacobi_set(field, signs, assignment))
+    regions_per_variant = {
+        v: len(build_regions(field, signs, assignment, v)) for v in VARIANTS
+    }
     payload = {
         "length": stats["length"],
         "components": stats["components"],

@@ -26,7 +26,13 @@ from time import perf_counter
 
 import numpy as np
 
-from .jacobi import assign_degenerate, measures, orientation_signs
+from .jacobi import (
+    assign_degenerate,
+    extract_jacobi_set,
+    jacobi_measures,
+    measures,
+    orientation_signs,
+)
 from .mesh import TriField
 from .regions import build_graph, build_regions, find_collapsible_cells
 from .unionfind import UnionFind
@@ -193,33 +199,21 @@ def evaluate_variant(
     u, v = int(edge[0]), int(edge[1])
     target = 0.5 * (field.values[u] + field.values[v])
     moved = groups.merged_members(u, v) if groups is not None else [u, v]
-    moved_set = set(moved)
-    affected = np.unique(np.concatenate([field.vertex_stars[w] for w in moved]))
+    affected = field.incident_triangles(moved)
 
     old_dets = field.dets[affected]
-    areas = field.domain_areas[affected]
-    new_dets = _simulated_dets(field, affected, moved_set, target)
-
-    old_signs = np.sign(old_dets).astype(np.int8)
-    new_signs = np.sign(new_dets).astype(np.int8)
-    flips = 0
-    for i, t in enumerate(affected):
-        t = int(t)
-        if t == c or t in cl:
-            continue
-        if old_signs[i] != 0 and new_signs[i] != 0 and old_signs[i] != new_signs[i]:
-            flips += 1
-    delta = float(((np.abs(new_dets) - np.abs(old_dets)) * areas).sum())
+    new_dets = _simulated_dets(field, affected, moved, target)
+    crossed = np.sign(old_dets) * np.sign(new_dets) < 0
+    flips = sum(1 for t in affected[crossed].tolist() if t != c and t not in cl)
+    delta = float(((np.abs(new_dets) - np.abs(old_dets)) * field.domain_areas[affected]).sum())
     variant = CollapseVariant(edge=(min(u, v), max(u, v)), target_value=target)
     return flips, delta, variant
 
 
-def _simulated_dets(field, tids, moved_set, target):
+def _simulated_dets(field, tids, moved, target):
     tri = field.triangles[tids]
-    w = field.values[tri].copy()
-    for k in range(3):
-        mask = np.array([int(x) in moved_set for x in tri[:, k]])
-        w[mask, k, :] = target
+    w = field.values[tri]
+    w[(tri[:, :, None] == np.asarray(moved)).any(axis=2)] = target
     num = (w[:, 1, 0] - w[:, 0, 0]) * (w[:, 2, 1] - w[:, 0, 1]) - (
         w[:, 2, 0] - w[:, 0, 0]
     ) * (w[:, 1, 1] - w[:, 0, 1])
@@ -288,9 +282,9 @@ def simplify(
     (guard tripped), or EXHAUSTED (sweep cap hit).
     """
     t0 = perf_counter()
-    before = measures(field, epsilon)
     signs = orientation_signs(field, epsilon)
     assignment = assign_degenerate(field, signs)
+    before = jacobi_measures(field, extract_jacobi_set(field, signs, assignment))
     regions = build_regions(field, signs, assignment, variant)
     graph = build_graph(field, regions)
     seeds = find_collapsible_cells(graph, regions, threshold)
@@ -325,9 +319,7 @@ def simplify(
             best = find_best_collapse_variant(field, candidates, c, cl, groups)
 
             moved = groups.merged_members(*best.edge)
-            affected = np.unique(
-                np.concatenate([field.vertex_stars[w] for w in moved])
-            )
+            affected = field.incident_triangles(moved)
             dets = field.dets[affected]
             before_signs = {
                 int(t): (1 if d > 0 else -1 if d < 0 else 0)

@@ -52,6 +52,14 @@ def _parse_int(tok: str, path, line) -> int:
         raise ParseError(path, line, f"not an integer: {tok!r}") from None
 
 
+def _check_declared(path, lines, count: int, what: str) -> None:
+    """Reject a header declaring more data lines than the file holds,
+    before any array is sized from it."""
+    present = len(lines) - 2 - (lines[-1] == "")
+    if count > present:
+        raise ParseError(path, 2, f"header declares {what} lines, file has {present}")
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -100,6 +108,7 @@ def load_bsf(path) -> TriField:
     m = _parse_int(head[3], path, 2)
     if n < 0 or m < 0:
         raise ParseError(path, 2, "negative count")
+    _check_declared(path, lines, n + m, f"{n} vertex and {m} triangle")
 
     positions = np.empty((n, 2), dtype=np.float64)
     values = np.empty((n, 2), dtype=np.float64)
@@ -151,6 +160,7 @@ def load_sgf(path) -> GridField:
     dy = _parse_float(head[4], path, 2)
     if w < 2 or h < 2:
         raise ParseError(path, 2, "grid must be at least 2 x 2")
+    _check_declared(path, lines, w * h, f"{w} x {h} sample")
     f = np.empty(w * h, dtype=np.float64)
     g = np.empty(w * h, dtype=np.float64)
     for i in range(w * h):

@@ -16,7 +16,7 @@ from enum import IntEnum
 import numpy as np
 
 from .mesh import TriField
-from .unionfind import UnionFind
+from .unionfind import connected_labels
 
 
 class Orientation(IntEnum):
@@ -105,46 +105,85 @@ def assign_degenerate(field: TriField, signs: np.ndarray, prefer: int | None = N
     With ``prefer`` set (+1 or -1), the first ring that contains any signed
     triangle decides: the preferred sign wins if present there at all,
     otherwise the other sign is taken.
+
+    Ring 1 is decided for all degenerate triangles at once from
+    :func:`point_neighbor_sums` of the positive and negative triangles;
+    only triangles it leaves undecided grow further rings.
     """
-    out: dict[int, int] = {}
-    for t in np.flatnonzero(signs == 0):
-        out[int(t)] = _assign_one(field, signs, int(t), prefer)
-    return out
+    signs = np.asarray(signs)
+    degenerate = np.flatnonzero(signs == 0)
+    if len(degenerate) == 0:
+        return {}
+    pos = point_neighbor_sums(field, signs > 0)[degenerate]
+    neg = point_neighbor_sums(field, signs < 0)[degenerate]
+    if prefer is None:
+        out = np.sign(pos - neg)
+    else:
+        preferred, other = (pos, neg) if prefer > 0 else (neg, pos)
+        out = np.where(preferred > 0, prefer, np.where(other > 0, -prefer, 0))
+    # Ring 1 from vertex counts needs distinct edge neighbours; a triangle
+    # whose twin (same three vertices) borders all its edges, or one that
+    # ring 1 leaves undecided, takes the ring search.
+    nbr = field.neighbors[degenerate]
+    out[(nbr[:, 0] == nbr[:, 1]) & (nbr[:, 0] >= 0)] = 0
+    for i in np.flatnonzero(out == 0):
+        out[i] = _ring_search(field, signs, int(degenerate[i]), prefer)
+    return dict(zip(degenerate.tolist(), out.tolist()))
 
 
-def _assign_one(field, signs, seed, prefer):
-    visited = {seed}
-    frontier = [seed]
+def point_neighbor_sums(field: TriField, weights: np.ndarray) -> np.ndarray:
+    """For each triangle, the sum of the integer per-triangle ``weights``
+    over all triangles sharing at least one vertex with it (itself
+    excluded)."""
+    weights = np.asarray(weights).astype(np.int64)
+    tri = field.triangles
+    per_vertex = np.bincount(tri.ravel(), np.repeat(weights, 3), field.n_vertices)
+    total = per_vertex.astype(np.int64)[tri].sum(axis=1)
+    # Vertex sums count edge neighbors twice and the triangle itself three
+    # times; correct both to get the plain point-neighborhood sum.
+    nbr = field.neighbors
+    edge_nbr_sum = np.where(nbr >= 0, weights[np.clip(nbr, 0, None)], 0).sum(axis=1)
+    return total - edge_nbr_sum - 3 * weights
+
+
+def _ring_search(field, signs, seed, prefer):
+    """Grow point-neighborhood rings around ``seed`` until one decides.
+
+    Ring k+1 is the stars of the vertices first reached by ring k, less
+    the triangles already seen.
+    """
+    stars = field.vertex_stars
+    seen_t = {seed}
+    seen_v = set()
+    fresh = field.triangles[seed].tolist()
     total = 0
-    while frontier:
+    while True:
+        seen_v.update(fresh)
         ring = []
-        for u in frontier:
-            for v in field.point_neighbors(u):
-                v = int(v)
-                if v not in visited:
-                    visited.add(v)
-                    ring.append(v)
+        for v in fresh:
+            for t in stars[v].tolist():
+                if t not in seen_t:
+                    seen_t.add(t)
+                    ring.append(t)
         if not ring:
-            break
+            return 1  # fully degenerate component
+        ring_signs = signs[ring]
         if prefer is None:
-            total += int(sum(int(signs[v]) for v in ring))
-            if total > 0:
-                return 1
-            if total < 0:
-                return -1
-        else:
-            ring_signs = {int(signs[v]) for v in ring} - {0}
-            if ring_signs:
-                return prefer if prefer in ring_signs else -prefer
-        frontier = ring
-    return 1  # fully degenerate mesh
+            total += int(ring_signs.sum(dtype=np.int64))
+            if total:
+                return 1 if total > 0 else -1
+        elif (ring_signs == prefer).any():
+            return prefer
+        elif (ring_signs == -prefer).any():
+            return -prefer
+        fresh = {v for v in field.triangles[ring].ravel().tolist() if v not in seen_v}
 
 
 def effective_signs(field: TriField, signs: np.ndarray, assignment) -> np.ndarray:
     """Orientation signs with degenerate triangles replaced per `assignment`."""
     eff = signs.astype(np.int8).copy()
-    for t, s in assignment.items():
-        eff[t] = s
+    if assignment:
+        eff[np.fromiter(assignment.keys(), np.int64)] = np.fromiter(assignment.values(), np.int8)
     return eff
 
 
@@ -195,21 +234,22 @@ def jacobi_length(field: TriField, js: JacobiSet) -> float:
 def component_count(field: TriField, js: JacobiSet) -> int:
     """Number of connected components of the Jacobi edge set, two edges
     being connected iff they share a vertex."""
-    edges = js.edges
-    if len(edges) == 0:
+    if len(js.edges) == 0:
         return 0
-    verts = np.unique(edges)
-    index = {int(v): i for i, v in enumerate(verts)}
-    uf = UnionFind(len(verts))
-    for a, b in edges:
-        uf.union(index[int(a)], index[int(b)])
-    return len({uf.find(i) for i in range(len(verts))})
+    verts, ends = np.unique(js.edges, return_inverse=True)
+    ends = ends.reshape(-1, 2)
+    return int(connected_labels(len(verts), ends[:, 0], ends[:, 1]).max()) + 1
+
+
+def jacobi_measures(field: TriField, js: JacobiSet) -> dict:
+    """The two evaluation measures of ``js``: total length and component
+    count."""
+    return {"length": jacobi_length(field, js), "components": component_count(field, js)}
 
 
 def measures(field: TriField, epsilon: float = 0.0) -> dict:
-    """The two evaluation measures: total length and component count."""
-    js = compute_jacobi_set(field, epsilon)
-    return {"length": jacobi_length(field, js), "components": component_count(field, js)}
+    """The two evaluation measures of the field's Jacobi set."""
+    return jacobi_measures(field, compute_jacobi_set(field, epsilon))
 
 
 def jacobi_set_to_json(js: JacobiSet) -> dict:

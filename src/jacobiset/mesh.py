@@ -42,6 +42,8 @@ class TriField:
 
     Attributes
     ----------
+    domain_areas : ndarray, shape (m,)
+        Domain area of every triangle (read-only).
     neighbors : ndarray, shape (m, 3)
         ``neighbors[t, e]`` is the triangle across edge ``e`` of ``t``
         (edge ``e`` joins local vertices ``e`` and ``(e+1) % 3``), or -1
@@ -90,8 +92,9 @@ class TriField:
         self.values = val
         self.triangles = tri
         self._doubled_areas = doubled
+        self.domain_areas = _read_only(0.5 * doubled)
         self._build_adjacency()
-        self._build_stars()
+        self._stars = None
         self._dets = None
         self._vertex_neighbors = None
 
@@ -137,9 +140,6 @@ class TriField:
         edge_tris[counts == 2, 1] = b // 3
         self.edge_triangles = edge_tris
 
-    def _build_stars(self):
-        self._stars = None
-
     @property
     def vertex_stars(self) -> list:
         """Per-vertex incident triangle ids (ascending), built lazily."""
@@ -163,10 +163,6 @@ class TriField:
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
-
-    @property
-    def domain_areas(self) -> np.ndarray:
-        return 0.5 * self._doubled_areas
 
     @property
     def dets(self) -> np.ndarray:
@@ -208,10 +204,18 @@ class TriField:
             self._vertex_neighbors = [np.sort(x) for x in nbrs]
         return self._vertex_neighbors[v]
 
+    def incident_triangles(self, vertex_ids) -> np.ndarray:
+        """Triangles with at least one vertex in ``vertex_ids`` (ascending)."""
+        tids = np.concatenate([self.vertex_stars[v] for v in vertex_ids])
+        tids.sort()
+        keep = np.empty(len(tids), dtype=bool)
+        keep[:1] = True
+        np.not_equal(tids[1:], tids[:-1], out=keep[1:])
+        return tids[keep]
+
     def point_neighbors(self, t: int) -> np.ndarray:
         """Triangles sharing at least one vertex with ``t`` (excluding ``t``)."""
-        star = np.concatenate([self.vertex_stars[v] for v in self.triangles[t]])
-        star = np.unique(star)
+        star = self.incident_triangles(self.triangles[t])
         return star[star != t]
 
     def edge_endpoints(self, t: int, e: int) -> tuple[int, int]:
@@ -228,7 +232,7 @@ class TriField:
         vids = np.asarray(vertex_ids, dtype=np.int64).ravel()
         self.values[vids] = np.asarray(value, dtype=np.float64)
         if self._dets is not None and len(vids):
-            affected = np.unique(np.concatenate([self.vertex_stars[v] for v in vids]))
+            affected = self.incident_triangles(vids)
             self._dets[affected] = self._compute_dets(affected)
 
     def copy(self) -> "TriField":
@@ -237,13 +241,19 @@ class TriField:
         dup.values = self.values.copy()
         dup.triangles = self.triangles.copy()
         dup._doubled_areas = self._doubled_areas.copy()
+        dup.domain_areas = _read_only(self.domain_areas.copy())
         dup.neighbors = self.neighbors.copy()
         dup.edges = self.edges.copy()
         dup.edge_triangles = self.edge_triangles.copy()
-        dup._build_stars()
+        dup._stars = None
         dup._dets = None if self._dets is None else self._dets.copy()
         dup._vertex_neighbors = None
         return dup
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _doubled_areas(pos, tri) -> np.ndarray:

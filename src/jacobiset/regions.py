@@ -12,6 +12,10 @@ extra merges across shared vertices:
 * ``D`` - merge vertex-connected pairs with the same sign whose point
   neighborhoods also sum to the same total orientation.
 
+A region is a connected component of these merge links, found by one
+vectorized labelling pass (:func:`connected_labels`); regions are
+numbered in order of their lowest triangle id.
+
 Each node carries domain area, range area, and hypervolume (the summed
 per-triangle product of the two), the quantity thresholded to pick
 regions for collapsing.
@@ -23,9 +27,9 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .jacobi import assign_degenerate, effective_signs, orientation_signs
+from .jacobi import assign_degenerate, effective_signs, orientation_signs, point_neighbor_sums
 from .mesh import TriField
-from .unionfind import UnionFind
+from .unionfind import connected_labels
 
 VARIANTS = ("A", "B", "C", "D")
 
@@ -67,7 +71,8 @@ class NeighborhoodGraph:
 
 
 def build_regions(field: TriField, signs, assignment, variant: str = "A"):
-    """Union-find decomposition of the triangles into orientation regions.
+    """Decompose the triangles into orientation regions: the connected
+    components of the variant's merge links, labelled by first occurrence.
 
     ``assignment`` is used as-is for variants A and D; variants B and C
     re-derive degenerate signs with their stated preference (negative for
@@ -83,55 +88,56 @@ def build_regions(field: TriField, signs, assignment, variant: str = "A"):
     eff = effective_signs(field, signs, assignment)
 
     m = field.n_triangles
-    uf = UnionFind(m)
     et = field.edge_triangles
-    interior = et[:, 1] >= 0
-    same = interior.copy()
-    same[interior] = eff[et[interior, 0]] == eff[et[interior, 1]]
-    for a, b in et[same]:
-        uf.union(int(a), int(b))
+    et = et[et[:, 1] >= 0]
+    et = et[eff[et[:, 0]] == eff[et[:, 1]]]
+    a, b = et[:, 0], et[:, 1]
+    if variant != "A":
+        sa, sb = _star_links(field, eff, variant)
+        a, b = np.concatenate([a, sa]), np.concatenate([b, sb])
+        del sa, sb
+    del et
+    label = connected_labels(m, a, b)
+    del a, b
 
-    if variant in ("B", "C"):
-        wanted = -1 if variant == "B" else 1
-        for star in field.vertex_stars:
-            members = [int(t) for t in star if eff[t] == wanted]
-            for t in members[1:]:
-                uf.union(members[0], t)
-    elif variant == "D":
-        nbr_sum = point_neighbor_sums(field, eff)
-        for star in field.vertex_stars:
-            for i in range(len(star)):
-                for j in range(i + 1, len(star)):
-                    a, b = int(star[i]), int(star[j])
-                    if eff[a] == eff[b] and nbr_sum[a] == nbr_sum[b]:
-                        uf.union(a, b)
-
-    label = uf.labels()
-    n_regions = int(label.max()) + 1 if m else 0
-    members = [[] for _ in range(n_regions)]
-    for t in range(m):
-        members[label[t]].append(t)
+    order = np.argsort(label, kind="stable")
+    bounds = np.flatnonzero(np.diff(label[order])) + 1
     regions = [
-        Region(id=r, sign=int(eff[tri_ids[0]]), triangles=np.array(tri_ids, dtype=np.int64))
-        for r, tri_ids in enumerate(members)
+        Region(id=r, sign=int(eff[tri_ids[0]]), triangles=tri_ids)
+        for r, tri_ids in enumerate(np.split(order, bounds) if m else [])
     ]
     return RegionDecomposition(
         variant=variant, label=label, regions=regions, field=field, signs=eff
     )
 
 
-def point_neighbor_sums(field: TriField, eff: np.ndarray) -> np.ndarray:
-    """For each triangle, the summed effective sign over all triangles
-    sharing at least one vertex with it (itself excluded)."""
-    eff = eff.astype(np.int64)
-    per_vertex = np.zeros(field.n_vertices, dtype=np.int64)
-    np.add.at(per_vertex, field.triangles.ravel(), np.repeat(eff, 3))
-    total = per_vertex[field.triangles].sum(axis=1)
-    # Vertex sums count edge neighbors twice and the triangle itself three
-    # times; correct both to get the plain point-neighborhood sum.
-    nbr = field.neighbors
-    edge_nbr_sum = np.where(nbr >= 0, eff[np.clip(nbr, 0, None)], 0).sum(axis=1)
-    return total - edge_nbr_sum - 3 * eff
+def _star_links(field: TriField, eff: np.ndarray, variant: str):
+    """Extra merge links of variants B-D as triangle pairs ``(a, b)``.
+
+    Sorting the vertex-star entries by (vertex, key) puts the triangles of
+    one star that share a key next to each other; linking neighbours in
+    that order connects them as the full pairwise merge would. The key is
+    the wanted sign for B and C, whose other triangles take no part, and
+    (sign, point-neighborhood sum) for D.
+    """
+    vertex = field.triangles.ravel()
+    tid = np.repeat(np.arange(field.n_triangles), 3)
+    if variant == "D":
+        key = point_neighbor_sums(field, eff)
+        order = np.lexsort((key[tid], eff[tid], vertex))
+    else:
+        keep = eff[tid] == (-1 if variant == "B" else 1)
+        vertex, tid = vertex[keep], tid[keep]
+        del keep
+        order = np.argsort(vertex, kind="stable")
+    vertex, tid = vertex[order], tid[order]
+    del order
+    link = vertex[1:] == vertex[:-1]
+    del vertex
+    lo, hi = tid[:-1], tid[1:]
+    if variant == "D":
+        link &= (eff[lo] == eff[hi]) & (key[lo] == key[hi])
+    return lo[link], hi[link]
 
 
 def build_graph(field: TriField, regions: RegionDecomposition) -> NeighborhoodGraph:
@@ -161,8 +167,11 @@ def build_graph(field: TriField, regions: RegionDecomposition) -> NeighborhoodGr
     la = label[et[interior, 0]]
     lb = label[et[interior, 1]]
     differ = la != lb
-    pairs = {(int(min(a, b)), int(max(a, b))) for a, b in zip(la[differ], lb[differ])}
-    return NeighborhoodGraph(variant=regions.variant, nodes=nodes, edges=sorted(pairs))
+    # One sortable key per region pair (lo, hi): ascending keys are the
+    # pairs in lexicographic order.
+    keys = np.unique(np.minimum(la, lb)[differ] * n + np.maximum(la, lb)[differ])
+    edges = list(zip((keys // n).tolist(), (keys % n).tolist()))
+    return NeighborhoodGraph(variant=regions.variant, nodes=nodes, edges=edges)
 
 
 def _check_region(regions: RegionDecomposition, r: int) -> Region:

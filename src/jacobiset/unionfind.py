@@ -1,4 +1,6 @@
-"""Array-based union-find with path halving and union by size."""
+"""Connectivity: an array-based union-find with path halving and union by
+size for incremental merging, and a vectorized labelling of the connected
+components of a whole edge list."""
 
 from __future__ import annotations
 
@@ -30,13 +32,32 @@ class UnionFind:
     def connected(self, a: int, b: int) -> bool:
         return self.find(a) == self.find(b)
 
-    def labels(self) -> np.ndarray:
-        """Canonical labels: components numbered by first occurrence."""
-        roots = np.array([self.find(i) for i in range(len(self.parent))])
-        label_of_root: dict[int, int] = {}
-        out = np.empty(len(roots), dtype=np.int64)
-        for i, r in enumerate(roots):
-            if r not in label_of_root:
-                label_of_root[r] = len(label_of_root)
-            out[i] = label_of_root[r]
-        return out
+
+def connected_labels(n: int, a, b) -> np.ndarray:
+    """Component labels of the graph on nodes ``0..n-1`` with edges
+    ``a[i] -- b[i]``, numbered by first occurrence in node order.
+
+    Each round hooks every root onto a smaller root it shares an edge
+    with, then jumps pointers until every node points at its root. A node
+    never points above itself, so each root is the smallest node of its
+    tree and roots in ascending order are the components in order of
+    first occurrence.
+    """
+    parent = np.arange(n, dtype=np.int64)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    while len(a):
+        ra, rb = parent[a], parent[b]
+        # An edge inside one tree stays inside it: drop it for good.
+        split = ra != rb
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        if not len(a):
+            break
+        parent[np.maximum(ra, rb)] = np.minimum(ra, rb)
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    roots = parent == np.arange(n)
+    return (np.cumsum(roots) - 1)[parent]

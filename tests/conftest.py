@@ -66,6 +66,23 @@ def noisy_island_field(rng, w=16, h=16, n_islands=3, amplitude=4.0):
     return field, bool((field.dets < 0).any())
 
 
+def wave_field(rng, w, h, step=None) -> TriField:
+    """Smooth waves plus small noise on a unit grid:
+    f = sin x cos y + 0.02 N, g = cos 0.7x + sin 1.3y + 0.02 N, with N
+    drawn from ``rng`` as (h, w) arrays, f's first. With ``step``, both
+    are rounded to multiples of it, which leaves plateaus of degenerate
+    triangles."""
+    noise_f = rng.standard_normal((h, w))
+    noise_g = rng.standard_normal((h, w))
+    y, x = np.mgrid[0:h, 0:w].astype(np.float64)
+    f = np.sin(x) * np.cos(y) + 0.02 * noise_f
+    g = np.cos(0.7 * x) + np.sin(1.3 * y) + 0.02 * noise_g
+    if step is not None:
+        f = np.round(f / step) * step
+        g = np.round(g / step) * step
+    return triangulate_structured(w, h, (1.0, 1.0), f.ravel(), g.ravel())
+
+
 # -- independent oracles -----------------------------------------------------
 
 
@@ -105,7 +122,7 @@ def bfs_edge_components(edges) -> int:
 
 def bfs_region_labels(field, eff, variant="A", nbr_sums=None) -> np.ndarray:
     """Region labels from a BFS with the same merge predicates but none of
-    the union-find machinery."""
+    the program's connectivity code."""
     m = field.n_triangles
     adjacency = [set() for _ in range(m)]
     for t in range(m):
@@ -129,6 +146,13 @@ def bfs_region_labels(field, eff, variant="A", nbr_sums=None) -> np.ndarray:
                     if eff[a] == eff[b] and nbr_sums[a] == nbr_sums[b]:
                         adjacency[a].add(b)
                         adjacency[b].add(a)
+    return bfs_labels(adjacency)
+
+
+def bfs_labels(adjacency) -> np.ndarray:
+    """Component labels numbered by first occurrence, by BFS over a list
+    of neighbor sets."""
+    m = len(adjacency)
     labels = np.full(m, -1, dtype=np.int64)
     next_label = 0
     for start in range(m):
@@ -157,6 +181,43 @@ def point_neighbor_sum_oracle(field, eff) -> np.ndarray:
             nbrs.update(int(x) for x in field.vertex_stars[v])
         nbrs.discard(t)
         out[t] = sum(int(eff[u]) for u in nbrs)
+    return out
+
+
+def ring_assignment_oracle(field, signs, prefer=None) -> dict:
+    """Degenerate-sign assignment by a per-triangle search: grow the point
+    neighborhood one ring at a time, triangle by triangle, until a ring
+    decides (strict majority of the running sum, or with ``prefer`` the
+    first ring holding a signed triangle)."""
+    out = {}
+    for seed in np.flatnonzero(signs == 0):
+        seed = int(seed)
+        visited = {seed}
+        frontier = [seed]
+        total = 0
+        decided = 1  # fully degenerate component
+        while frontier:
+            ring = []
+            for u in frontier:
+                for v in field.point_neighbors(u):
+                    v = int(v)
+                    if v not in visited:
+                        visited.add(v)
+                        ring.append(v)
+            if not ring:
+                break
+            if prefer is None:
+                total += int(sum(int(signs[v]) for v in ring))
+                if total != 0:
+                    decided = 1 if total > 0 else -1
+                    break
+            else:
+                ring_signs = {int(signs[v]) for v in ring} - {0}
+                if ring_signs:
+                    decided = prefer if prefer in ring_signs else -prefer
+                    break
+            frontier = ring
+        out[seed] = decided
     return out
 
 

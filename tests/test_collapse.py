@@ -20,7 +20,7 @@ from jacobiset import (
 )
 from jacobiset.collapse import CollapseHistory, CollapseVariant, VertexGroups
 
-from conftest import noisy_island_field, quad_field
+from conftest import noisy_island_field, quad_field, wave_field
 
 # 4-triangle fan around cell 0 where collapsing edge (1, 2) flips one
 # neighbor and the other candidate edges flip none (signs + + - -).
@@ -408,3 +408,24 @@ def test_report_serialization(rng):
     assert "elapsed_ms" not in payload
     assert report.elapsed_ms is not None
     assert "elapsed_ms" in report.to_dict(include_elapsed=True)
+
+
+def test_simplify_median_threshold_pinned():
+    # Recorded from the reference implementation; any change to a
+    # candidate score or tie-break shows up here as a different report.
+    field = wave_field(np.random.default_rng(7), 48, 30)
+    _, _, _, graph = neighborhood_graph(field, "A")
+    threshold = 0.13415684375520825
+    assert np.median([n.hypervolume for n in graph.nodes]) == pytest.approx(threshold, rel=1e-12)
+    payload = simplify(field, "A", threshold).to_dict()
+    assert {k: payload[k] for k in ("status", "collapsed_cells", "flip_repairs", "iterations")} == {
+        "status": "completed",
+        "collapsed_cells": 155,
+        "flip_repairs": 40,
+        "iterations": 4,
+    }
+    assert payload["residual_cl"] == []
+    assert payload["before"]["components"] == 33
+    assert payload["after"]["components"] == 19
+    assert payload["before"]["length"] == pytest.approx(1397.9919907732865, rel=1e-12)
+    assert payload["after"]["length"] == pytest.approx(1006.1147904132613, rel=1e-12)

@@ -147,3 +147,19 @@ def test_sniff_and_load_field(tmp_path):
     junk.write_text("hello\n")
     with pytest.raises(ParseError):
         sniff_format(junk)
+
+
+def test_bsf_huge_declared_count_is_parse_error(tmp_path):
+    path = tmp_path / "huge.bsf"
+    path.write_text("bsf 1\nvertices 100000000000 triangles 1\n0 0 0 0\n")
+    with pytest.raises(ParseError) as err:
+        load_bsf(path)
+    assert err.value.line == 2
+
+
+def test_sgf_huge_declared_count_is_parse_error(tmp_path):
+    path = tmp_path / "huge.sgf"
+    path.write_text("sgf 1\ngrid 100000 1000000 1 1\n0 0\n")
+    with pytest.raises(ParseError) as err:
+        load_sgf(path)
+    assert err.value.line == 2

@@ -22,8 +22,10 @@ from conftest import (
     grid_field,
     quad_field,
     random_sign_field,
+    ring_assignment_oracle,
     shoelace,
     unit_triangle,
+    wave_field,
 )
 
 
@@ -200,6 +202,56 @@ def test_assign_with_preference():
     # Preference falls through to the other sign if absent.
     signs = np.array([0, 1, 1, 1, 1, 1], dtype=np.int8)
     assert assign_degenerate(field, signs, prefer=-1)[0] == 1
+
+
+@pytest.mark.parametrize("prefer", [None, 1, -1])
+def test_assign_matches_ring_oracle_on_plateaus(rng, prefer):
+    # Values rounded to 0.5 give plateaus of degenerate triangles, with
+    # ties and all-degenerate first rings that need the ring search.
+    for w, h in [(12, 9), (20, 14), (9, 17), (30, 20)]:
+        for _ in range(3):
+            field = wave_field(rng, w, h, step=0.5)
+            signs = orientation_signs(field)
+            assert (signs == 0).mean() >= 0.15
+            out = assign_degenerate(field, signs, prefer)
+            assert out == ring_assignment_oracle(field, signs, prefer)
+            assert list(out) == sorted(out)
+
+
+@pytest.mark.parametrize("prefer", [None, 1, -1])
+def test_assign_matches_ring_oracle_past_first_ring(rng, prefer):
+    # Degenerate 9x9 core inside a border of random signs: the central
+    # triangles only find signed triangles several rings out.
+    field = triangulate_structured(11, 11, (1.0, 1.0), np.zeros(121), np.zeros(121))
+    centers = field.positions[field.triangles].mean(axis=1)
+    border = ((centers < 1) | (centers > 9)).any(axis=1)
+    for _ in range(5):
+        signs = np.zeros(field.n_triangles, dtype=np.int8)
+        signs[border] = rng.choice([-1, 1], size=int(border.sum()))
+        out = assign_degenerate(field, signs, prefer)
+        assert out == ring_assignment_oracle(field, signs, prefer)
+
+
+@pytest.mark.parametrize("prefer", [None, 1, -1])
+def test_assign_matches_ring_oracle_all_degenerate(prefer):
+    field = triangulate_structured(6, 5, (1.0, 1.0), np.zeros(30), np.zeros(30))
+    signs = orientation_signs(field)
+    out = assign_degenerate(field, signs, prefer)
+    assert out == ring_assignment_oracle(field, signs, prefer)
+    assert set(out.values()) == {1}
+
+
+def test_assign_twin_triangle_matches_ring_oracle():
+    # Triangle 1 repeats the vertices of triangle 0, so each borders the
+    # other across all three edges; triangle 2 touches them at vertex 1.
+    positions = [(0, 0), (1, 0), (0, 1), (2, 0), (2, 1)]
+    triangles = [(0, 1, 2), (0, 1, 2), (1, 3, 4)]
+    field = TriField(positions, np.zeros((5, 2)), triangles)
+    signs = np.array([0, 1, -1], dtype=np.int8)
+    for prefer in (None, 1, -1):
+        assert assign_degenerate(field, signs, prefer) == ring_assignment_oracle(
+            field, signs, prefer
+        )
 
 
 # -- extraction and measures -------------------------------------------------
