@@ -121,7 +121,6 @@ def _loop_once(field: TriField) -> TriField:
     edges = field.edges
     edge_tris = field.edge_triangles
     boundary_edge = edge_tris[:, 1] < 0
-    edge_index = {(int(a), int(b)): i for i, (a, b) in enumerate(edges)}
 
     pos = field.positions
     val = field.values
@@ -140,62 +139,69 @@ def _loop_once(field: TriField) -> TriField:
         d = val[opp[:, 1]]
         new_val[interior] = ai + 0.375 * (bi - ai) + 0.125 * (c - ai) + 0.125 * (d - ai)
 
-    # Old-vertex values.
-    boundary_vertex = np.zeros(n, dtype=bool)
-    boundary_vertex[edges[boundary_edge].ravel()] = True
-    boundary_nbrs: dict[int, list] = {}
-    for ea, eb in edges[boundary_edge]:
-        boundary_nbrs.setdefault(int(ea), []).append(int(eb))
-        boundary_nbrs.setdefault(int(eb), []).append(int(ea))
-
+    # Old-vertex values. Boundary vertices with two boundary neighbors
+    # (left = the smaller id) use the boundary mask; pinched boundary
+    # vertices and vertices in no triangle keep their value.
     old_val = val.copy()
-    for v in range(n):
-        if boundary_vertex[v]:
-            nbrs = boundary_nbrs[v]
-            if len(nbrs) == 2:
-                left, right = val[nbrs[0]], val[nbrs[1]]
-                old_val[v] = val[v] + 0.125 * (left - val[v]) + 0.125 * (right - val[v])
-            # Pinched boundary vertices keep their value.
-        else:
-            ring = field.vertex_neighbors(v)
-            k = len(ring)
-            beta = (0.625 - (0.375 + 0.25 * math.cos(2.0 * math.pi / k)) ** 2) / k
-            old_val[v] = val[v] + beta * (val[ring] - val[v]).sum(axis=0)
+    b_start, b_deg, b_nbrs = _sorted_neighbors(n, edges[boundary_edge])
+    rim = np.flatnonzero(b_deg == 2)
+    left = val[b_nbrs[b_start[rim]]]
+    right = val[b_nbrs[b_start[rim] + 1]]
+    old_val[rim] = val[rim] + 0.125 * (left - val[rim]) + 0.125 * (right - val[rim])
+
+    # Interior vertices: sum the ring differences one neighbor slot at a
+    # time in ascending neighbor order, the order of a sequential sum over
+    # the sorted ring.
+    start, deg, nbrs = _sorted_neighbors(n, edges)
+    inner = np.flatnonzero((b_deg == 0) & (deg > 0))
+    k = deg[inner]
+    ring_sum = np.zeros((len(inner), 2))
+    for slot in range(int(k.max(initial=0))):
+        live = np.flatnonzero(k > slot)
+        v = inner[live]
+        ring_sum[live] += val[nbrs[start[v] + slot]] - val[v]
+    degrees, which = np.unique(k, return_inverse=True)
+    betas = [
+        (0.625 - (0.375 + 0.25 * math.cos(2.0 * math.pi / d)) ** 2) / d
+        for d in degrees.tolist()
+    ]
+    beta = np.array(betas, dtype=np.float64)[which]
+    old_val[inner] = val[inner] + beta[:, None] * ring_sum
 
     # 1-to-4 split; children of a CCW parent are CCW because the new
-    # vertices are geometric midpoints.
+    # vertices are geometric midpoints. Midpoint ids come from the sorted
+    # (min, max) keys of `edges`.
     tri = field.triangles
-    mid = np.empty((len(tri), 3), dtype=np.int64)
-    for t in range(len(tri)):
-        for e in range(3):
-            key = field.edge_endpoints(t, e)
-            mid[t, e] = n + edge_index[key]
+    ends = np.stack([tri, np.roll(tri, -1, axis=1)])
+    keys = ends.min(axis=0) * n + ends.max(axis=0)
+    mid = n + np.searchsorted(edges[:, 0] * n + edges[:, 1], keys)
     v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
     m01, m12, m20 = mid[:, 0], mid[:, 1], mid[:, 2]
-    children = np.concatenate(
-        [
-            np.column_stack([v0, m01, m20]),
-            np.column_stack([v1, m12, m01]),
-            np.column_stack([v2, m20, m12]),
-            np.column_stack([m01, m12, m20]),
-        ]
-    )
-    order = np.arange(len(tri))
-    interleave = np.concatenate([4 * order, 4 * order + 1, 4 * order + 2, 4 * order + 3])
-    out_tris = np.empty_like(children)
-    out_tris[interleave] = children
+    out_tris = np.empty((4 * len(tri), 3), dtype=np.int64)
+    out_tris[0::4] = np.column_stack([v0, m01, m20])
+    out_tris[1::4] = np.column_stack([v1, m12, m01])
+    out_tris[2::4] = np.column_stack([v2, m20, m12])
+    out_tris[3::4] = np.column_stack([m01, m12, m20])
 
     return TriField(
         np.vstack([pos, new_pos]), np.vstack([old_val, new_val]), out_tris
     )
 
 
+def _sorted_neighbors(n: int, edges: np.ndarray):
+    """Per-vertex neighbor lists of an edge list in CSR form: vertex ``v``
+    has ``deg[v]`` neighbors, ascending, at ``nbrs[start[v]:]``."""
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.argsort(src * n + dst)
+    deg = np.bincount(src, minlength=n)
+    start = np.zeros(n, dtype=np.int64)
+    np.cumsum(deg[:-1], out=start[1:])
+    return start, deg, dst[order]
+
+
 def _opposite_vertices(field, edges, edge_tris):
     """For interior edges, the third vertex of each adjacent triangle."""
-    out = np.empty((len(edges), 2), dtype=np.int64)
-    tri = field.triangles
-    for i, ((a, b), (t1, t2)) in enumerate(zip(edges, edge_tris)):
-        for j, t in enumerate((t1, t2)):
-            verts = tri[t]
-            out[i, j] = verts[(verts != a) & (verts != b)][0]
-    return out
+    tri_sums = field.triangles.sum(axis=1)
+    ab = (edges[:, 0] + edges[:, 1])[:, None]
+    return tri_sums[edge_tris] - ab

@@ -7,17 +7,14 @@ and ``compare`` (measures table across inputs and methods).
 
 Exit codes: 0 success, 2 input/validation error, 64 usage error. Every
 command that writes an output also writes ``<output>.manifest.json``
-recording the invocation. ``JSS_THREADS`` caps worker parallelism in
-``compare``.
+recording the invocation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -378,21 +375,13 @@ def _compare_cell(path: str, method: str, args) -> dict:
 
 
 def cmd_compare(args) -> int:
-    cells = [(path, method) for path in args.inputs for method in args.methods]
-    workers = max(1, int(os.environ.get("JSS_THREADS", "1")))
-
-    def worker(cell):
-        path, method = cell
-        try:
-            return _compare_cell(path, method, args)
-        except (ParseError, MeshError, OSError, ValueError, TypeError) as exc:
-            return {"error": str(exc)}
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(cells, pool.map(worker, cells)))
-    else:
-        results = {cell: worker(cell) for cell in cells}
+    results = {}
+    for path in args.inputs:
+        for method in args.methods:
+            try:
+                results[(path, method)] = _compare_cell(path, method, args)
+            except (ParseError, MeshError, OSError, ValueError, TypeError) as exc:
+                results[(path, method)] = {"error": str(exc)}
 
     ok = sum(1 for r in results.values() if "error" not in r)
     table = _format_compare(args, results)

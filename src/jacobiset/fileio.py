@@ -14,11 +14,22 @@ SGF holds a structured grid of samples::
     <f> <g>              (W*H lines, row-major, x fastest)
 
 Floats are written with ``repr`` so a save/load round trip is bit-exact.
+
+The readers parse the data lines in chunks of ``CHUNK_LINES``: each line
+of a chunk must hold the expected number of tokens, and the chunk's tokens
+are converted by one ``float``/``int`` pass into an array. Any anomaly in
+a chunk - a wrong token count, a hex float, a token that ``float``/``int``
+rejects, an index beyond int64 - sends that chunk through the line-by-line
+parser, which accepts hex floats and raises :class:`ParseError` with the
+offending line number. Both paths convert each token with the same
+Python call, so they give the same bits. The writers format a chunk of
+rows with one ``%`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -34,6 +45,12 @@ class ParseError(ValueError):
         super().__init__(f"{self.path}:{line}: {message}")
 
 
+# A chunk's split token lists cost about 350 bytes a line; 512 lines keep
+# them far below the size of the file's own line list.
+CHUNK_LINES = 512
+_INT64 = np.iinfo(np.int64)
+
+
 def _parse_float(tok: str, path, line) -> float:
     try:
         return float(tok)
@@ -43,6 +60,8 @@ def _parse_float(tok: str, path, line) -> float:
         return float.fromhex(tok)
     except ValueError:
         raise ParseError(path, line, f"not a number: {tok!r}") from None
+    except OverflowError:
+        raise ParseError(path, line, f"number out of range: {tok!r}") from None
 
 
 def _parse_int(tok: str, path, line) -> int:
@@ -50,6 +69,43 @@ def _parse_int(tok: str, path, line) -> int:
         return int(tok)
     except ValueError:
         raise ParseError(path, line, f"not an integer: {tok!r}") from None
+
+
+def _parse_index_row(toks, path, line) -> list:
+    row = [_parse_int(t, path, line) for t in toks]
+    for t, v in zip(toks, row):
+        if not _INT64.min <= v <= _INT64.max:
+            raise ParseError(path, line, f"index out of range: {t!r}")
+    return row
+
+
+def _parse_lines(path, lines, first: int, count: int, width: int, kind) -> np.ndarray:
+    """Parse ``lines[first:first + count]`` into a (count, width) array of
+    ``kind`` (float or int), one chunk of lines at a time. ``lines`` must
+    hold all of them."""
+    dtype = np.float64 if kind is float else np.int64
+    noun = "fields" if kind is float else "indices"
+    out = np.empty((count, width), dtype=dtype)
+    for lo in range(0, count, CHUNK_LINES):
+        hi = min(lo + CHUNK_LINES, count)
+        rows = list(map(str.split, lines[first + lo : first + hi]))
+        if set(map(len, rows)) == {width}:
+            try:
+                out[lo:hi] = np.fromiter(
+                    map(kind, chain.from_iterable(rows)), dtype, (hi - lo) * width
+                ).reshape(-1, width)
+                continue
+            except (ValueError, OverflowError):
+                pass
+        for i, toks in enumerate(rows, start=lo):
+            lineno = first + i + 1
+            if len(toks) != width:
+                raise ParseError(path, lineno, f"expected {width} {noun}, got {len(toks)}")
+            if kind is float:
+                out[i] = [_parse_float(t, path, lineno) for t in toks]
+            else:
+                out[i] = _parse_index_row(toks, path, lineno)
+    return out
 
 
 def _check_declared(path, lines, count: int, what: str) -> None:
@@ -110,37 +166,27 @@ def load_bsf(path) -> TriField:
         raise ParseError(path, 2, "negative count")
     _check_declared(path, lines, n + m, f"{n} vertex and {m} triangle")
 
-    positions = np.empty((n, 2), dtype=np.float64)
-    values = np.empty((n, 2), dtype=np.float64)
-    for i in range(n):
-        lineno = 3 + i
-        toks = need(2 + i).split()
-        if len(toks) != 4:
-            raise ParseError(path, lineno, f"expected 4 fields, got {len(toks)}")
-        positions[i, 0] = _parse_float(toks[0], path, lineno)
-        positions[i, 1] = _parse_float(toks[1], path, lineno)
-        values[i, 0] = _parse_float(toks[2], path, lineno)
-        values[i, 1] = _parse_float(toks[3], path, lineno)
-    triangles = np.empty((m, 3), dtype=np.int64)
-    for j in range(m):
-        lineno = 3 + n + j
-        toks = need(2 + n + j).split()
-        if len(toks) != 3:
-            raise ParseError(path, lineno, f"expected 3 indices, got {len(toks)}")
-        triangles[j] = [_parse_int(t, path, lineno) for t in toks]
-    return TriField(positions, values, triangles)
+    samples = _parse_lines(path, lines, 2, n, 4, float)
+    triangles = _parse_lines(path, lines, 2 + n, m, 3, int)
+    del lines  # release the text before TriField builds its adjacency
+    return TriField(samples[:, :2], samples[:, 2:], triangles)
+
+
+def format_rows(row_format: str, rows: np.ndarray):
+    """Yield the rows of a 2D array as text, each formatted by ``row_format``
+    and ended by a newline, one ``%`` call per chunk of ``CHUNK_LINES`` rows
+    (``%r`` gives the ``repr`` of a float)."""
+    for lo in range(0, len(rows), CHUNK_LINES):
+        chunk = rows[lo : lo + CHUNK_LINES]
+        yield (row_format + "\n") * len(chunk) % tuple(chunk.ravel().tolist())
 
 
 def save_bsf(field: TriField, path) -> None:
     """Write ``field`` as BSF; loading the result restores it bit-exactly."""
-    out = ["bsf 1", f"vertices {field.n_vertices} triangles {field.n_triangles}"]
-    for p, v in zip(field.positions, field.values):
-        out.append(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(v[0])} {_fmt(v[1])}")
-    for t in field.triangles:
-        out.append(f"{t[0]} {t[1]} {t[2]}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out))
-        fh.write("\n")
+        fh.write(f"bsf 1\nvertices {field.n_vertices} triangles {field.n_triangles}\n")
+        fh.writelines(format_rows("%r %r %r %r", np.hstack([field.positions, field.values])))
+        fh.writelines(format_rows("%d %d %d", field.triangles))
 
 
 def load_sgf(path) -> GridField:
@@ -161,27 +207,15 @@ def load_sgf(path) -> GridField:
     if w < 2 or h < 2:
         raise ParseError(path, 2, "grid must be at least 2 x 2")
     _check_declared(path, lines, w * h, f"{w} x {h} sample")
-    f = np.empty(w * h, dtype=np.float64)
-    g = np.empty(w * h, dtype=np.float64)
-    for i in range(w * h):
-        lineno = 3 + i
-        if 2 + i >= len(lines):
-            raise ParseError(path, len(lines), "unexpected end of file")
-        toks = lines[2 + i].split()
-        if len(toks) != 2:
-            raise ParseError(path, lineno, f"expected 2 fields, got {len(toks)}")
-        f[i] = _parse_float(toks[0], path, lineno)
-        g[i] = _parse_float(toks[1], path, lineno)
+    samples = _parse_lines(path, lines, 2, w * h, 2, float)
+    f, g = samples[:, 0], samples[:, 1]
     return GridField(w, h, dx, dy, f.reshape(h, w), g.reshape(h, w))
 
 
 def save_sgf(grid: GridField, path) -> None:
-    out = ["sgf 1", f"grid {grid.width} {grid.height} {_fmt(grid.dx)} {_fmt(grid.dy)}"]
-    for fv, gv in zip(grid.f.ravel(), grid.g.ravel()):
-        out.append(f"{_fmt(fv)} {_fmt(gv)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out))
-        fh.write("\n")
+        fh.write(f"sgf 1\ngrid {grid.width} {grid.height} {_fmt(grid.dx)} {_fmt(grid.dy)}\n")
+        fh.writelines(format_rows("%r %r", np.column_stack([grid.f.ravel(), grid.g.ravel()])))
 
 
 def sniff_format(path) -> str:

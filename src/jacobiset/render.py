@@ -11,21 +11,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fileio import format_rows
 from .jacobi import (
     assign_degenerate,
+    effective_signs,
     extract_jacobi_set,
     orientation_signs,
 )
 from .mesh import TriField
 
 MIN_SATURATION = 0.08
-_RED = (255, 0, 0)
-_BLUE = (0, 0, 255)
-
-
-def _blend(color, saturation: float) -> str:
-    r, g, b = (round(255 + (c - 255) * saturation) for c in color)
-    return f"#{r:02x}{g:02x}{b:02x}"
+_POLYGON = '<polygon points="%.3f,%.3f %.3f,%.3f %.3f,%.3f" fill="#%02x%02x%02x"/>'
+_LINE = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f"/>'
 
 
 def render_svg(
@@ -54,38 +51,38 @@ def render_svg(
     h = max(ymax - ymin, 1e-30)
     px = canvas_width / w
     canvas_height = h * px
+    # Pixel coordinates; y grows downward in SVG.
+    xy = np.column_stack([(pos[:, 0] - xmin) * px, (ymax - pos[:, 1]) * px])
 
-    def to_px(p):
-        return ((p[0] - xmin) * px, (ymax - p[1]) * px)  # y grows downward in SVG
+    # Red where the effective sign is +1, blue where it is -1; degenerate
+    # triangles take their assigned sign at the minimum saturation.
+    eff = effective_signs(field, signs, assignment)
+    if scale_ref > 0:
+        sat = np.minimum(1.0, range_areas / scale_ref)
+    else:
+        sat = np.ones(field.n_triangles)
+    sat[signs == 0] = MIN_SATURATION
+    # The sign's own channel stays at 255; the other two fade from 255 to
+    # 0 as saturation grows, rounded half to even.
+    faded = np.rint(255 + -255 * sat).astype(np.int64)
+    polygons = np.empty((field.n_triangles, 9), dtype=object)
+    polygons[:, :6] = xy[field.triangles].reshape(-1, 6)
+    polygons[:, 6] = np.where(eff > 0, 255, faded)
+    polygons[:, 7] = faded
+    polygons[:, 8] = np.where(eff > 0, faded, 255)
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas_width:.0f}" '
-        f'height="{canvas_height:.2f}" viewBox="0 0 {canvas_width:.2f} {canvas_height:.2f}">',
-        '<g stroke="none">',
+        f'height="{canvas_height:.2f}" viewBox="0 0 {canvas_width:.2f} {canvas_height:.2f}">\n'
+        '<g stroke="none">\n',
+        *format_rows(_POLYGON, polygons),
+        "</g>\n",
     ]
-    eff_color = {1: _RED, -1: _BLUE}
-    for t in range(field.n_triangles):
-        s = int(signs[t])
-        if s == 0:
-            color = eff_color[assignment[t]]
-            sat = MIN_SATURATION
-        else:
-            color = eff_color[s]
-            sat = min(1.0, float(range_areas[t]) / scale_ref) if scale_ref > 0 else 1.0
-        pts = " ".join(
-            f"{x:.3f},{y:.3f}" for x, y in (to_px(pos[v]) for v in field.triangles[t])
-        )
-        lines.append(f'<polygon points="{pts}" fill="{_blend(color, sat)}"/>')
-    lines.append("</g>")
-
     if show_jacobi and len(js.edges):
         stroke = 0.004 * max(canvas_width, canvas_height)
-        lines.append(f'<g stroke="#000000" stroke-width="{stroke:.3f}" stroke-linecap="round">')
-        for a, b in js.edges:
-            x1, y1 = to_px(pos[a])
-            x2, y2 = to_px(pos[b])
-            lines.append(f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}"/>')
-        lines.append("</g>")
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        parts.append(f'<g stroke="#000000" stroke-width="{stroke:.3f}" stroke-linecap="round">\n')
+        parts += format_rows(_LINE, xy[js.edges].reshape(-1, 4))
+        parts.append("</g>\n")
+    parts.append("</svg>\n")
+    return "".join(parts)

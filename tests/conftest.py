@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from jacobiset import TriField, triangulate_structured
+from jacobiset.fileio import GridField, ParseError
+from jacobiset.jacobi import assign_degenerate, extract_jacobi_set, orientation_signs
 
 
 def make_field(positions, values, triangles) -> TriField:
@@ -219,6 +223,308 @@ def ring_assignment_oracle(field, signs, prefer=None) -> dict:
             frontier = ring
         out[seed] = decided
     return out
+
+
+# -- loop-based reference implementations -----------------------------------
+# The per-element versions that the array code in baselines, render and
+# fileio replaced, kept unchanged as bitwise oracles.
+
+
+def loop_once_oracle(field: TriField) -> TriField:
+    """One Loop subdivision step with per-vertex and per-triangle loops."""
+    n = field.n_vertices
+    edges = field.edges
+    edge_tris = field.edge_triangles
+    boundary_edge = edge_tris[:, 1] < 0
+    edge_index = {(int(a), int(b)): i for i, (a, b) in enumerate(edges)}
+
+    pos = field.positions
+    val = field.values
+    new_pos = 0.5 * (pos[edges[:, 0]] + pos[edges[:, 1]])
+
+    # Edge-vertex values.
+    a = val[edges[:, 0]]
+    b = val[edges[:, 1]]
+    new_val = a + 0.5 * (b - a)
+    interior = ~boundary_edge
+    if interior.any():
+        opp = opposite_vertices_oracle(field, edges[interior], edge_tris[interior])
+        ai = val[edges[interior, 0]]
+        bi = val[edges[interior, 1]]
+        c = val[opp[:, 0]]
+        d = val[opp[:, 1]]
+        new_val[interior] = ai + 0.375 * (bi - ai) + 0.125 * (c - ai) + 0.125 * (d - ai)
+
+    # Old-vertex values.
+    boundary_vertex = np.zeros(n, dtype=bool)
+    boundary_vertex[edges[boundary_edge].ravel()] = True
+    boundary_nbrs: dict[int, list] = {}
+    for ea, eb in edges[boundary_edge]:
+        boundary_nbrs.setdefault(int(ea), []).append(int(eb))
+        boundary_nbrs.setdefault(int(eb), []).append(int(ea))
+
+    old_val = val.copy()
+    for v in range(n):
+        if boundary_vertex[v]:
+            nbrs = boundary_nbrs[v]
+            if len(nbrs) == 2:
+                left, right = val[nbrs[0]], val[nbrs[1]]
+                old_val[v] = val[v] + 0.125 * (left - val[v]) + 0.125 * (right - val[v])
+            # Pinched boundary vertices keep their value.
+        else:
+            ring = field.vertex_neighbors(v)
+            k = len(ring)
+            beta = (0.625 - (0.375 + 0.25 * math.cos(2.0 * math.pi / k)) ** 2) / k
+            old_val[v] = val[v] + beta * (val[ring] - val[v]).sum(axis=0)
+
+    # 1-to-4 split; children of a CCW parent are CCW because the new
+    # vertices are geometric midpoints.
+    tri = field.triangles
+    mid = np.empty((len(tri), 3), dtype=np.int64)
+    for t in range(len(tri)):
+        for e in range(3):
+            key = field.edge_endpoints(t, e)
+            mid[t, e] = n + edge_index[key]
+    v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
+    m01, m12, m20 = mid[:, 0], mid[:, 1], mid[:, 2]
+    children = np.concatenate(
+        [
+            np.column_stack([v0, m01, m20]),
+            np.column_stack([v1, m12, m01]),
+            np.column_stack([v2, m20, m12]),
+            np.column_stack([m01, m12, m20]),
+        ]
+    )
+    order = np.arange(len(tri))
+    interleave = np.concatenate([4 * order, 4 * order + 1, 4 * order + 2, 4 * order + 3])
+    out_tris = np.empty_like(children)
+    out_tris[interleave] = children
+
+    return TriField(
+        np.vstack([pos, new_pos]), np.vstack([old_val, new_val]), out_tris
+    )
+
+
+def opposite_vertices_oracle(field, edges, edge_tris):
+    """For interior edges, the third vertex of each adjacent triangle."""
+    out = np.empty((len(edges), 2), dtype=np.int64)
+    tri = field.triangles
+    for i, ((a, b), (t1, t2)) in enumerate(zip(edges, edge_tris)):
+        for j, t in enumerate((t1, t2)):
+            verts = tri[t]
+            out[i, j] = verts[(verts != a) & (verts != b)][0]
+    return out
+
+
+_MIN_SATURATION = 0.08
+_RED = (255, 0, 0)
+_BLUE = (0, 0, 255)
+
+
+def _blend(color, saturation: float) -> str:
+    r, g, b = (round(255 + (c - 255) * saturation) for c in color)
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def render_svg_oracle(
+    field: TriField,
+    show_jacobi: bool = True,
+    saturation_scale: float = 1.0,
+    epsilon: float = 0.0,
+    canvas_width: float = 800.0,
+) -> str:
+    """SVG rendering with one formatted line per triangle and edge."""
+    if saturation_scale <= 0:
+        raise ValueError("saturation scale must be > 0")
+    signs = orientation_signs(field, epsilon)
+    assignment = assign_degenerate(field, signs)
+    js = extract_jacobi_set(field, signs, assignment)
+
+    range_areas = np.abs(field.dets) * field.domain_areas
+    nonzero = range_areas[range_areas > 0]
+    median = float(np.median(nonzero)) if len(nonzero) else 1.0
+    scale_ref = saturation_scale * median
+
+    pos = field.positions
+    xmin, ymin = pos.min(axis=0)
+    xmax, ymax = pos.max(axis=0)
+    w = max(xmax - xmin, 1e-30)
+    h = max(ymax - ymin, 1e-30)
+    px = canvas_width / w
+    canvas_height = h * px
+
+    def to_px(p):
+        return ((p[0] - xmin) * px, (ymax - p[1]) * px)  # y grows downward in SVG
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas_width:.0f}" '
+        f'height="{canvas_height:.2f}" viewBox="0 0 {canvas_width:.2f} {canvas_height:.2f}">',
+        '<g stroke="none">',
+    ]
+    eff_color = {1: _RED, -1: _BLUE}
+    for t in range(field.n_triangles):
+        s = int(signs[t])
+        if s == 0:
+            color = eff_color[assignment[t]]
+            sat = _MIN_SATURATION
+        else:
+            color = eff_color[s]
+            sat = min(1.0, float(range_areas[t]) / scale_ref) if scale_ref > 0 else 1.0
+        pts = " ".join(
+            f"{x:.3f},{y:.3f}" for x, y in (to_px(pos[v]) for v in field.triangles[t])
+        )
+        lines.append(f'<polygon points="{pts}" fill="{_blend(color, sat)}"/>')
+    lines.append("</g>")
+
+    if show_jacobi and len(js.edges):
+        stroke = 0.004 * max(canvas_width, canvas_height)
+        lines.append(f'<g stroke="#000000" stroke-width="{stroke:.3f}" stroke-linecap="round">')
+        for a, b in js.edges:
+            x1, y1 = to_px(pos[a])
+            x2, y2 = to_px(pos[b])
+            lines.append(f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}"/>')
+        lines.append("</g>")
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def _parse_float(tok: str, path, line) -> float:
+    try:
+        return float(tok)
+    except ValueError:
+        pass
+    try:
+        return float.fromhex(tok)
+    except ValueError:
+        raise ParseError(path, line, f"not a number: {tok!r}") from None
+
+
+def _parse_int(tok: str, path, line) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(path, line, f"not an integer: {tok!r}") from None
+
+
+def _check_declared(path, lines, count: int, what: str) -> None:
+    """Reject a header declaring more data lines than the file holds,
+    before any array is sized from it."""
+    present = len(lines) - 2 - (lines[-1] == "")
+    if count > present:
+        raise ParseError(path, 2, f"header declares {what} lines, file has {present}")
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def load_bsf_oracle(path) -> TriField:
+    """Line-by-line BSF reader."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+
+    def need(idx):
+        if idx >= len(lines):
+            raise ParseError(path, len(lines), "unexpected end of file")
+        return lines[idx]
+
+    if need(0).strip() != "bsf 1":
+        raise ParseError(path, 1, f"expected 'bsf 1' header, got {lines[0]!r}")
+    head = need(1).split()
+    if len(head) != 4 or head[0] != "vertices" or head[2] != "triangles":
+        raise ParseError(path, 2, "expected 'vertices <N> triangles <M>'")
+    n = _parse_int(head[1], path, 2)
+    m = _parse_int(head[3], path, 2)
+    if n < 0 or m < 0:
+        raise ParseError(path, 2, "negative count")
+    _check_declared(path, lines, n + m, f"{n} vertex and {m} triangle")
+
+    positions = np.empty((n, 2), dtype=np.float64)
+    values = np.empty((n, 2), dtype=np.float64)
+    for i in range(n):
+        lineno = 3 + i
+        toks = need(2 + i).split()
+        if len(toks) != 4:
+            raise ParseError(path, lineno, f"expected 4 fields, got {len(toks)}")
+        positions[i, 0] = _parse_float(toks[0], path, lineno)
+        positions[i, 1] = _parse_float(toks[1], path, lineno)
+        values[i, 0] = _parse_float(toks[2], path, lineno)
+        values[i, 1] = _parse_float(toks[3], path, lineno)
+    triangles = np.empty((m, 3), dtype=np.int64)
+    for j in range(m):
+        lineno = 3 + n + j
+        toks = need(2 + n + j).split()
+        if len(toks) != 3:
+            raise ParseError(path, lineno, f"expected 3 indices, got {len(toks)}")
+        triangles[j] = [_parse_int(t, path, lineno) for t in toks]
+    return TriField(positions, values, triangles)
+
+
+def save_bsf_oracle(field: TriField, path) -> None:
+    """One formatted line per vertex and triangle."""
+    out = ["bsf 1", f"vertices {field.n_vertices} triangles {field.n_triangles}"]
+    for p, v in zip(field.positions, field.values):
+        out.append(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(v[0])} {_fmt(v[1])}")
+    for t in field.triangles:
+        out.append(f"{t[0]} {t[1]} {t[2]}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(out))
+        fh.write("\n")
+
+
+def load_sgf_oracle(path) -> GridField:
+    """Line-by-line SGF reader."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if not lines or lines[0].strip() != "sgf 1":
+        raise ParseError(path, 1, f"expected 'sgf 1' header")
+    if len(lines) < 2:
+        raise ParseError(path, 2, "unexpected end of file")
+    head = lines[1].split()
+    if len(head) != 5 or head[0] != "grid":
+        raise ParseError(path, 2, "expected 'grid <W> <H> <dx> <dy>'")
+    w = _parse_int(head[1], path, 2)
+    h = _parse_int(head[2], path, 2)
+    dx = _parse_float(head[3], path, 2)
+    dy = _parse_float(head[4], path, 2)
+    if w < 2 or h < 2:
+        raise ParseError(path, 2, "grid must be at least 2 x 2")
+    _check_declared(path, lines, w * h, f"{w} x {h} sample")
+    f = np.empty(w * h, dtype=np.float64)
+    g = np.empty(w * h, dtype=np.float64)
+    for i in range(w * h):
+        lineno = 3 + i
+        if 2 + i >= len(lines):
+            raise ParseError(path, len(lines), "unexpected end of file")
+        toks = lines[2 + i].split()
+        if len(toks) != 2:
+            raise ParseError(path, lineno, f"expected 2 fields, got {len(toks)}")
+        f[i] = _parse_float(toks[0], path, lineno)
+        g[i] = _parse_float(toks[1], path, lineno)
+    return GridField(w, h, dx, dy, f.reshape(h, w), g.reshape(h, w))
+
+
+def save_sgf_oracle(grid: GridField, path) -> None:
+    """One formatted line per sample."""
+    out = ["sgf 1", f"grid {grid.width} {grid.height} {_fmt(grid.dx)} {_fmt(grid.dy)}"]
+    for fv, gv in zip(grid.f.ravel(), grid.g.ravel()):
+        out.append(f"{_fmt(fv)} {_fmt(gv)}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(out))
+        fh.write("\n")
+
+
+def bits(a) -> np.ndarray:
+    """Float array as int64 bit patterns, so -0.0 and 0.0 compare unequal."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def assert_same_field(a: TriField, b: TriField) -> None:
+    """Positions, values and triangles equal bit for bit."""
+    assert np.array_equal(bits(a.positions), bits(b.positions))
+    assert np.array_equal(bits(a.values), bits(b.values))
+    assert np.array_equal(a.triangles, b.triangles)
 
 
 @pytest.fixture

@@ -12,9 +12,10 @@ from jacobiset import (
     measures,
     triangulate_structured,
 )
+from jacobiset.baselines import _loop_once
 from jacobiset.fileio import GridField
 
-from conftest import noisy_island_field
+from conftest import assert_same_field, loop_once_oracle, noisy_island_field, wave_field
 
 
 def constant_grid(w=7, h=5, cf=1.7, cg=-2.3):
@@ -278,3 +279,42 @@ def test_loop_component_count_does_not_drop(rng):
     before = measures(noisy)["components"]
     after = measures(loop_subdivide(noisy, 2))["components"]
     assert after >= before
+
+
+def test_loop_matches_loop_oracle_on_wave_field(rng):
+    field = wave_field(rng, 23, 17)
+    assert_same_field(_loop_once(field), loop_once_oracle(field))
+
+
+def test_loop_two_steps_match_loop_oracle(rng):
+    field = wave_field(rng, 12, 9, step=0.5)
+    once = loop_once_oracle(field)
+    assert_same_field(loop_subdivide(field, 2), loop_once_oracle(once))
+
+
+def irregular_fan_field(rng, k=11):
+    """A degree-k interior hub ringed by a band of triangles, plus a
+    triangle hanging off one outer corner, which pinches the boundary
+    there. Values mix signed zeros with large normals."""
+    ang = 2 * np.pi * np.arange(k) / k
+    inner = np.column_stack([np.cos(ang), np.sin(ang)])
+    outer = 2.5 * np.column_stack([np.cos(ang + 0.3), np.sin(ang + 0.3)])
+    tip = outer[0] + [[1.0, 0.2], [0.2, 1.0]]
+    positions = np.vstack([[0.0, 0.0], inner, outer, tip])
+    tris = [(0, 1 + i, 1 + (i + 1) % k) for i in range(k)]
+    tris += [(1 + i, 1 + k + i, 1 + (i + 1) % k) for i in range(k)]
+    tris += [(1 + (i + 1) % k, 1 + k + i, 1 + k + (i + 1) % k) for i in range(k)]
+    tris += [(1 + k, 2 * k + 1, 2 * k + 2)]
+    values = 1e3 * rng.normal(size=(len(positions), 2))
+    values[::3] = -0.0
+    values[1::4] = 0.0
+    return TriField(positions, values, tris)
+
+
+def test_loop_matches_loop_oracle_on_irregular_mesh(rng):
+    field = irregular_fan_field(rng)
+    degree = np.bincount(field.edges.ravel())
+    assert degree.max() > 8
+    pinched = 1 + 11  # first outer vertex: four boundary edges
+    assert (field.edges[field.boundary_edge_mask()] == pinched).sum() == 4
+    assert_same_field(_loop_once(field), loop_once_oracle(field))

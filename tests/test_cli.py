@@ -259,19 +259,49 @@ def test_compare_requires_methods(identity_sgf):
     assert main(["compare", str(identity_sgf)]) == 64
 
 
-def test_compare_threaded_matches_serial(island_bsf, island_threshold, identity_sgf, capsys, monkeypatch):
-    args = [
-        "compare", str(island_bsf), str(identity_sgf),
-        "--methods", "original", "ca-a",
-        "--threshold", island_threshold, "--format", "csv",
-    ]
-    monkeypatch.delenv("JSS_THREADS", raising=False)
-    assert main(args) == 0
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("JSS_THREADS", "4")
-    assert main(args) == 0
-    threaded = capsys.readouterr().out
-    assert serial == threaded
+# Four vertices, one triangle: vertex 3 lies in no triangle.
+UNREFERENCED_VERTEX_BSF = """bsf 1
+vertices 4 triangles 1
+0.0 0.0 0.0 0.0
+1.0 0.0 1.0 0.0
+0.0 1.0 0.0 1.0
+5.0 5.0 2.0 3.0
+0 1 2
+"""
+
+
+def test_baseline_loop_unreferenced_vertex(tmp_path):
+    path = tmp_path / "loose.bsf"
+    path.write_text(UNREFERENCED_VERTEX_BSF)
+    out = tmp_path / "loop.bsf"
+    assert (
+        main(["baseline", str(path), "--method", "loop", "--steps", "2", "--out", str(out)])
+        == 0
+    )
+    result = load_bsf(out)
+    assert result.n_triangles == 16
+    assert list(result.values[3]) == [2.0, 3.0]  # unreferenced vertex keeps its value
+
+
+def test_compare_loop_unreferenced_vertex(tmp_path, capsys):
+    path = tmp_path / "loose.bsf"
+    path.write_text(UNREFERENCED_VERTEX_BSF)
+    code = main(["compare", str(path), "--methods", "original", "loop", "--format", "csv"])
+    assert code == 0
+    table = capsys.readouterr().out
+    assert "error" not in table
+    assert table.strip().split("\n")[2].endswith(",loop,0,0")
+
+
+def test_stats_index_beyond_int64_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge_index.bsf"
+    path.write_text(
+        "bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1 0 1 0\n0 1 0 1\n0 1 99999999999999999999\n"
+    )
+    assert main(["stats", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:6:" in err
+    assert "99999999999999999999" in err
 
 
 def test_console_entry_point_runs():

@@ -11,9 +11,19 @@ from jacobiset import (
     save_sgf,
     triangulate_structured,
 )
+from jacobiset import fileio
 from jacobiset.fileio import GridField, sniff_format
 
-from conftest import unit_triangle
+from conftest import (
+    assert_same_field,
+    bits,
+    load_bsf_oracle,
+    load_sgf_oracle,
+    save_bsf_oracle,
+    save_sgf_oracle,
+    unit_triangle,
+    wave_field,
+)
 
 MINIMAL_BSF = """bsf 1
 vertices 3 triangles 1
@@ -163,3 +173,90 @@ def test_sgf_huge_declared_count_is_parse_error(tmp_path):
     with pytest.raises(ParseError) as err:
         load_sgf(path)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("chunk", [fileio.CHUNK_LINES, 7])
+def test_bsf_matches_line_oracle(tmp_path, rng, monkeypatch, chunk):
+    monkeypatch.setattr(fileio, "CHUNK_LINES", chunk)
+    field = wave_field(rng, 19, 11)
+    field.set_vertex_values([0, 5], (-0.0, 0.0))
+    new, old = tmp_path / "new.bsf", tmp_path / "old.bsf"
+    save_bsf(field, new)
+    save_bsf_oracle(field, old)
+    assert new.read_bytes() == old.read_bytes()
+    assert_same_field(load_bsf(new), load_bsf_oracle(new))
+
+
+@pytest.mark.parametrize("chunk", [fileio.CHUNK_LINES, 5])
+def test_sgf_matches_line_oracle(tmp_path, rng, monkeypatch, chunk):
+    monkeypatch.setattr(fileio, "CHUNK_LINES", chunk)
+    f = rng.normal(size=(6, 9))
+    f[0, :3] = -0.0
+    grid = GridField(9, 6, 0.3, 1e-17, f, rng.normal(size=(6, 9)))
+    new, old = tmp_path / "new.sgf", tmp_path / "old.sgf"
+    save_sgf(grid, new)
+    save_sgf_oracle(grid, old)
+    assert new.read_bytes() == old.read_bytes()
+    a, b = load_sgf(new), load_sgf_oracle(new)
+    assert (a.width, a.height, a.dx, a.dy) == (b.width, b.height, b.dx, b.dy)
+    assert np.array_equal(bits(a.f), bits(b.f))
+    assert np.array_equal(bits(a.g), bits(b.g))
+
+
+def test_hex_float_files_match_line_oracle(tmp_path, rng, monkeypatch):
+    monkeypatch.setattr(fileio, "CHUNK_LINES", 4)
+    field = wave_field(rng, 5, 4)
+    rows = [" ".join(float(x).hex() for x in row) for row in np.hstack([field.positions, field.values])]
+    rows[6] = rows[6].replace("0x", "0X")
+    tris = [" ".join(map(str, t)) for t in field.triangles.tolist()]
+    path = tmp_path / "hex.bsf"
+    path.write_text(
+        f"bsf 1\nvertices {field.n_vertices} triangles {field.n_triangles}\n"
+        + "\n".join(rows + tris) + "\n"
+    )
+    assert_same_field(load_bsf(path), load_bsf_oracle(path))
+    assert_same_field(load_bsf(path), field)
+    sgf = tmp_path / "hex.sgf"
+    sgf.write_text(
+        "sgf 1\ngrid 2 2 0x1.0p-1 1.0\n0x1.8p+1 -0x0.0p+0\n1.5 2\n0x1p-1074 -0.0\n3 4\n"
+    )
+    a, b = load_sgf(sgf), load_sgf_oracle(sgf)
+    assert a.dx == b.dx == 0.5
+    assert np.array_equal(bits(a.f), bits(b.f))
+    assert np.array_equal(bits(a.g), bits(b.g))
+
+
+def test_error_line_numbers_past_first_chunk(tmp_path, rng, monkeypatch):
+    monkeypatch.setattr(fileio, "CHUNK_LINES", 4)
+    field = wave_field(rng, 4, 3)
+    path = tmp_path / "ok.bsf"
+    save_bsf(field, path)
+    lines = path.read_text().split("\n")
+    cases = [
+        {9: "1 2 3"},
+        {13: "0 1 x 2"},
+        {16: "0 1 2 3"},
+        {20: "0 y 1"},
+        {26: "1 2"},
+        {7: "1 2 3", 8: "1 2 3 4 5"},  # one chunk: right token total, wrong split
+    ]
+    for case in cases:
+        broken = lines.copy()
+        for lineno, bad in case.items():
+            broken[lineno - 1] = bad
+        lineno = min(case)
+        path.write_text("\n".join(broken))
+        with pytest.raises(ParseError) as new:
+            load_bsf(path)
+        with pytest.raises(ParseError) as old:
+            load_bsf_oracle(path)
+        assert new.value.line == old.value.line == lineno
+        assert str(new.value) == str(old.value)
+
+
+def test_hex_float_overflow_is_parse_error(tmp_path):
+    path = tmp_path / "huge_hex.sgf"
+    path.write_text("sgf 1\ngrid 2 2 1 1\n0 0\n0 0x1p99999\n0 0\n0 0\n")
+    with pytest.raises(ParseError, match="out of range") as err:
+        load_sgf(path)
+    assert err.value.line == 4

@@ -4,7 +4,7 @@ import pytest
 
 from jacobiset import render_svg, triangulate_structured
 
-from conftest import grid_field, quad_field
+from conftest import grid_field, quad_field, render_svg_oracle, wave_field
 
 
 def parse_svg(svg: str):
@@ -76,3 +76,15 @@ def test_no_external_references_and_saturation_scale():
     assert "href" not in svg
     with pytest.raises(ValueError):
         render_svg(field, saturation_scale=0.0)
+
+
+def test_render_matches_loop_oracle_on_wave_field(rng):
+    field = wave_field(rng, 21, 13)
+    assert render_svg(field) == render_svg_oracle(field)
+
+
+def test_render_matches_loop_oracle_with_degenerate_triangles(rng):
+    field = wave_field(rng, 24, 14, step=0.5)
+    assert (field.dets == 0).mean() > 0.1  # MIN_SATURATION path runs
+    for kwargs in ({}, {"show_jacobi": False}, {"saturation_scale": 3.0, "epsilon": 0.05}):
+        assert render_svg(field, **kwargs) == render_svg_oracle(field, **kwargs)
