@@ -6,8 +6,11 @@ subdivision), ``render`` (SVG), ``graph`` (neighborhood graph export),
 and ``compare`` (measures table across inputs and methods).
 
 Exit codes: 0 success, 2 input/validation error, 64 usage error. Every
-command that writes an output also writes ``<output>.manifest.json``
-recording the invocation.
+command that writes an output file also writes ``<output>.manifest.json``
+recording the invocation (``stats`` and ``compare`` only with ``--out``).
+:func:`main` is the one place that times a command and writes its
+manifest, from the ``(exit_code, parameters, outputs)`` that the
+command's ``cmd_*`` handler returns.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from time import perf_counter
 
 from . import __version__
@@ -23,6 +25,7 @@ from .baselines import FilterSpec, binomial_filter, gaussian_filter, loop_subdiv
 from .collapse import simplify
 from .fileio import (
     ParseError,
+    load_bsf,
     load_field,
     load_sgf,
     save_bsf,
@@ -43,6 +46,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_USAGE = 64
 
+_INPUT_ERRORS = (ParseError, MeshError, OSError, ValueError, TypeError)
+_FILTER_OPTIONS = ("radius", "sigma", "truncation", "boundary")
 _METHODS = ("original", "ca-a", "ca-b", "ca-c", "ca-d", "binomial", "gaussian", "loop")
 
 
@@ -53,36 +58,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass
-class RunManifest:
-    """Record of one command invocation, written next to its outputs."""
-
-    command: str
-    inputs: list
-    parameters: dict
-    outputs: list
-    elapsed_ms: float
-    tool_version: str = __version__
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "tool_version": self.tool_version,
-            "inputs": self.inputs,
-            "parameters": self.parameters,
-            "outputs": self.outputs,
-            "elapsed_ms": self.elapsed_ms,
-        }
-
-
 def _write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-
-
-def _write_manifest(anchor_path, manifest: RunManifest) -> None:
-    _write_json(f"{anchor_path}.manifest.json", manifest.to_dict())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,19 +134,35 @@ def main(argv=None) -> int:
         "graph": cmd_graph,
         "compare": cmd_compare,
     }[args.command]
+    t0 = perf_counter()
     try:
-        return handler(args)
-    except (ParseError, MeshError, OSError, ValueError, TypeError) as exc:
+        code, parameters, outputs = handler(args)
+    except _INPUT_ERRORS as exc:
         print(f"jacobiset {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if outputs:
+        manifest = {
+            "command": args.command,
+            "tool_version": __version__,
+            "inputs": args.inputs if args.command == "compare" else [args.input],
+            "parameters": parameters,
+            "outputs": outputs,
+            "elapsed_ms": (perf_counter() - t0) * 1000.0,
+        }
+        _write_json(f"{outputs[0]}.manifest.json", manifest)
+    return code
 
 
 def run() -> None:
     sys.exit(main())
 
 
-def cmd_stats(args) -> int:
-    t0 = perf_counter()
+def _params(args, *names) -> dict:
+    """The manifest ``parameters``: the named options and their values."""
+    return {name: getattr(args, name) for name in names}
+
+
+def cmd_stats(args):
     field = load_field(args.input)
     signs = orientation_signs(field, args.epsilon)
     assignment = assign_degenerate(field, signs)
@@ -184,21 +179,10 @@ def cmd_stats(args) -> int:
     print(json.dumps(payload, indent=2))
     if args.out:
         _write_json(args.out, payload)
-        _write_manifest(
-            args.out,
-            RunManifest(
-                command="stats",
-                inputs=[args.input],
-                parameters={"epsilon": args.epsilon},
-                outputs=[args.out],
-                elapsed_ms=(perf_counter() - t0) * 1000.0,
-            ),
-        )
-    return EXIT_OK
+    return EXIT_OK, _params(args, "epsilon"), [args.out] if args.out else []
 
 
-def cmd_simplify(args) -> int:
-    t0 = perf_counter()
+def cmd_simplify(args):
     field = load_field(args.input)
     report = simplify(
         field, variant=args.variant, threshold=args.threshold, epsilon=args.epsilon
@@ -210,90 +194,46 @@ def cmd_simplify(args) -> int:
         # lives in the manifest instead.
         _write_json(args.report, report.to_dict(include_elapsed=False))
         outputs.append(args.report)
-    _write_manifest(
-        args.out,
-        RunManifest(
-            command="simplify",
-            inputs=[args.input],
-            parameters={
-                "variant": args.variant,
-                "threshold": args.threshold,
-                "epsilon": args.epsilon,
-            },
-            outputs=outputs,
-            elapsed_ms=(perf_counter() - t0) * 1000.0,
-        ),
-    )
     print(
         f"simplify: {report.status.value}, collapsed {report.collapsed_cells} cells "
         f"in {report.iterations} sweeps; components "
         f"{report.before['components']} -> {report.after['components']}, "
         f"length {report.before['length']:.6g} -> {report.after['length']:.6g}"
     )
-    return EXIT_OK
+    return EXIT_OK, _params(args, "variant", "threshold", "epsilon"), outputs
 
 
-def cmd_baseline(args) -> int:
-    t0 = perf_counter()
-    fmt = sniff_format(args.input)
-    if args.method in ("binomial", "gaussian"):
-        if fmt != "sgf":
+def _filtered(grid, method: str, args):
+    """``grid`` smoothed by the ``binomial`` or ``gaussian`` filter that the
+    ``--radius``/``--sigma``/``--truncation``/``--boundary`` options describe."""
+    spec = FilterSpec(method, **_params(args, *_FILTER_OPTIONS))
+    fn = gaussian_filter if method == "gaussian" else binomial_filter
+    return fn(grid, spec)
+
+
+def cmd_baseline(args):
+    if args.method == "loop":
+        save_bsf(loop_subdivide(load_field(args.input), args.steps), args.out)
+        return EXIT_OK, _params(args, "method", "steps"), [args.out]
+    if sniff_format(args.input) != "sgf":
+        raise ValueError(f"--method {args.method} requires structured grid (SGF) input")
+    grid = load_sgf(args.input)
+    save_sgf(_filtered(grid, args.method, args), args.out)
+    if args.method == "gaussian":
+        extent = max(grid.width, grid.height)
+        if args.truncation * args.sigma > extent:
             print(
-                f"jacobiset baseline: error: --method {args.method} requires "
-                "structured grid (SGF) input",
+                f"warning: truncation*sigma = {args.truncation * args.sigma:g} "
+                f"exceeds the grid extent {extent}; the kernel degenerates to "
+                "a near-uniform average",
                 file=sys.stderr,
             )
-            return EXIT_INPUT
-        grid = load_sgf(args.input)
-        spec = FilterSpec(
-            kind=args.method,
-            radius=args.radius,
-            sigma=args.sigma,
-            truncation=args.truncation,
-            boundary=args.boundary,
-        )
-        if args.method == "gaussian":
-            extent = max(grid.width, grid.height)
-            if args.truncation * args.sigma > extent:
-                print(
-                    f"warning: truncation*sigma = {args.truncation * args.sigma:g} "
-                    f"exceeds the grid extent {extent}; the kernel degenerates to "
-                    "a near-uniform average",
-                    file=sys.stderr,
-                )
-            out = gaussian_filter(grid, spec)
-        else:
-            out = binomial_filter(grid, spec)
-        save_sgf(out, args.out)
-        parameters = {
-            "method": args.method,
-            "radius": args.radius,
-            "sigma": args.sigma,
-            "truncation": args.truncation,
-            "boundary": args.boundary,
-        }
-    else:
-        field = load_field(args.input)
-        out_field = loop_subdivide(field, args.steps)
-        save_bsf(out_field, args.out)
-        parameters = {"method": "loop", "steps": args.steps}
-    _write_manifest(
-        args.out,
-        RunManifest(
-            command="baseline",
-            inputs=[args.input],
-            parameters=parameters,
-            outputs=[args.out],
-            elapsed_ms=(perf_counter() - t0) * 1000.0,
-        ),
-    )
-    return EXIT_OK
+    return EXIT_OK, _params(args, "method", *_FILTER_OPTIONS), [args.out]
 
 
-def cmd_render(args) -> int:
+def cmd_render(args):
     from .render import render_svg
 
-    t0 = perf_counter()
     field = load_field(args.input)
     svg = render_svg(
         field,
@@ -303,84 +243,72 @@ def cmd_render(args) -> int:
     )
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
-    _write_manifest(
-        args.out,
-        RunManifest(
-            command="render",
-            inputs=[args.input],
-            parameters={
-                "show_jacobi": args.show_jacobi,
-                "saturation_scale": args.saturation_scale,
-                "epsilon": args.epsilon,
-            },
-            outputs=[args.out],
-            elapsed_ms=(perf_counter() - t0) * 1000.0,
-        ),
-    )
-    return EXIT_OK
+    parameters = _params(args, "show_jacobi", "saturation_scale", "epsilon")
+    return EXIT_OK, parameters, [args.out]
 
 
-def cmd_graph(args) -> int:
-    t0 = perf_counter()
-    field = load_field(args.input)
-    _, _, _, graph = neighborhood_graph(field, args.variant, args.epsilon)
-    if args.out.endswith(".json"):
-        _write_json(args.out, graph_to_json(graph))
-    elif args.out.endswith(".dot") or args.out.endswith(".gv"):
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(graph_to_dot(graph))
-    else:
+def cmd_graph(args):
+    if not args.out.endswith((".dot", ".gv", ".json")):
         print(
             "jacobiset graph: error: --out must end in .dot, .gv, or .json",
             file=sys.stderr,
         )
-        return EXIT_USAGE
-    _write_manifest(
-        args.out,
-        RunManifest(
-            command="graph",
-            inputs=[args.input],
-            parameters={"variant": args.variant, "epsilon": args.epsilon},
-            outputs=[args.out],
-            elapsed_ms=(perf_counter() - t0) * 1000.0,
-        ),
-    )
-    return EXIT_OK
+        return EXIT_USAGE, {}, []
+    field = load_field(args.input)
+    _, _, _, graph = neighborhood_graph(field, args.variant, args.epsilon)
+    if args.out.endswith(".json"):
+        _write_json(args.out, graph_to_json(graph))
+    else:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(graph_to_dot(graph))
+    return EXIT_OK, _params(args, "variant", "epsilon"), [args.out]
 
 
-def _compare_cell(path: str, method: str, args) -> dict:
+def _load_compare_input(path):
+    """Parse one ``compare`` input once: ``(grid, field)``, where ``grid`` is
+    the SGF grid (None for BSF input) and ``field`` the triangle field.
+    Either may instead be the error that loading it raised, which every
+    cell needing it then reports."""
+    try:
+        grid = load_sgf(path) if sniff_format(path) == "sgf" else None
+    except _INPUT_ERRORS as exc:
+        return exc, exc
+    try:
+        field = load_bsf(path) if grid is None else grid.to_tri_field()
+    except _INPUT_ERRORS as exc:
+        field = exc
+    return grid, field
+
+
+def _compare_cell(method: str, grid, field, args) -> dict:
     eps = args.epsilon
+    if method in ("binomial", "gaussian"):
+        if grid is None:
+            raise ValueError(f"{method} requires structured grid (SGF) input")
+        if isinstance(grid, Exception):
+            raise grid
+        return measures(_filtered(grid, method, args).to_tri_field(), eps)
+    if isinstance(field, Exception):
+        raise field
     if method == "original":
-        return measures(load_field(path), eps)
+        return measures(field, eps)
     if method.startswith("ca-"):
-        field = load_field(path)
+        # simplify mutates its field; the loaded one serves every cell.
         report = simplify(
-            field, variant=method[-1].upper(), threshold=args.threshold, epsilon=eps
+            field.copy(), variant=method[-1].upper(), threshold=args.threshold, epsilon=eps
         )
         return report.after
-    if method in ("binomial", "gaussian"):
-        if sniff_format(path) != "sgf":
-            raise ValueError(f"{method} requires structured grid (SGF) input")
-        grid = load_sgf(path)
-        spec = FilterSpec(
-            kind=method,
-            radius=args.radius,
-            sigma=args.sigma,
-            truncation=args.truncation,
-            boundary=args.boundary,
-        )
-        fn = gaussian_filter if method == "gaussian" else binomial_filter
-        return measures(fn(grid, spec).to_tri_field(), eps)
-    return measures(loop_subdivide(load_field(path), args.steps), eps)
+    return measures(loop_subdivide(field, args.steps), eps)
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args):
     results = {}
     for path in args.inputs:
+        grid, field = _load_compare_input(path)
         for method in args.methods:
             try:
-                results[(path, method)] = _compare_cell(path, method, args)
-            except (ParseError, MeshError, OSError, ValueError, TypeError) as exc:
+                results[(path, method)] = _compare_cell(method, grid, field, args)
+            except _INPUT_ERRORS as exc:
                 results[(path, method)] = {"error": str(exc)}
 
     ok = sum(1 for r in results.values() if "error" not in r)
@@ -390,24 +318,18 @@ def cmd_compare(args) -> int:
             fh.write(table)
     else:
         print(table, end="")
-    return EXIT_OK if ok else EXIT_INPUT
+    parameters = _params(
+        args, "methods", "format", "threshold", *_FILTER_OPTIONS, "steps", "epsilon"
+    )
+    return EXIT_OK if ok else EXIT_INPUT, parameters, [args.out] if args.out else []
 
 
 def _format_compare(args, results) -> str:
     rows = []
     for path in args.inputs:
-        best_len = min(
-            (r["length"] for m in args.methods if "error" not in (r := results[(path, m)])),
-            default=None,
-        )
-        best_comp = min(
-            (
-                r["components"]
-                for m in args.methods
-                if "error" not in (r := results[(path, m)])
-            ),
-            default=None,
-        )
+        done = [r for m in args.methods if "error" not in (r := results[(path, m)])]
+        best_len = min((r["length"] for r in done), default=None)
+        best_comp = min((r["components"] for r in done), default=None)
         for method in args.methods:
             r = results[(path, method)]
             if "error" in r:

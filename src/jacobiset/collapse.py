@@ -55,7 +55,6 @@ class CollapseVariant:
 
     edge: tuple
     target_value: np.ndarray
-    kind: str = "line"
 
 
 @dataclass
@@ -202,22 +201,12 @@ def evaluate_variant(
     affected = field.incident_triangles(moved)
 
     old_dets = field.dets[affected]
-    new_dets = _simulated_dets(field, affected, moved, target)
+    new_dets = field.compute_dets(affected, moved, target)
     crossed = np.sign(old_dets) * np.sign(new_dets) < 0
     flips = sum(1 for t in affected[crossed].tolist() if t != c and t not in cl)
     delta = float(((np.abs(new_dets) - np.abs(old_dets)) * field.domain_areas[affected]).sum())
     variant = CollapseVariant(edge=(min(u, v), max(u, v)), target_value=target)
     return flips, delta, variant
-
-
-def _simulated_dets(field, tids, moved, target):
-    tri = field.triangles[tids]
-    w = field.values[tri]
-    w[(tri[:, :, None] == np.asarray(moved)).any(axis=2)] = target
-    num = (w[:, 1, 0] - w[:, 0, 0]) * (w[:, 2, 1] - w[:, 0, 1]) - (
-        w[:, 2, 0] - w[:, 0, 0]
-    ) * (w[:, 1, 1] - w[:, 0, 1])
-    return num / field._doubled_areas[tids]
 
 
 def find_best_collapse_variant(

@@ -62,14 +62,12 @@ def jacobian(field: TriField, t: int) -> TriangleJacobian:
         dtype=np.longdouble,
     )
     b = (wl[0] - a_l @ pl[0]).astype(np.float64)
-    # det uses the plain double formula of the determinant cache: exactly
-    # zero whenever an edge carries identical values.
-    fd1, gd1 = w[1] - w[0]
-    fd2, gd2 = w[2] - w[0]
+    # det uses the double kernel of the determinant cache: exactly zero
+    # whenever an edge carries identical values.
+    det = float(field.compute_dets([t])[0])
     d = float(field._doubled_areas[t])
-    det = (fd1 * gd2 - fd2 * gd1) / d
     return TriangleJacobian(
-        a=a_l.astype(np.float64), b=b, det=float(det), range_area=abs(det) * d / 2.0
+        a=a_l.astype(np.float64), b=b, det=det, range_area=abs(det) * d / 2.0
     )
 
 

@@ -78,7 +78,7 @@ class TriField:
             )
 
         # Normalize winding so every signed domain area is positive.
-        doubled = _doubled_areas(pos, tri)
+        doubled = _edge_cross(pos[tri])
         flip = doubled < 0
         if flip.any():
             tri[flip] = tri[flip][:, [0, 2, 1]]
@@ -168,22 +168,25 @@ class TriField:
     def dets(self) -> np.ndarray:
         """Jacobian determinant of the per-triangle linear map (cached)."""
         if self._dets is None:
-            self._dets = self._compute_dets(np.arange(self.n_triangles))
+            self._dets = self.compute_dets(np.arange(self.n_triangles))
         return self._dets
 
     def det(self, t: int) -> float:
         return float(self.dets[t])
 
-    def _compute_dets(self, tids) -> np.ndarray:
-        # Value-edge cross product over domain-edge cross product. The
-        # numerator is exactly 0.0 whenever two vertices of the triangle
-        # carry identical (f, g) values; 0/area keeps that exact.
+    def compute_dets(self, tids, moved=(), target=None) -> np.ndarray:
+        """Determinants of triangles ``tids`` from the current values, or as
+        if the vertices ``moved`` carried ``target`` (the field is unchanged).
+
+        Value-edge cross product over domain-edge cross product. The
+        numerator is exactly 0.0 whenever two vertices of the triangle
+        carry identical (f, g) values; 0/area keeps that exact.
+        """
         tri = self.triangles[tids]
         w = self.values[tri]
-        num = (w[:, 1, 0] - w[:, 0, 0]) * (w[:, 2, 1] - w[:, 0, 1]) - (
-            w[:, 2, 0] - w[:, 0, 0]
-        ) * (w[:, 1, 1] - w[:, 0, 1])
-        return num / self._doubled_areas[tids]
+        if len(moved):
+            w[(tri[:, :, None] == np.asarray(moved)).any(axis=2)] = target
+        return _edge_cross(w) / self._doubled_areas[tids]
 
     def boundary_edge_mask(self) -> np.ndarray:
         """Boolean mask over `edges`: True where the edge has one triangle."""
@@ -233,7 +236,7 @@ class TriField:
         self.values[vids] = np.asarray(value, dtype=np.float64)
         if self._dets is not None and len(vids):
             affected = self.incident_triangles(vids)
-            self._dets[affected] = self._compute_dets(affected)
+            self._dets[affected] = self.compute_dets(affected)
 
     def copy(self) -> "TriField":
         dup = object.__new__(TriField)
@@ -256,8 +259,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _doubled_areas(pos, tri) -> np.ndarray:
-    p = pos[tri]
+def _edge_cross(p) -> np.ndarray:
+    """Cross product ``(p1 - p0) x (p2 - p0)`` of point triples ``p`` of
+    shape (m, 3, 2): twice the signed domain area for positions, the
+    determinant numerator for values."""
     return (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
         p[:, 2, 0] - p[:, 0, 0]
     ) * (p[:, 1, 1] - p[:, 0, 1])

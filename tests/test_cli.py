@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from jacobiset import save_bsf, save_sgf, triangulate_structured
+from jacobiset import __version__, save_bsf, save_sgf, triangulate_structured
 from jacobiset.cli import main
 from jacobiset.fileio import GridField, load_bsf
 
@@ -230,6 +230,10 @@ def test_graph_exports(island_bsf, tmp_path):
     assert payload["nodes"]
     bad = tmp_path / "g.xml"
     assert main(["graph", str(island_bsf), "--out", str(bad)]) == 64
+    # The extension is checked before the input is read.
+    assert main(["graph", str(tmp_path / "missing.bsf"), "--out", str(bad)]) == 64
+    assert not bad.exists()
+    assert not list(tmp_path.glob("g.xml*"))
 
 
 def test_compare_markdown_and_partial_failure(island_bsf, island_threshold, identity_sgf, tmp_path, capsys):
@@ -302,6 +306,140 @@ def test_stats_index_beyond_int64_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{path}:6:" in err
     assert "99999999999999999999" in err
+
+
+def _manifest(path):
+    manifest = json.loads((path.parent / f"{path.name}.manifest.json").read_text())
+    assert set(manifest) == {
+        "command", "tool_version", "inputs", "parameters", "outputs", "elapsed_ms"
+    }
+    assert manifest["tool_version"] == __version__
+    assert manifest["elapsed_ms"] >= 0.0
+    return manifest
+
+
+def test_manifests_pinned(island_bsf, identity_sgf, tmp_path):
+    bsf, sgf = str(island_bsf), str(identity_sgf)
+    o = {name: str(tmp_path / name) for name in (
+        "stats.json", "out.bsf", "report.json", "loop.bsf", "gauss.sgf", "field.svg", "g.json"
+    )}
+    cases = [
+        (["stats", sgf, "--out", o["stats.json"]], [sgf], {"epsilon": 0.0}, [o["stats.json"]]),
+        (
+            ["simplify", bsf, "--threshold", "0", "--out", o["out.bsf"],
+             "--report", o["report.json"]],
+            [bsf],
+            {"variant": "A", "threshold": 0.0, "epsilon": 0.0},
+            [o["out.bsf"], o["report.json"]],
+        ),
+        (
+            ["baseline", bsf, "--method", "loop", "--steps", "1", "--out", o["loop.bsf"]],
+            [bsf],
+            {"method": "loop", "steps": 1},
+            [o["loop.bsf"]],
+        ),
+        (
+            ["baseline", sgf, "--method", "gaussian", "--sigma", "2", "--radius", "3",
+             "--boundary", "mirror", "--out", o["gauss.sgf"]],
+            [sgf],
+            {"method": "gaussian", "radius": 3, "sigma": 2.0, "truncation": 3.0,
+             "boundary": "mirror"},
+            [o["gauss.sgf"]],
+        ),
+        (
+            ["render", bsf, "--no-show-jacobi", "--out", o["field.svg"]],
+            [bsf],
+            {"show_jacobi": False, "saturation_scale": 1.0, "epsilon": 0.0},
+            [o["field.svg"]],
+        ),
+        (
+            ["graph", bsf, "--variant", "C", "--epsilon", "0.5", "--out", o["g.json"]],
+            [bsf],
+            {"variant": "C", "epsilon": 0.5},
+            [o["g.json"]],
+        ),
+    ]
+    for argv, inputs, parameters, outputs in cases:
+        assert main(argv) == 0, argv
+        manifest = _manifest(tmp_path / outputs[0])
+        assert manifest["command"] == argv[0]
+        assert manifest["inputs"] == inputs
+        assert manifest["parameters"] == parameters
+        assert list(manifest["parameters"]) == list(parameters)
+        assert manifest["outputs"] == outputs
+
+
+def test_no_manifest_without_output(identity_sgf, tmp_path, capsys):
+    assert main(["stats", str(identity_sgf)]) == 0
+    assert main(["compare", str(identity_sgf), "--methods", "original"]) == 0
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+def test_compare_out_writes_manifest(identity_sgf, island_bsf, tmp_path):
+    out = tmp_path / "t.md"
+    inputs = [str(identity_sgf), str(island_bsf)]
+    argv = ["compare", *inputs, "--methods", "original", "loop", "--steps", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text().startswith("| Input | Method |")
+    manifest = _manifest(out)
+    assert manifest["command"] == "compare"
+    assert manifest["inputs"] == inputs
+    assert manifest["outputs"] == [str(out)]
+    assert manifest["parameters"]["methods"] == ["original", "loop"]
+    assert manifest["parameters"]["steps"] == 1
+
+
+def test_compare_parses_each_input_once(identity_sgf, island_bsf, monkeypatch, capsys):
+    from jacobiset import cli, fileio
+
+    parsed = []
+    for name in ("load_sgf", "load_bsf"):
+        def counted(path, _load=getattr(fileio, name)):
+            parsed.append(str(path))
+            return _load(path)
+
+        # Both binding sites, so a parse through fileio.load_field counts too.
+        monkeypatch.setattr(fileio, name, counted)
+        monkeypatch.setattr(cli, name, counted, raising=False)
+    inputs = [str(identity_sgf), str(island_bsf)]
+    methods = ["original", "ca-a", "binomial", "loop"]
+    argv = ["compare", *inputs, "--methods", *methods, "--steps", "1", "--format", "csv"]
+    assert main(argv) == 0
+    assert sorted(parsed) == sorted(inputs)
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert [r.split(",")[:2] for r in rows] == [[p, m] for p in inputs for m in methods]
+    assert sum("error" in r for r in rows) == 1  # binomial on the BSF
+
+
+def test_compare_error_rows_pinned(identity_sgf, tmp_path, capsys):
+    bad_body = tmp_path / "bad_body.bsf"
+    bad_body.write_text("bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1 0 x 0\n0 1 0 1\n0 1 2\n")
+    bad_head = tmp_path / "bad_head.txt"
+    bad_head.write_text("hello\n")
+    flat = tmp_path / "flat.sgf"
+    flat.write_text("sgf 1\ngrid 2 2 0 1\n0 0\n1 0\n0 1\n1 1\n")
+    missing = tmp_path / "missing.sgf"
+    methods = ["original", "ca-b", "binomial", "gaussian", "loop"]
+    argv = ["compare", str(bad_body), str(bad_head), str(flat), str(missing), str(identity_sgf),
+            "--methods", *methods, "--format", "csv", "--radius", "0"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.strip().split("\n")
+    parse = f"error: {bad_body}:4: not a number: 'x'"
+    head = f"error: {bad_head}:1: unrecognized header 'hello'"
+    zero = "error: degenerate triangle (zero domain area) at id 0"
+    gone = f"error: [Errno 2] No such file or directory: '{missing}'"
+    expected = {
+        bad_body: [parse, parse, "error: binomial requires structured grid (SGF) input",
+                   "error: gaussian requires structured grid (SGF) input", parse],
+        bad_head: [head] * 5,
+        flat: [zero, zero, "error: radius must be >= 1", "error: radius must be >= 1", zero],
+        missing: [gone] * 5,
+    }
+    for path, cells in expected.items():
+        for method, cell in zip(methods, cells):
+            assert f"{path},{method},{cell}," in rows
+    assert f"{identity_sgf},binomial,error: radius must be >= 1," in rows
+    assert f"{identity_sgf},loop,0,0" in rows
 
 
 def test_console_entry_point_runs():

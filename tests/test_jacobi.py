@@ -19,6 +19,7 @@ from jacobiset.jacobi import effective_signs, jacobi_set_to_json
 
 from conftest import (
     bfs_edge_components,
+    bits,
     grid_field,
     quad_field,
     random_sign_field,
@@ -100,6 +101,13 @@ def test_identical_edge_values_give_exact_zero(rng):
         field = TriField(pts, vals, [(0, 1, 2)])
         assert field.dets[0] == 0.0
         assert jacobian(field, 0).det == 0.0
+
+
+def test_jacobian_det_is_the_cached_det_bitwise(rng):
+    field = wave_field(rng, 12, 9, step=0.25)
+    dets = [jacobian(field, t).det for t in range(field.n_triangles)]
+    assert np.array_equal(bits(dets), bits(field.dets))
+    assert 0.0 in dets  # the rounded field has exact-zero triangles
 
 
 # -- orientation -------------------------------------------------------------

@@ -10,7 +10,7 @@ from jacobiset import (
     triangulate_structured,
 )
 
-from conftest import quad_field, shoelace, unit_triangle
+from conftest import bits, quad_field, shoelace, unit_triangle
 
 
 def test_minimal_simplex():
@@ -141,3 +141,42 @@ def test_copy_is_independent():
     dup.set_vertex_values([0], (9.0, 9.0))
     assert field.values[0, 0] == 0.0
     assert dup.values[0, 0] == 9.0
+
+
+def _scalar_cross(a, b, c) -> float:
+    """(b - a) x (c - a) in Python floats, one operation at a time."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
+
+
+def _irregular_field(rng, w=9, h=7) -> TriField:
+    n = w * h
+    return triangulate_structured(
+        w, h, (0.37, 1.3), rng.normal(size=n) * 1e3, rng.normal(size=n) * 1e-3
+    )
+
+
+def test_dets_and_areas_match_scalar_oracle_bitwise(rng):
+    field = _irregular_field(rng)
+    pos = field.positions.tolist()
+    val = field.values.tolist()
+    doubled = [_scalar_cross(*(pos[v] for v in tri)) for tri in field.triangles.tolist()]
+    dets = [
+        _scalar_cross(*(val[v] for v in tri)) / d
+        for tri, d in zip(field.triangles.tolist(), doubled)
+    ]
+    assert np.array_equal(bits(field.domain_areas), bits([0.5 * d for d in doubled]))
+    assert np.array_equal(bits(field.dets), bits(dets))
+
+
+def test_compute_dets_of_moved_vertices_matches_set_vertex_values_bitwise(rng):
+    field = _irregular_field(rng)
+    values = field.values.copy()
+    moved = [10, 11, 20]
+    target = 0.5 * (field.values[10] + field.values[11])
+    tids = field.incident_triangles(moved)
+    simulated = field.compute_dets(tids, moved, target)
+    assert np.array_equal(bits(field.values), bits(values))  # field untouched
+    dup = field.copy()
+    dup.set_vertex_values(moved, target)
+    assert np.array_equal(bits(simulated), bits(dup.dets[tids]))
+    assert np.array_equal(bits(field.compute_dets(tids)), bits(field.dets[tids]))
