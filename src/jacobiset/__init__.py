@@ -48,10 +48,6 @@ from .collapse import (
     apply_collapse_variant,
     cell_neighborhood,
     cells_oscillated,
-    evaluate_variant,
-    find_best_collapse_variant,
-    flipped_cell_neighbors,
-    possible_collapse_variants,
     simplify,
 )
 from .baselines import FilterSpec, binomial_filter, gaussian_filter, loop_subdivide
@@ -83,11 +79,8 @@ __all__ = [
     "component_count",
     "compute_jacobi_set",
     "domain_area",
-    "evaluate_variant",
     "extract_jacobi_set",
-    "find_best_collapse_variant",
     "find_collapsible_cells",
-    "flipped_cell_neighbors",
     "gaussian_filter",
     "jacobian",
     "jacobi_length",
@@ -99,7 +92,6 @@ __all__ = [
     "neighborhood_graph",
     "orientation",
     "orientation_signs",
-    "possible_collapse_variants",
     "region_domain_area",
     "region_hypervolume",
     "region_range_area",

@@ -33,9 +33,9 @@ class FilterSpec:
             raise ValueError(f"unknown filter kind {self.kind!r}")
         if self.radius < 1:
             raise ValueError("radius must be >= 1")
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ValueError("sigma must be > 0")
-        if self.truncation < 1:
+        if not self.truncation >= 1:
             raise ValueError("truncation must be >= 1")
         if self.boundary not in _BOUNDARY_MODES:
             raise ValueError(f"boundary must be one of {sorted(_BOUNDARY_MODES)}")

@@ -15,6 +15,29 @@ merged vertex move its whole equal-value group together, so cells
 collapsed earlier keep a determinant of exactly zero. Oscillation guards
 (re-entry counts, repeated worklist snapshots, and a sweep cap) bound the
 repair loop that re-queues flipped neighbors.
+
+Candidates are scored in chunks. At the first cell of each run of
+``CHUNK_CELLS`` cells of a sweep's order, :func:`score_cells` scores every
+candidate of every cell of the run that could be collapsed at that moment,
+in one numpy pass: flips, range-area growth, the determinants after the
+move, and the triangles that would flip or leave a zero determinant. When
+the walk reaches a cell it uses the stored scores, unless something they
+read has changed since: a commit moved a vertex of one of the candidates'
+affected triangles (a commit stamps every vertex of the group it moves),
+or one of those triangles entered or left the worklist. The affected
+triangles include the cell and its edge neighbors, whose membership picks
+the candidates. A stale cell is scored again, alone, by the same kernel.
+
+This gives the result of scoring each cell when the walk reaches it, bit
+for bit. The scores of a cell read only the worklist membership of its
+affected triangles and the values, groups and determinants of their
+vertices, and the checks above see every change to those. The arithmetic
+is the per-cell arithmetic: one ``_edge_cross`` per triangle on the same
+values, and the range-area growth of each candidate summed by its own
+``.sum()`` over its triangles in ascending order. A commit stores the
+scored determinants of the winner, which equal a recomputation after the
+move. The flip repairs and re-queues it triggers are filtered against the
+live worklist.
 """
 
 from __future__ import annotations
@@ -22,6 +45,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from time import perf_counter
 
 import numpy as np
@@ -35,11 +59,14 @@ from .jacobi import (
 )
 from .mesh import TriField
 from .regions import build_graph, build_regions, find_collapsible_cells
-from .unionfind import UnionFind
 
 DEFAULT_MAX_ENTRIES = 16
 DEFAULT_SNAPSHOT_WINDOW = 64
 DEFAULT_SWEEP_CAP_FACTOR = 10
+# Cells of a sweep's order scored per `score_cells` call. Measured on the
+# 330x165 benchmark field, chunks of 64 to 1,024 cells ran equally fast;
+# scoring a whole sweep at once raised the peak memory by about 15 MB.
+CHUNK_CELLS = 256
 
 
 class CollapseStatus(Enum):
@@ -92,28 +119,67 @@ class VertexGroups:
 
     Collapsing an edge merges its endpoints' groups; every member of the
     merged group is assigned the common target value, so pairs glued by
-    earlier collapses never drift apart.
+    earlier collapses never drift apart. ``label[v]`` names the group of
+    ``v``, and a merge relabels the smaller group, so the whole run
+    relabels each vertex at most log2(n) times. ``stamp[v]`` is the merge
+    count at which ``v`` last moved: a merge stamps every member of the
+    merged group, also when no value changes.
     """
 
     def __init__(self, n_vertices: int):
-        self._uf = UnionFind(n_vertices)
+        self.label = np.arange(n_vertices, dtype=np.int64)
+        self.stamp = np.zeros(n_vertices, dtype=np.int64)
+        self.merges = 0
         self._members: dict[int, list] = {}
-
-    def members(self, v: int) -> list:
-        return self._members.get(self._uf.find(v), [v])
 
     def merged_members(self, u: int, v: int) -> list:
         """Members of the union of both groups, without merging."""
-        mu = self.members(u)
-        if self._uf.connected(u, v):
-            return mu
-        return mu + self.members(v)
+        lu, lv = int(self.label[u]), int(self.label[v])
+        mu = self._members.get(lu, [u])
+        return mu if lu == lv else mu + self._members.get(lv, [v])
 
     def merge(self, u: int, v: int) -> list:
-        mu = self.merged_members(u, v)
-        root = self._uf.union(u, v)
-        self._members[root] = mu
-        return mu
+        """Merge both groups, stamp every member as moved, and return the
+        members."""
+        lu, lv = int(self.label[u]), int(self.label[v])
+        merged = self._members.get(lu, [u])
+        if lu != lv:
+            mu, mv = self._members.pop(lu, merged), self._members.pop(lv, [v])
+            merged = mu + mv
+            keep, relabel = (lu, mv) if len(mu) >= len(mv) else (lv, mu)
+            self.label[relabel] = keep
+            self._members[keep] = merged
+        self.merges += 1
+        self.stamp[merged] = self.merges
+        return merged
+
+
+class Worklist(set):
+    """The cells selected for collapse.
+
+    A set of triangle ids, mirrored in the boolean ``mask``; ``stamp[t]``
+    is the count of worklist changes at which ``t`` last entered or left.
+    Change it only through `add` and `discard`, which keep both in step.
+    """
+
+    def __init__(self, n_triangles: int):
+        super().__init__()
+        self.mask = np.zeros(n_triangles, dtype=bool)
+        self.stamp = np.zeros(n_triangles, dtype=np.int64)
+        self.changes = 0
+
+    def add(self, t: int) -> None:
+        super().add(t)
+        self._stamp(t, True)
+
+    def discard(self, t: int) -> None:
+        super().discard(t)
+        self._stamp(t, False)
+
+    def _stamp(self, t: int, member: bool) -> None:
+        self.mask[t] = member
+        self.changes += 1
+        self.stamp[t] = self.changes
 
 
 class CollapseHistory:
@@ -152,81 +218,163 @@ def cells_oscillated(history: CollapseHistory) -> bool:
 def cell_neighborhood(cl, field: TriField, c: int) -> int:
     """Number of edge-adjacent triangles of ``c`` that exist and are not
     selected for collapse; 0 means the cell is interior and is skipped."""
-    return int(sum(1 for n in field.neighbors[c] if n >= 0 and int(n) not in cl))
+    return sum(1 for n in field.neighbors[c].tolist() if n >= 0 and n not in cl)
 
 
-def possible_collapse_variants(field: TriField, cl, c: int) -> list:
-    """Candidate edges of ``c``, by the number of selected edge neighbors.
+def _open_sides(field: TriField, cells: np.ndarray, cl: Worklist) -> np.ndarray:
+    """`cell_neighborhood` of every cell in ``cells`` at once."""
+    nbr = field.neighbors[cells]
+    return ((nbr >= 0) & ~cl.mask[nbr]).sum(axis=1)
 
-    0 selected: all three edges. 1 selected: the shared edge plus any mesh
-    boundary edges. 2 selected: the two shared edges. Returns (min, max)
-    vertex pairs, ascending.
+
+@dataclass
+class CellScores:
+    """Every candidate collapse of a batch of cells, scored against one
+    state of the field, the worklist and the vertex groups.
+
+    The candidates of ``cells[k]`` are ``cand_start[k] <= j <
+    cand_start[k + 1]``. Candidate ``j`` moves the merged group of
+    ``edges[j]`` to ``target[j]``; the triangles with a moved vertex are
+    ``tids[p]`` for ``pair_start[j] <= p < pair_start[j + 1]``,
+    ascending, and ``new_dets[p]`` is their determinant after the move. ``flipped[p]`` marks the ones other than
+    the cell whose orientation crosses between positive and negative,
+    ``requeue[p]`` the ones whose determinant leaves zero. ``flips[j]``
+    counts the flipped ones outside the worklist and ``delta[j]`` sums
+    the change of range area.
     """
-    in_cl = []
-    boundary = []
-    for e in range(3):
-        n = int(field.neighbors[c, e])
-        if n < 0:
-            boundary.append(e)
-        elif n in cl:
-            in_cl.append(e)
-    if not in_cl:
-        slots = [0, 1, 2]
-    elif len(in_cl) == 1:
-        slots = in_cl + boundary
-    else:
-        slots = in_cl
-    return sorted(field.edge_endpoints(c, e) for e in slots)
+
+    cells: list
+    edges: list
+    target: np.ndarray
+    flips: list
+    delta: list
+    cand_start: list
+    pair_start: list
+    tids: np.ndarray
+    corners: np.ndarray
+    new_dets: np.ndarray
+    flipped: np.ndarray
+    requeue: np.ndarray
+    scored_at: tuple
+
+    def best(self, k: int) -> int:
+        """The candidate of ``cells[k]`` with (fewest flips, smallest
+        range-area growth, lowest edge ids), in that order, comparing the
+        candidates in ascending edge order like a per-cell loop would."""
+        best = None
+        run = range(self.cand_start[k], self.cand_start[k + 1])
+        for j in sorted(run, key=self.edges.__getitem__):
+            key = (self.flips[j], self.delta[j], self.edges[j])
+            if best is None or key < best[0]:
+                best = (key, j)
+        return best[1]
+
+    def fresh(self, k: int, cl: Worklist, groups: VertexGroups) -> bool:
+        """True while nothing the scores of ``cells[k]`` read has changed
+        since they were made: no vertex of a candidate's affected
+        triangles moved, and none of those triangles entered or left the
+        worklist.
+
+        The affected triangles include the cell and its edge neighbors,
+        whose membership picks the candidates: each candidate moves two
+        of the cell's three vertices, and each edge neighbor holds two of
+        them. An edge neighbor can leave the worklist with no vertex
+        moving (the discard of a cell whose determinant is already zero);
+        any other affected triangle enters or leaves only when one of its
+        vertices moves, or with a zero determinant, which never counts as
+        a flip.
+        """
+        p0 = self.pair_start[self.cand_start[k]]
+        p1 = self.pair_start[self.cand_start[k + 1]]
+        merges, changes = self.scored_at
+        return bool(
+            groups.stamp[self.corners[p0:p1]].max() <= merges
+            and cl.stamp[self.tids[p0:p1]].max() <= changes
+        )
+
+    def variant(self, j: int) -> CollapseVariant:
+        return CollapseVariant(edge=self.edges[j], target_value=self.target[j])
+
+    def affected(self, j: int) -> np.ndarray:
+        return self.tids[self.pair_start[j] : self.pair_start[j + 1]]
+
+    def flipped_cells(self, j: int) -> list:
+        p = slice(self.pair_start[j], self.pair_start[j + 1])
+        return self.tids[p][self.flipped[p]].tolist()
+
+    def requeue_cells(self, j: int) -> list:
+        p = slice(self.pair_start[j], self.pair_start[j + 1])
+        return self.tids[p][self.requeue[p]].tolist()
 
 
-def evaluate_variant(
-    field: TriField,
-    c: int,
-    edge,
-    cl=frozenset(),
-    groups: VertexGroups | None = None,
-):
-    """Simulate collapsing ``edge`` of cell ``c`` without touching the field.
+def score_cells(field: TriField, cells, cl: Worklist, groups: VertexGroups) -> CellScores:
+    """Simulate every candidate collapse of every cell in ``cells`` in
+    one pass, without touching the field.
 
-    Both endpoints (and their equal-value groups, when ``groups`` is
-    given) move to the midpoint of the endpoint values. Returns
-    ``(flips, range_area_delta, variant)`` where flips counts triangles
-    around the moved vertices, outside ``cl`` and other than ``c``, whose
-    orientation would cross between positive and negative, and the delta
-    sums the change of range area over all affected triangles.
+    Candidate edges depend on how many edge neighbors are in ``cl``: with
+    none, all three edges; with one, the shared edge plus any mesh
+    boundary edges; with two or three, the shared edges. Each candidate
+    moves both endpoints and their equal-value groups to the midpoint of
+    the endpoint values.
     """
-    u, v = int(edge[0]), int(edge[1])
-    target = 0.5 * (field.values[u] + field.values[v])
-    moved = groups.merged_members(u, v) if groups is not None else [u, v]
-    affected = field.incident_triangles(moved)
+    cells = np.asarray(cells, dtype=np.int64)
+    nbr = field.neighbors[cells]
+    inner = nbr >= 0
+    selected = inner & cl.mask[nbr]
+    n_selected = selected.sum(axis=1, keepdims=True)
+    use = selected | (n_selected == 0) | ((n_selected == 1) & ~inner)
+    corner = field.triangles[cells]
+    following = corner[:, [1, 2, 0]]
+    owner = np.nonzero(use)[0]
+    lo = np.minimum(corner, following)[use]
+    hi = np.maximum(corner, following)[use]
+    n_cand = len(owner)
+    edges = list(zip(lo.tolist(), hi.tolist()))
 
-    old_dets = field.dets[affected]
-    new_dets = field.compute_dets(affected, moved, target)
-    crossed = np.sign(old_dets) * np.sign(new_dets) < 0
-    flips = sum(1 for t in affected[crossed].tolist() if t != c and t not in cl)
-    delta = float(((np.abs(new_dets) - np.abs(old_dets)) * field.domain_areas[affected]).sum())
-    variant = CollapseVariant(edge=(min(u, v), max(u, v)), target_value=target)
-    return flips, delta, variant
+    # Affected triangles: the stars of each candidate's moved vertices,
+    # one sorted run per candidate.
+    moved = [groups.merged_members(u, v) for u, v in edges]
+    sizes = [len(group) for group in moved]
+    moved_ids = np.fromiter(chain.from_iterable(moved), np.int64, sum(sizes))
+    star_tids, source = field.star_entries(moved_ids)
+    m = field.n_triangles
+    pairs = np.repeat(np.arange(n_cand), sizes)[source] * m + star_tids
+    pairs.sort()
+    first = np.ones(len(pairs), dtype=bool)
+    np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+    pairs = pairs[first]
+    cand = pairs // m
+    tids = pairs - cand * m
+    pair_start = np.searchsorted(cand, np.arange(n_cand + 1))
 
-
-def find_best_collapse_variant(
-    field: TriField,
-    candidates,
-    c: int,
-    cl=frozenset(),
-    groups: VertexGroups | None = None,
-) -> CollapseVariant:
-    """Pick the candidate with (fewest flips, smallest range-area growth,
-    lowest edge ids), in that order."""
-    if not candidates:
-        raise ValueError("no collapse candidates")
-    best = None
-    for edge in candidates:
-        flips, delta, variant = evaluate_variant(field, c, edge, cl, groups)
-        key = (flips, delta, variant.edge)
-        if best is None or key < best[0]:
-            best = (key, variant)
-    return best[1]
+    corners = field.triangles[tids]
+    label = groups.label[corners]
+    moves = (label == groups.label[lo][cand, None]) | (label == groups.label[hi][cand, None])
+    target = 0.5 * (field.values[lo] + field.values[hi])
+    new_dets = field.compute_dets(tids, moves, target[cand])
+    old_dets = field.dets[tids]
+    flipped = (np.sign(old_dets) * np.sign(new_dets) < 0) & (tids != cells[owner][cand])
+    flips = np.bincount(cand[flipped & ~cl.mask[tids]], minlength=n_cand)
+    growth = (np.abs(new_dets) - np.abs(old_dets)) * field.domain_areas[tids]
+    # One .sum() per candidate over its ascending run: the same pairwise
+    # summation as a sum over that candidate alone, to the last bit.
+    bounds = pair_start.tolist()
+    delta = [float(growth[a:b].sum()) for a, b in zip(bounds, bounds[1:])]
+    return CellScores(
+        cells=cells.tolist(),
+        edges=edges,
+        target=target,
+        flips=flips.tolist(),
+        delta=delta,
+        cand_start=np.searchsorted(owner, np.arange(len(cells) + 1)).tolist(),
+        pair_start=bounds,
+        tids=tids,
+        corners=corners,
+        new_dets=new_dets,
+        flipped=flipped,
+        requeue=~((old_dets > 0) | (old_dets < 0)) & (new_dets != 0.0),
+        scored_at=(groups.merges, cl.changes),
+    )
 
 
 def apply_collapse_variant(
@@ -237,20 +385,6 @@ def apply_collapse_variant(
     u, v = variant.edge
     moved = groups.merge(u, v) if groups is not None else [u, v]
     field.set_vertex_values(moved, variant.target_value)
-
-
-def flipped_cell_neighbors(field: TriField, before_signs: dict, c: int) -> list:
-    """Triangles from the snapshot whose orientation crossed between
-    positive and negative; transitions through degenerate do not count."""
-    flipped = []
-    for t, s0 in before_signs.items():
-        if t == c or s0 == 0:
-            continue
-        d = field.det(t)
-        s1 = 1 if d > 0 else -1 if d < 0 else 0
-        if s1 != 0 and s1 != s0:
-            flipped.append(t)
-    return sorted(flipped)
 
 
 def simplify(
@@ -280,10 +414,9 @@ def simplify(
 
     history = CollapseHistory(max_entries=max_entries, snapshot_window=snapshot_window)
     groups = VertexGroups(field.n_vertices)
-    cl: set[int] = set()
+    cl = Worklist(field.n_triangles)
     ever: set[int] = set()
-    for c in seeds:
-        c = int(c)
+    for c in seeds.tolist():
         cl.add(c)
         ever.add(c)
         history.record_entry(c)
@@ -295,8 +428,15 @@ def simplify(
     sweeps = 0
     while cl:
         sweeps += 1
-        order = sorted(cl, key=lambda t: (-cell_neighborhood(cl, field, t), t))
-        for c in order:
+        cells = np.fromiter(cl, np.int64, len(cl))
+        order = cells[np.lexsort((cells, -_open_sides(field, cells, cl)))].tolist()
+        for i, c in enumerate(order):
+            if i % CHUNK_CELLS == 0:
+                chunk = np.array(order[i : i + CHUNK_CELLS])
+                live = cl.mask[chunk] & (field.dets[chunk] != 0.0)
+                live &= _open_sides(field, chunk, cl) > 0
+                chunk_scores = score_cells(field, chunk[live], cl, groups)
+                index = {t: k for k, t in enumerate(chunk_scores.cells)}
             if c not in cl:
                 continue
             if field.det(c) == 0.0:
@@ -304,21 +444,21 @@ def simplify(
                 continue
             if cell_neighborhood(cl, field, c) == 0:
                 continue
-            candidates = possible_collapse_variants(field, cl, c)
-            best = find_best_collapse_variant(field, candidates, c, cl, groups)
-
-            moved = groups.merged_members(*best.edge)
-            affected = field.incident_triangles(moved)
-            dets = field.dets[affected]
-            before_signs = {
-                int(t): (1 if d > 0 else -1 if d < 0 else 0)
-                for t, d in zip(affected, dets)
-            }
-            apply_collapse_variant(field, best, groups)
+            scores, k = chunk_scores, index.get(c)
+            if k is None or not scores.fresh(k, cl, groups):
+                scores, k = score_cells(field, [c], cl, groups), 0
+            j = scores.best(k)
+            run = slice(scores.pair_start[j], scores.pair_start[j + 1])
+            field.set_vertex_values(
+                groups.merge(*scores.edges[j]),
+                scores.target[j],
+                scores.tids[run],
+                scores.new_dets[run],
+            )
             collapsed += 1
             cl.discard(c)
 
-            for t in flipped_cell_neighbors(field, before_signs, c):
+            for t in scores.flipped_cells(j):
                 if t not in cl:
                     cl.add(t)
                     ever.add(t)
@@ -326,11 +466,10 @@ def simplify(
                     flip_repairs += 1
             # A touched cell that was collapsed before must stay collapsed;
             # re-queue it if a value move broke its zero determinant.
-            for t in sorted(before_signs):
-                if before_signs[t] == 0 and t in ever and t not in cl:
-                    if field.det(t) != 0.0:
-                        cl.add(t)
-                        history.record_entry(t)
+            for t in scores.requeue_cells(j):
+                if t in ever and t not in cl:
+                    cl.add(t)
+                    history.record_entry(t)
         if not cl:
             break
         history.record_sweep(cl)

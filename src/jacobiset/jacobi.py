@@ -74,7 +74,7 @@ def jacobian(field: TriField, t: int) -> TriangleJacobian:
 def orientation(j: TriangleJacobian, epsilon: float = 0.0) -> Orientation:
     """Classify the sign of the determinant with a degeneracy band of
     ``+-epsilon`` (default 0: exact sign test)."""
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     if j.det > epsilon:
         return Orientation.POSITIVE
@@ -85,7 +85,7 @@ def orientation(j: TriangleJacobian, epsilon: float = 0.0) -> Orientation:
 
 def orientation_signs(field: TriField, epsilon: float = 0.0) -> np.ndarray:
     """Vector of orientation signs (+1 / 0 / -1) for all triangles."""
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     d = field.dets
     return np.where(d > epsilon, 1, np.where(d < -epsilon, -1, 0)).astype(np.int8)
@@ -124,8 +124,13 @@ def assign_degenerate(field: TriField, signs: np.ndarray, prefer: int | None = N
     # ring 1 leaves undecided, takes the ring search.
     nbr = field.neighbors[degenerate]
     out[(nbr[:, 0] == nbr[:, 1]) & (nbr[:, 0] >= 0)] = 0
-    for i in np.flatnonzero(out == 0):
-        out[i] = _ring_search(field, signs, int(degenerate[i]), prefer)
+    undecided = np.flatnonzero(out == 0)
+    if len(undecided):
+        # The ring search reads the star offsets once per vertex it
+        # reaches, and a list is faster to index than an array.
+        offsets = field.stars[0].tolist()
+        for i in undecided:
+            out[i] = _ring_search(field, signs, offsets, int(degenerate[i]), prefer)
     return dict(zip(degenerate.tolist(), out.tolist()))
 
 
@@ -144,13 +149,14 @@ def point_neighbor_sums(field: TriField, weights: np.ndarray) -> np.ndarray:
     return total - edge_nbr_sum - 3 * weights
 
 
-def _ring_search(field, signs, seed, prefer):
+def _ring_search(field, signs, offsets, seed, prefer):
     """Grow point-neighborhood rings around ``seed`` until one decides.
 
     Ring k+1 is the stars of the vertices first reached by ring k, less
-    the triangles already seen.
+    the triangles already seen. ``offsets`` is ``field.stars[0]`` as a
+    list.
     """
-    stars = field.vertex_stars
+    star_tids = field.stars[1]
     seen_t = {seed}
     seen_v = set()
     fresh = field.triangles[seed].tolist()
@@ -159,7 +165,7 @@ def _ring_search(field, signs, seed, prefer):
         seen_v.update(fresh)
         ring = []
         for v in fresh:
-            for t in stars[v].tolist():
+            for t in star_tids[offsets[v] : offsets[v + 1]].tolist():
                 if t not in seen_t:
                     seen_t.add(t)
                     ring.append(t)

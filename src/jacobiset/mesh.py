@@ -48,8 +48,10 @@ class TriField:
         ``neighbors[t, e]`` is the triangle across edge ``e`` of ``t``
         (edge ``e`` joins local vertices ``e`` and ``(e+1) % 3``), or -1
         on the domain boundary.
-    vertex_stars : list of ndarray
-        For each vertex, the ids of incident triangles (ascending).
+    stars : (ndarray, ndarray)
+        Vertex stars in CSR form (read-only, built on first use): the
+        triangles incident to vertex ``v`` are
+        ``star_tids[star_offsets[v]:star_offsets[v + 1]]``, ascending.
     """
 
     def __init__(self, positions, values, triangles):
@@ -141,18 +143,35 @@ class TriField:
         self.edge_triangles = edge_tris
 
     @property
-    def vertex_stars(self) -> list:
-        """Per-vertex incident triangle ids (ascending), built lazily."""
+    def stars(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(star_offsets, star_tids)``: every vertex star, built once."""
         if self._stars is None:
             flat = self.triangles.ravel()
-            order = np.argsort(flat, kind="stable")
-            tids = order // 3
+            tids = np.argsort(flat, kind="stable") // 3
             counts = np.bincount(flat, minlength=len(self.positions))
             offsets = np.concatenate([[0], np.cumsum(counts)])
-            self._stars = [
-                tids[offsets[i] : offsets[i + 1]] for i in range(len(counts))
-            ]
+            self._stars = (_read_only(offsets), _read_only(tids))
         return self._stars
+
+    @property
+    def vertex_stars(self) -> list:
+        """Per-vertex incident triangle ids (ascending), as views of
+        `stars`; the list is made on each access."""
+        offsets, tids = self.stars
+        return np.split(tids, offsets[1:-1])
+
+    def star_entries(self, vertex_ids) -> tuple[np.ndarray, np.ndarray]:
+        """The stars of ``vertex_ids`` concatenated: triangle ids, and for
+        each the position in ``vertex_ids`` of the vertex it came from."""
+        offsets, tids = self.stars
+        vids = np.asarray(vertex_ids, dtype=np.int64)
+        starts = offsets[vids]
+        counts = offsets[vids + 1] - starts
+        owner = np.repeat(np.arange(len(vids)), counts)
+        # Output slot i takes entry i - (first output slot of its star)
+        # of that star.
+        shift = starts - (np.cumsum(counts) - counts)
+        return tids[np.arange(len(owner)) + shift[owner]], owner
 
     # -- basic queries -------------------------------------------------------
 
@@ -174,18 +193,19 @@ class TriField:
     def det(self, t: int) -> float:
         return float(self.dets[t])
 
-    def compute_dets(self, tids, moved=(), target=None) -> np.ndarray:
+    def compute_dets(self, tids, moves=None, target=None) -> np.ndarray:
         """Determinants of triangles ``tids`` from the current values, or as
-        if the vertices ``moved`` carried ``target`` (the field is unchanged).
+        if the corners where the ``(len(tids), 3)`` mask ``moves`` is True
+        carried ``target`` (the field is unchanged): one (f, g) for all
+        triangles, or one per triangle as shape ``(len(tids), 2)``.
 
         Value-edge cross product over domain-edge cross product. The
         numerator is exactly 0.0 whenever two vertices of the triangle
         carry identical (f, g) values; 0/area keeps that exact.
         """
-        tri = self.triangles[tids]
-        w = self.values[tri]
-        if len(moved):
-            w[(tri[:, :, None] == np.asarray(moved)).any(axis=2)] = target
+        w = self.values[self.triangles[tids]]
+        if moves is not None:
+            w = np.where(moves[..., None], np.asarray(target)[..., None, :], w)
         return _edge_cross(w) / self._doubled_areas[tids]
 
     def boundary_edge_mask(self) -> np.ndarray:
@@ -209,12 +229,7 @@ class TriField:
 
     def incident_triangles(self, vertex_ids) -> np.ndarray:
         """Triangles with at least one vertex in ``vertex_ids`` (ascending)."""
-        tids = np.concatenate([self.vertex_stars[v] for v in vertex_ids])
-        tids.sort()
-        keep = np.empty(len(tids), dtype=bool)
-        keep[:1] = True
-        np.not_equal(tids[1:], tids[:-1], out=keep[1:])
-        return tids[keep]
+        return np.unique(self.star_entries(vertex_ids)[0])
 
     def point_neighbors(self, t: int) -> np.ndarray:
         """Triangles sharing at least one vertex with ``t`` (excluding ``t``)."""
@@ -229,14 +244,21 @@ class TriField:
 
     # -- mutation ------------------------------------------------------------
 
-    def set_vertex_values(self, vertex_ids, value) -> None:
+    def set_vertex_values(self, vertex_ids, value, tids=None, dets=None) -> None:
         """Assign ``value = (f, g)`` to the given vertices and refresh the
-        determinant cache of every incident triangle."""
+        determinant cache of every incident triangle.
+
+        A caller that already holds the new determinants passes them as
+        ``dets`` of the triangles ``tids``, which must be
+        ``incident_triangles(vertex_ids)``; they are stored as given.
+        """
         vids = np.asarray(vertex_ids, dtype=np.int64).ravel()
         self.values[vids] = np.asarray(value, dtype=np.float64)
         if self._dets is not None and len(vids):
-            affected = self.incident_triangles(vids)
-            self._dets[affected] = self.compute_dets(affected)
+            if dets is None:
+                tids = self.incident_triangles(vids)
+                dets = self.compute_dets(tids)
+            self._dets[tids] = dets
 
     def copy(self) -> "TriField":
         dup = object.__new__(TriField)
@@ -248,7 +270,7 @@ class TriField:
         dup.neighbors = self.neighbors.copy()
         dup.edges = self.edges.copy()
         dup.edge_triangles = self.edge_triangles.copy()
-        dup._stars = None
+        dup._stars = self._stars
         dup._dets = None if self._dets is None else self._dets.copy()
         dup._vertex_neighbors = None
         return dup

@@ -202,7 +202,7 @@ def region_hypervolume(regions: RegionDecomposition, r: int) -> float:
 def find_collapsible_cells(graph: NeighborhoodGraph, regions: RegionDecomposition, t: float):
     """Triangle ids of every region whose hypervolume is strictly below
     ``t``, in ascending order."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("threshold must be >= 0")
     picked = [n.id for n in graph.nodes if n.hypervolume < t]
     if not picked:

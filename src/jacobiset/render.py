@@ -33,7 +33,7 @@ def render_svg(
     canvas_width: float = 800.0,
 ) -> str:
     """Render the field to an SVG string (no external references)."""
-    if saturation_scale <= 0:
+    if not saturation_scale > 0:
         raise ValueError("saturation scale must be > 0")
     signs = orientation_signs(field, epsilon)
     assignment = assign_degenerate(field, signs)

@@ -8,6 +8,14 @@ import numpy as np
 
 
 class UnionFind:
+    """Incremental union-find over nodes ``0..n-1``.
+
+    The program no longer uses it: `collapse.VertexGroups` keeps a label
+    array. It stays for the benchmark's tracer, which wraps ``find`` and
+    ``union`` by name (``perfbench/tracing.py``), and for the collapse
+    test oracle.
+    """
+
     def __init__(self, n: int):
         self.parent = np.arange(n, dtype=np.int64)
         self.size = np.ones(n, dtype=np.int64)

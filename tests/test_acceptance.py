@@ -16,7 +16,6 @@ from jacobiset import (
     build_regions,
     component_count,
     compute_jacobi_set,
-    evaluate_variant,
     find_collapsible_cells,
     gaussian_filter,
     jacobian,
@@ -24,7 +23,6 @@ from jacobiset import (
     measures,
     neighborhood_graph,
     orientation_signs,
-    possible_collapse_variants,
     region_hypervolume,
     simplify,
     triangulate_structured,
@@ -40,6 +38,7 @@ from conftest import (
     bfs_region_labels,
     noisy_island_field,
     random_sign_field,
+    score_cell,
     shoelace,
 )
 
@@ -149,10 +148,10 @@ def test_c05_exact_zero_collapse_100_cells():
         c = int(rng.integers(field.n_triangles))
         if field.det(c) == 0.0:
             continue
-        candidates = possible_collapse_variants(field, set(), c)
-        edge = candidates[int(rng.integers(len(candidates)))]
-        _, _, variant = evaluate_variant(field, c, edge)
-        apply_collapse_variant(field, variant)
+        scores = score_cell(field, c)
+        candidates = sorted(range(len(scores.edges)), key=scores.edges.__getitem__)
+        j = candidates[int(rng.integers(len(candidates)))]
+        apply_collapse_variant(field, scores.variant(j))
         checked += 1
         if field.det(c) == 0.0:
             exact += 1

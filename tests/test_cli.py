@@ -308,6 +308,28 @@ def test_stats_index_beyond_int64_exit_2(tmp_path, capsys):
     assert "99999999999999999999" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simplify", "--threshold", "nan"], "threshold must be >= 0"),
+        (["stats", "--epsilon", "nan"], "epsilon must be >= 0"),
+        (["render", "--saturation-scale", "nan"], "saturation scale must be > 0"),
+        (["baseline", "--method", "gaussian", "--sigma", "nan"], "sigma must be > 0"),
+        (["baseline", "--method", "gaussian", "--truncation", "nan"], "truncation must be >= 1"),
+    ],
+    ids=["threshold", "epsilon", "saturation-scale", "sigma", "truncation"],
+)
+def test_nan_option_is_rejected_exit_2(identity_sgf, tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    argv = [argv[0], str(identity_sgf), *argv[1:]]
+    if argv[0] != "stats":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()
+
+
 def _manifest(path):
     manifest = json.loads((path.parent / f"{path.name}.manifest.json").read_text())
     assert set(manifest) == {

@@ -7,20 +7,23 @@ from jacobiset import (
     apply_collapse_variant,
     cell_neighborhood,
     cells_oscillated,
-    evaluate_variant,
-    find_best_collapse_variant,
     find_collapsible_cells,
-    flipped_cell_neighbors,
     measures,
     neighborhood_graph,
     orientation_signs,
-    possible_collapse_variants,
     simplify,
     triangulate_structured,
 )
-from jacobiset.collapse import CollapseHistory, CollapseVariant, VertexGroups
+from jacobiset.collapse import (
+    CHUNK_CELLS,
+    CollapseHistory,
+    CollapseVariant,
+    VertexGroups,
+    Worklist,
+    score_cells,
+)
 
-from conftest import noisy_island_field, quad_field, wave_field
+from conftest import bits, noisy_island_field, quad_field, score_cell, simplify_oracle, wave_field
 
 # 4-triangle fan around cell 0 where collapsing edge (1, 2) flips one
 # neighbor and the other candidate edges flip none (signs + + - -).
@@ -72,8 +75,9 @@ def test_possible_collapse_variants_cases():
         t for t in range(field.n_triangles) if (field.neighbors[t] >= 0).all()
     )
     edges_of = lambda t: sorted(field.edge_endpoints(t, e) for e in range(3))
+    candidates = lambda selected: sorted(score_cell(field, interior, selected).edges)
     # Case 1: no selected neighbor -> all three edges.
-    assert possible_collapse_variants(field, set(), interior) == edges_of(interior)
+    assert candidates([]) == edges_of(interior)
     nbrs = [int(n) for n in field.neighbors[interior]]
     # Case 2: one selected neighbor -> only the shared edge (no boundary here).
     shared = [
@@ -81,14 +85,14 @@ def test_possible_collapse_variants_cases():
         for e in range(3)
         if field.neighbors[interior, e] == nbrs[0]
     ]
-    assert possible_collapse_variants(field, {nbrs[0]}, interior) == shared
+    assert candidates([nbrs[0]]) == shared
     # Case 3: two selected neighbors -> exactly those two shared edges.
     expect = sorted(
         field.edge_endpoints(interior, e)
         for e in range(3)
         if field.neighbors[interior, e] in nbrs[:2]
     )
-    assert possible_collapse_variants(field, set(nbrs[:2]), interior) == expect
+    assert candidates(nbrs[:2]) == expect
 
 
 def test_possible_collapse_variants_boundary_case2():
@@ -97,7 +101,7 @@ def test_possible_collapse_variants_boundary_case2():
         t for t in range(field.n_triangles) if (field.neighbors[t] < 0).sum() == 1
     )
     nbrs = [int(n) for n in field.neighbors[boundary] if n >= 0]
-    cands = possible_collapse_variants(field, {nbrs[0]}, boundary)
+    cands = sorted(score_cell(field, boundary, [nbrs[0]]).edges)
     shared = [
         field.edge_endpoints(boundary, e)
         for e in range(3)
@@ -118,23 +122,24 @@ def test_possible_collapse_variants_boundary_case2():
 def test_evaluate_idempotent_collapse():
     field = quad_field([0, 1, 1, 0], [0, 1, 0, 1])
     field.set_vertex_values([2], field.values[0])  # endpoints 0 and 2 equal
-    flips, delta, variant = evaluate_variant(field, 0, (0, 2))
-    assert flips == 0
-    assert delta == 0.0
+    scores = score_cell(field, 0)
+    j = scores.edges.index((0, 2))
+    assert scores.flips[j] == 0
+    assert scores.delta[j] == 0.0
     before = field.values.copy()
-    apply_collapse_variant(field, variant)
+    apply_collapse_variant(field, scores.variant(j))
     assert np.array_equal(field.values, before)
 
 
 def test_evaluate_flip_counts_against_recompute_oracle():
     field = fan_field()
     assert np.array_equal(orientation_signs(field), [1, 1, -1, -1])
+    scores = score_cell(field, 0)
     results = {}
-    for edge in possible_collapse_variants(field, set(), 0):
-        flips, delta, variant = evaluate_variant(field, 0, edge)
+    for j, edge in enumerate(scores.edges):
         # Oracle: apply to a copy and compare signs recomputed from scratch.
         probe = field.copy()
-        apply_collapse_variant(probe, variant)
+        apply_collapse_variant(probe, scores.variant(j))
         fresh = TriField(probe.positions, probe.values, probe.triangles)
         s0 = np.sign(field.dets)
         s1 = np.sign(fresh.dets)
@@ -143,42 +148,47 @@ def test_evaluate_flip_counts_against_recompute_oracle():
             for t in range(field.n_triangles)
             if t != 0 and s0[t] != 0 and s1[t] != 0 and s0[t] != s1[t]
         ]
-        assert flips == len(crossed), edge
-        results[edge] = flips
+        assert scores.flips[j] == len(crossed), edge
+        results[edge] = scores.flips[j]
     assert sorted(results.values()) == [0, 0, 1]
-    best = find_best_collapse_variant(field, list(results), 0)
-    assert results[best.edge] == 0
+    assert results[scores.edges[scores.best(0)]] == 0
 
 
 def test_evaluate_simulated_self_det_zero():
     field = fan_field()
     assert field.det(0) != 0.0
-    _, _, variant = evaluate_variant(field, 0, (0, 1))
+    scores = score_cell(field, 0)
+    j = scores.edges.index((0, 1))
+    run = slice(scores.pair_start[j], scores.pair_start[j + 1])
+    assert scores.new_dets[run][scores.affected(j) == 0].tolist() == [0.0]
     probe = field.copy()
-    apply_collapse_variant(probe, variant)
+    apply_collapse_variant(probe, scores.variant(j))
     assert probe.det(0) == 0.0
 
 
 def test_find_best_single_candidate():
+    # With one selected edge neighbor and no boundary edge, the shared
+    # edge is the only candidate and wins.
     field = fan_field()
-    _, _, expected = evaluate_variant(field, 0, (0, 1))
-    best = find_best_collapse_variant(field, [(0, 1)], 0)
-    assert best.edge == expected.edge
-    assert np.array_equal(best.target_value, expected.target_value)
-    with pytest.raises(ValueError):
-        find_best_collapse_variant(field, [], 0)
+    scores = score_cell(field, 0, [1])
+    assert scores.edges == [(0, 1)]
+    assert scores.best(0) == 0
+    alone = score_cell(field, 0)
+    j = alone.edges.index((0, 1))
+    assert np.array_equal(scores.target[0], alone.target[j])
 
 
 def test_find_best_delta_tiebreak():
     # Symmetric two-candidate setup where flips tie at 0; the variant
-    # shrinking the range more must win.
+    # shrinking the range more must win. Selecting the neighbors across
+    # (0, 1) and (0, 2) leaves exactly those two edges.
     field = fan_field()
-    cands = [(0, 1), (0, 2)]
-    scored = {e: evaluate_variant(field, 0, e)[:2] for e in cands}
+    scores = score_cell(field, 0, [1, 3])
+    assert sorted(scores.edges) == [(0, 1), (0, 2)]
+    scored = {e: (scores.flips[j], scores.delta[j]) for j, e in enumerate(scores.edges)}
     assert scored[(0, 1)][0] == scored[(0, 2)][0] == 0
-    best = find_best_collapse_variant(field, cands, 0)
-    want = min(cands, key=lambda e: (scored[e][0], scored[e][1], e))
-    assert best.edge == want
+    want = min(scored, key=lambda e: (scored[e][0], scored[e][1], e))
+    assert scores.edges[scores.best(0)] == want
 
 
 def test_find_best_full_tie_lowest_edge():
@@ -187,8 +197,8 @@ def test_find_best_full_tie_lowest_edge():
     field = TriField(
         [(0, 0), (1, 0), (0.5, 0.9)], [(0, 0), (1, 0), (0.5, 1)], [(0, 1, 2)]
     )
-    best = find_best_collapse_variant(field, possible_collapse_variants(field, set(), 0), 0)
-    assert best.edge == (0, 1)
+    scores = score_cell(field, 0)
+    assert scores.edges[scores.best(0)] == (0, 1)
 
 
 # -- application and flips ---------------------------------------------------
@@ -196,7 +206,8 @@ def test_find_best_full_tie_lowest_edge():
 
 def test_apply_sets_exact_zero_and_idempotent():
     field = fan_field()
-    _, _, variant = evaluate_variant(field, 0, (0, 1))
+    scores = score_cell(field, 0)
+    variant = scores.variant(scores.edges.index((0, 1)))
     apply_collapse_variant(field, variant)
     assert field.det(0) == 0.0
     assert np.array_equal(field.values[0], field.values[1])
@@ -207,20 +218,25 @@ def test_apply_sets_exact_zero_and_idempotent():
 
 def test_apply_neighbor_dets_match_fresh_recompute():
     field = fan_field()
-    _, _, variant = evaluate_variant(field, 0, (1, 2))
-    apply_collapse_variant(field, variant)
+    scores = score_cell(field, 0)
+    j = scores.edges.index((1, 2))
+    apply_collapse_variant(field, scores.variant(j))
     fresh = TriField(field.positions, field.values, field.triangles)
     assert np.array_equal(field.dets, fresh.dets)
+    # The kernel's simulated determinants are the ones a commit stores.
+    run = slice(scores.pair_start[j], scores.pair_start[j + 1])
+    assert np.array_equal(bits(scores.new_dets[run]), bits(fresh.dets[scores.affected(j)]))
 
 
 def test_flipped_cell_neighbors_zero_and_one_flip():
     field = fan_field()
+    scores = score_cell(field, 0)
+    before = {t: int(np.sign(field.det(t))) for t in range(field.n_triangles)}
     for edge, expected_flips in [((0, 1), 0), ((1, 2), 1)]:
+        j = scores.edges.index(edge)
         probe = field.copy()
-        before = {t: int(np.sign(probe.det(t))) for t in range(probe.n_triangles)}
-        _, _, variant = evaluate_variant(probe, 0, edge)
-        apply_collapse_variant(probe, variant)
-        flipped = flipped_cell_neighbors(probe, before, 0)
+        apply_collapse_variant(probe, scores.variant(j))
+        flipped = scores.flipped_cells(j)
         assert len(flipped) == expected_flips
         # Oracle: set difference of sign maps recomputed from scratch.
         fresh = TriField(probe.positions, probe.values, probe.triangles)
@@ -429,3 +445,90 @@ def test_simplify_median_threshold_pinned():
     assert payload["after"]["components"] == 19
     assert payload["before"]["length"] == pytest.approx(1397.9919907732865, rel=1e-12)
     assert payload["after"]["length"] == pytest.approx(1006.1147904132613, rel=1e-12)
+
+
+# -- chunk scoring against the per-cell loop ---------------------------------
+
+
+def _hv_quantile(field, variant, q):
+    _, _, _, graph = neighborhood_graph(field, variant)
+    return float(np.quantile([n.hypervolume for n in graph.nodes], q))
+
+
+def assert_simplify_matches_oracle(field, variant, threshold, **guards):
+    ours, ref = field.copy(), field.copy()
+    report = simplify(ours, variant, threshold, **guards)
+    expected = simplify_oracle(ref, variant, threshold, **guards)
+    assert np.array_equal(bits(ours.values), bits(ref.values))
+    assert report.to_dict() == expected.to_dict()
+    return report
+
+
+@pytest.mark.parametrize("step", [None, 0.25, 0.5])
+@pytest.mark.parametrize("variant", "ABCD")
+@pytest.mark.parametrize("quantile", [0.1, 0.5])
+def test_simplify_matches_per_cell_loop_oracle(step, variant, quantile):
+    # Rounded values leave plateaus of degenerate cells and let merged
+    # groups grow large.
+    field = wave_field(np.random.default_rng(31), 40, 30, step)
+    assert_simplify_matches_oracle(field, variant, _hv_quantile(field, variant, quantile))
+
+
+def test_simplify_matches_oracle_over_several_chunks():
+    field = wave_field(np.random.default_rng(5), 110, 60)
+    threshold = _hv_quantile(field, "A", 0.5)
+    _, _, regs, graph = neighborhood_graph(field, "A")
+    assert len(find_collapsible_cells(graph, regs, threshold)) > 2 * CHUNK_CELLS
+    report = assert_simplify_matches_oracle(field, "A", threshold)
+    assert report.status is CollapseStatus.COMPLETED
+
+
+@pytest.mark.parametrize(
+    "seed, size, islands, guards, status",
+    [
+        (20240817, 8, 1, {}, CollapseStatus.OSCILLATED),
+        (
+            20240817,
+            8,
+            1,
+            {"max_entries": 10**9, "snapshot_window": 0, "sweep_cap_factor": 0},
+            CollapseStatus.EXHAUSTED,
+        ),
+        (11, 12, 3, {}, CollapseStatus.OSCILLATED),
+    ],
+)
+def test_simplify_matches_oracle_on_guard_paths(seed, size, islands, guards, status):
+    field, _ = noisy_island_field(np.random.default_rng(seed), size, size, islands)
+    report = assert_simplify_matches_oracle(field, "A", np.inf, **guards)
+    assert report.status is status
+
+
+def test_batch_scores_equal_scores_of_each_cell_alone(rng):
+    # A chunk is scored in one pass; each cell's part of it must equal,
+    # bit for bit, the scores of that cell alone, with selected
+    # neighbours and merged groups in play.
+    field = wave_field(rng, 30, 20, 0.25)
+    cells = rng.choice(field.n_triangles, size=120, replace=False)
+    cl = Worklist(field.n_triangles)
+    for t in rng.choice(field.n_triangles, size=300, replace=False).tolist():
+        cl.add(t)
+    groups = VertexGroups(field.n_vertices)
+    for u, v in rng.integers(field.n_vertices, size=(40, 2)).tolist():
+        if u != v:
+            groups.merge(u, v)
+    batch = score_cells(field, cells, cl, groups)
+    for k, c in enumerate(cells.tolist()):
+        alone = score_cells(field, [c], cl, groups)
+        run = range(batch.cand_start[k], batch.cand_start[k + 1])
+        assert [batch.edges[j] for j in run] == alone.edges
+        assert [batch.flips[j] for j in run] == alone.flips
+        assert np.array_equal(bits([batch.delta[j] for j in run]), bits(alone.delta))
+        assert batch.edges[batch.best(k)] == alone.edges[alone.best(0)]
+        for i, j in enumerate(run):
+            assert np.array_equal(batch.affected(j), alone.affected(i))
+            assert batch.flipped_cells(j) == alone.flipped_cells(i)
+            assert batch.requeue_cells(j) == alone.requeue_cells(i)
+            p, q = slice(batch.pair_start[j], batch.pair_start[j + 1]), slice(
+                alone.pair_start[i], alone.pair_start[i + 1]
+            )
+            assert np.array_equal(bits(batch.new_dets[p]), bits(alone.new_dets[q]))

@@ -114,10 +114,17 @@ def test_domain_area_bad_id():
 
 def test_point_neighbors_and_stars():
     field = triangulate_structured(3, 3, (1.0, 1.0), np.zeros(9), np.zeros(9))
-    # Every triangle is in the star of each of its vertices.
+    # Every triangle is in the star of each of its vertices, and the
+    # stars are ascending and hold nothing else.
+    stars = field.vertex_stars
     for t in range(field.n_triangles):
         for v in field.triangles[t]:
-            assert t in field.vertex_stars[v]
+            assert t in stars[v]
+    assert sum(len(s) for s in stars) == 3 * field.n_triangles
+    assert all((np.diff(s) > 0).all() for s in stars)
+    offsets, tids = field.stars
+    assert not offsets.flags.writeable and not tids.flags.writeable
+    assert field.copy().stars is field.stars
     # Point neighbors exclude the triangle itself and share >= 1 vertex.
     for t in range(field.n_triangles):
         nbrs = field.point_neighbors(t)
@@ -174,7 +181,7 @@ def test_compute_dets_of_moved_vertices_matches_set_vertex_values_bitwise(rng):
     moved = [10, 11, 20]
     target = 0.5 * (field.values[10] + field.values[11])
     tids = field.incident_triangles(moved)
-    simulated = field.compute_dets(tids, moved, target)
+    simulated = field.compute_dets(tids, np.isin(field.triangles[tids], moved), target)
     assert np.array_equal(bits(field.values), bits(values))  # field untouched
     dup = field.copy()
     dup.set_vertex_values(moved, target)
