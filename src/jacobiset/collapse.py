@@ -16,7 +16,7 @@ collapsed earlier keep a determinant of exactly zero. Oscillation guards
 (re-entry counts, repeated worklist snapshots, and a sweep cap) bound the
 repair loop that re-queues flipped neighbors.
 
-Candidates are scored in chunks. At the first cell of each run of
+Candidates are scored in chunks. At the first cell of each run of at most
 ``CHUNK_CELLS`` cells of a sweep's order, :func:`score_cells` scores every
 candidate of every cell of the run that could be collapsed at that moment,
 in one numpy pass: flips, range-area growth, the determinants after the
@@ -27,6 +27,10 @@ affected triangles (a commit stamps every vertex of the group it moves),
 or one of those triangles entered or left the worklist. The affected
 triangles include the cell and its edge neighbors, whose membership picks
 the candidates. A stale cell is scored again, alone, by the same kernel.
+A run also ends early once the groups at the corners of its cells hold
+``CHUNK_GROUP_VERTICES`` vertices: a candidate's working set is the stars
+of its merged group, so this bounds a chunk's memory when groups grow
+large.
 
 This gives the result of scoring each cell when the walk reaches it, bit
 for bit. The scores of a cell read only the worklist membership of its
@@ -36,8 +40,8 @@ is the per-cell arithmetic: one ``_edge_cross`` per triangle on the same
 values, and the range-area growth of each candidate summed by its own
 ``.sum()`` over its triangles in ascending order. A commit stores the
 scored determinants of the winner, which equal a recomputation after the
-move. The flip repairs and re-queues it triggers are filtered against the
-live worklist.
+move, through :func:`apply_collapse_variant`. The flip repairs and
+re-queues it triggers are filtered against the live worklist.
 """
 
 from __future__ import annotations
@@ -67,6 +71,11 @@ DEFAULT_SWEEP_CAP_FACTOR = 10
 # 330x165 benchmark field, chunks of 64 to 1,024 cells ran equally fast;
 # scoring a whole sweep at once raised the peak memory by about 15 MB.
 CHUNK_CELLS = 256
+# A chunk also ends once the vertex groups at its cells' corners hold this
+# many vertices in all. Each candidate moves the stars of two of them, so a
+# 256-cell chunk of 200-vertex groups needed about 120 MB. On the benchmark
+# inputs a 256-cell chunk holds at most about 1,500, so none ends early.
+CHUNK_GROUP_VERTICES = 2048
 
 
 class CollapseStatus(Enum):
@@ -77,11 +86,15 @@ class CollapseStatus(Enum):
 
 @dataclass
 class CollapseVariant:
-    """One way to collapse a cell: assign ``target_value`` to both
-    endpoints of ``edge``, degenerating the cell's image to a line."""
+    """One scored way to collapse a cell: assign ``target_value`` to the
+    merged group of ``edge``, degenerating the cell's image to a line.
+    ``tids`` are the triangles with a moved vertex, ascending, and
+    ``dets`` their determinants after the move."""
 
     edge: tuple
     target_value: np.ndarray
+    tids: np.ndarray
+    dets: np.ndarray
 
 
 @dataclass
@@ -121,13 +134,15 @@ class VertexGroups:
     merged group is assigned the common target value, so pairs glued by
     earlier collapses never drift apart. ``label[v]`` names the group of
     ``v``, and a merge relabels the smaller group, so the whole run
-    relabels each vertex at most log2(n) times. ``stamp[v]`` is the merge
-    count at which ``v`` last moved: a merge stamps every member of the
-    merged group, also when no value changes.
+    relabels each vertex at most log2(n) times. ``size[label[v]]`` counts
+    the members of that group. ``stamp[v]`` is the merge count at which
+    ``v`` last moved: a merge stamps every member of the merged group, also
+    when no value changes.
     """
 
     def __init__(self, n_vertices: int):
         self.label = np.arange(n_vertices, dtype=np.int64)
+        self.size = np.ones(n_vertices, dtype=np.int64)
         self.stamp = np.zeros(n_vertices, dtype=np.int64)
         self.merges = 0
         self._members: dict[int, list] = {}
@@ -148,6 +163,7 @@ class VertexGroups:
             merged = mu + mv
             keep, relabel = (lu, mv) if len(mu) >= len(mv) else (lv, mu)
             self.label[relabel] = keep
+            self.size[keep] = len(merged)
             self._members[keep] = merged
         self.merges += 1
         self.stamp[merged] = self.merges
@@ -236,11 +252,11 @@ class CellScores:
     cand_start[k + 1]``. Candidate ``j`` moves the merged group of
     ``edges[j]`` to ``target[j]``; the triangles with a moved vertex are
     ``tids[p]`` for ``pair_start[j] <= p < pair_start[j + 1]``,
-    ascending, and ``new_dets[p]`` is their determinant after the move. ``flipped[p]`` marks the ones other than
-    the cell whose orientation crosses between positive and negative,
-    ``requeue[p]`` the ones whose determinant leaves zero. ``flips[j]``
-    counts the flipped ones outside the worklist and ``delta[j]`` sums
-    the change of range area.
+    ascending, and ``new_dets[p]`` is their determinant after the move.
+    ``flipped[p]`` marks the ones other than the cell whose orientation
+    crosses between positive and negative, ``requeue[p]`` the ones whose
+    determinant leaves zero. ``flips[j]`` counts the flipped ones outside
+    the worklist and ``delta[j]`` sums the change of range area.
     """
 
     cells: list
@@ -293,18 +309,19 @@ class CellScores:
         )
 
     def variant(self, j: int) -> CollapseVariant:
-        return CollapseVariant(edge=self.edges[j], target_value=self.target[j])
-
-    def affected(self, j: int) -> np.ndarray:
-        return self.tids[self.pair_start[j] : self.pair_start[j + 1]]
+        p = self._run(j)
+        return CollapseVariant(self.edges[j], self.target[j], self.tids[p], self.new_dets[p])
 
     def flipped_cells(self, j: int) -> list:
-        p = slice(self.pair_start[j], self.pair_start[j + 1])
+        p = self._run(j)
         return self.tids[p][self.flipped[p]].tolist()
 
     def requeue_cells(self, j: int) -> list:
-        p = slice(self.pair_start[j], self.pair_start[j + 1])
+        p = self._run(j)
         return self.tids[p][self.requeue[p]].tolist()
+
+    def _run(self, j: int) -> slice:
+        return slice(self.pair_start[j], self.pair_start[j + 1])
 
 
 def score_cells(field: TriField, cells, cl: Worklist, groups: VertexGroups) -> CellScores:
@@ -377,14 +394,13 @@ def score_cells(field: TriField, cells, cl: Worklist, groups: VertexGroups) -> C
     )
 
 
-def apply_collapse_variant(
-    field: TriField, variant: CollapseVariant, groups: VertexGroups | None = None
-) -> None:
-    """Assign the target value to both endpoints of the variant's edge
-    (and to their merged group, when tracking groups)."""
-    u, v = variant.edge
-    moved = groups.merge(u, v) if groups is not None else [u, v]
-    field.set_vertex_values(moved, variant.target_value)
+def apply_collapse_variant(field: TriField, variant: CollapseVariant, groups: VertexGroups) -> None:
+    """Merge the groups of the variant's endpoints, assign the target value
+    to every member, and store the scored determinants. ``variant`` must
+    have been scored against the current field and ``groups``."""
+    field.set_vertex_values(
+        groups.merge(*variant.edge), variant.target_value, variant.tids, variant.dets
+    )
 
 
 def simplify(
@@ -430,12 +446,17 @@ def simplify(
         sweeps += 1
         cells = np.fromiter(cl, np.int64, len(cl))
         order = cells[np.lexsort((cells, -_open_sides(field, cells, cl)))].tolist()
+        chunk_end = 0
         for i, c in enumerate(order):
-            if i % CHUNK_CELLS == 0:
+            if i == chunk_end:
                 chunk = np.array(order[i : i + CHUNK_CELLS])
                 live = cl.mask[chunk] & (field.dets[chunk] != 0.0)
                 live &= _open_sides(field, chunk, cl) > 0
-                chunk_scores = score_cells(field, chunk[live], cl, groups)
+                corner_groups = groups.size[groups.label[field.triangles[chunk]]].sum(axis=1)
+                load = np.cumsum(corner_groups * live)
+                n = max(1, int(np.searchsorted(load, CHUNK_GROUP_VERTICES, side="right")))
+                chunk_end = i + n
+                chunk_scores = score_cells(field, chunk[:n][live[:n]], cl, groups)
                 index = {t: k for k, t in enumerate(chunk_scores.cells)}
             if c not in cl:
                 continue
@@ -448,13 +469,7 @@ def simplify(
             if k is None or not scores.fresh(k, cl, groups):
                 scores, k = score_cells(field, [c], cl, groups), 0
             j = scores.best(k)
-            run = slice(scores.pair_start[j], scores.pair_start[j + 1])
-            field.set_vertex_values(
-                groups.merge(*scores.edges[j]),
-                scores.target[j],
-                scores.tids[run],
-                scores.new_dets[run],
-            )
+            apply_collapse_variant(field, scores.variant(j), groups)
             collapsed += 1
             cl.discard(c)
 

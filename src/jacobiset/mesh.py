@@ -153,13 +153,6 @@ class TriField:
             self._stars = (_read_only(offsets), _read_only(tids))
         return self._stars
 
-    @property
-    def vertex_stars(self) -> list:
-        """Per-vertex incident triangle ids (ascending), as views of
-        `stars`; the list is made on each access."""
-        offsets, tids = self.stars
-        return np.split(tids, offsets[1:-1])
-
     def star_entries(self, vertex_ids) -> tuple[np.ndarray, np.ndarray]:
         """The stars of ``vertex_ids`` concatenated: triangle ids, and for
         each the position in ``vertex_ids`` of the vertex it came from."""

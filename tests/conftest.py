@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -17,7 +18,6 @@ from jacobiset.collapse import (
     CollapseHistory,
     CollapseReport,
     CollapseStatus,
-    CollapseVariant,
     VertexGroups,
     Worklist,
     cell_neighborhood,
@@ -120,6 +120,13 @@ def score_cell(field, c, selected=()):
     return score_cells(field, [c], cl, VertexGroups(field.n_vertices))
 
 
+def vertex_stars(field) -> list:
+    """Per-vertex incident triangle ids (ascending), split from the CSR
+    `TriField.stars`."""
+    offsets, tids = field.stars
+    return np.split(tids, offsets[1:-1])
+
+
 # -- independent oracles -----------------------------------------------------
 
 
@@ -169,14 +176,14 @@ def bfs_region_labels(field, eff, variant="A", nbr_sums=None) -> np.ndarray:
                 adjacency[int(n)].add(t)
     if variant in ("B", "C"):
         wanted = -1 if variant == "B" else 1
-        for star in field.vertex_stars:
+        for star in vertex_stars(field):
             members = [int(t) for t in star if eff[t] == wanted]
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
                     adjacency[members[i]].add(members[j])
                     adjacency[members[j]].add(members[i])
     elif variant == "D":
-        for star in field.vertex_stars:
+        for star in vertex_stars(field):
             for i in range(len(star)):
                 for j in range(i + 1, len(star)):
                     a, b = int(star[i]), int(star[j])
@@ -212,7 +219,7 @@ def point_neighbor_sum_oracle(field, eff) -> np.ndarray:
     computed by brute-force set construction."""
     m = field.n_triangles
     out = np.zeros(m, dtype=np.int64)
-    stars = field.vertex_stars
+    stars = vertex_stars(field)
     for t in range(m):
         nbrs = set()
         for v in field.triangles[t]:
@@ -564,6 +571,15 @@ def _compute_dets_oracle(field, tids, moved, target):
     return _edge_cross(w) / field._doubled_areas[tids]
 
 
+@dataclass
+class CollapseVariantOracle:
+    """One way to collapse a cell: assign ``target_value`` to both
+    endpoints of ``edge``, degenerating the cell's image to a line."""
+
+    edge: tuple
+    target_value: np.ndarray
+
+
 class VertexGroupsOracle:
     """Equal-value vertex groups created by collapses.
 
@@ -643,7 +659,7 @@ def evaluate_variant_oracle(
     crossed = np.sign(old_dets) * np.sign(new_dets) < 0
     flips = sum(1 for t in affected[crossed].tolist() if t != c and t not in cl)
     delta = float(((np.abs(new_dets) - np.abs(old_dets)) * field.domain_areas[affected]).sum())
-    variant = CollapseVariant(edge=(min(u, v), max(u, v)), target_value=target)
+    variant = CollapseVariantOracle(edge=(min(u, v), max(u, v)), target_value=target)
     return flips, delta, variant
 
 
@@ -653,7 +669,7 @@ def find_best_collapse_variant_oracle(
     c: int,
     cl=frozenset(),
     groups: VertexGroupsOracle | None = None,
-) -> CollapseVariant:
+) -> CollapseVariantOracle:
     """Pick the candidate with (fewest flips, smallest range-area growth,
     lowest edge ids), in that order."""
     if not candidates:
@@ -668,7 +684,7 @@ def find_best_collapse_variant_oracle(
 
 
 def apply_collapse_variant_oracle(
-    field: TriField, variant: CollapseVariant, groups: VertexGroupsOracle | None = None
+    field: TriField, variant: CollapseVariantOracle, groups: VertexGroupsOracle | None = None
 ) -> None:
     """Assign the target value to both endpoints of the variant's edge
     (and to their merged group, when tracking groups)."""

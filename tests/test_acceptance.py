@@ -29,7 +29,7 @@ from jacobiset import (
 )
 from jacobiset.baselines import FilterSpec
 from jacobiset.cli import main
-from jacobiset.collapse import apply_collapse_variant
+from jacobiset.collapse import VertexGroups, apply_collapse_variant
 from jacobiset.fileio import GridField, load_field, save_bsf
 from jacobiset.regions import point_neighbor_sums
 
@@ -151,7 +151,7 @@ def test_c05_exact_zero_collapse_100_cells():
         scores = score_cell(field, c)
         candidates = sorted(range(len(scores.edges)), key=scores.edges.__getitem__)
         j = candidates[int(rng.integers(len(candidates)))]
-        apply_collapse_variant(field, scores.variant(j))
+        apply_collapse_variant(field, scores.variant(j), VertexGroups(field.n_vertices))
         checked += 1
         if field.det(c) == 0.0:
             exact += 1

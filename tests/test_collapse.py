@@ -14,10 +14,10 @@ from jacobiset import (
     simplify,
     triangulate_structured,
 )
+from jacobiset import collapse
 from jacobiset.collapse import (
     CHUNK_CELLS,
     CollapseHistory,
-    CollapseVariant,
     VertexGroups,
     Worklist,
     score_cells,
@@ -127,7 +127,7 @@ def test_evaluate_idempotent_collapse():
     assert scores.flips[j] == 0
     assert scores.delta[j] == 0.0
     before = field.values.copy()
-    apply_collapse_variant(field, scores.variant(j))
+    apply_collapse_variant(field, scores.variant(j), VertexGroups(field.n_vertices))
     assert np.array_equal(field.values, before)
 
 
@@ -139,7 +139,7 @@ def test_evaluate_flip_counts_against_recompute_oracle():
     for j, edge in enumerate(scores.edges):
         # Oracle: apply to a copy and compare signs recomputed from scratch.
         probe = field.copy()
-        apply_collapse_variant(probe, scores.variant(j))
+        apply_collapse_variant(probe, scores.variant(j), VertexGroups(field.n_vertices))
         fresh = TriField(probe.positions, probe.values, probe.triangles)
         s0 = np.sign(field.dets)
         s1 = np.sign(fresh.dets)
@@ -158,11 +158,10 @@ def test_evaluate_simulated_self_det_zero():
     field = fan_field()
     assert field.det(0) != 0.0
     scores = score_cell(field, 0)
-    j = scores.edges.index((0, 1))
-    run = slice(scores.pair_start[j], scores.pair_start[j + 1])
-    assert scores.new_dets[run][scores.affected(j) == 0].tolist() == [0.0]
+    variant = scores.variant(scores.edges.index((0, 1)))
+    assert variant.dets[variant.tids == 0].tolist() == [0.0]
     probe = field.copy()
-    apply_collapse_variant(probe, scores.variant(j))
+    apply_collapse_variant(probe, variant, VertexGroups(field.n_vertices))
     assert probe.det(0) == 0.0
 
 
@@ -208,24 +207,25 @@ def test_apply_sets_exact_zero_and_idempotent():
     field = fan_field()
     scores = score_cell(field, 0)
     variant = scores.variant(scores.edges.index((0, 1)))
-    apply_collapse_variant(field, variant)
+    groups = VertexGroups(field.n_vertices)
+    apply_collapse_variant(field, variant, groups)
     assert field.det(0) == 0.0
     assert np.array_equal(field.values[0], field.values[1])
     snapshot = field.values.copy()
-    apply_collapse_variant(field, variant)  # second application is a no-op
+    apply_collapse_variant(field, variant, groups)  # second application is a no-op
     assert np.array_equal(field.values, snapshot)
 
 
 def test_apply_neighbor_dets_match_fresh_recompute():
     field = fan_field()
     scores = score_cell(field, 0)
-    j = scores.edges.index((1, 2))
-    apply_collapse_variant(field, scores.variant(j))
+    variant = scores.variant(scores.edges.index((1, 2)))
+    apply_collapse_variant(field, variant, VertexGroups(field.n_vertices))
     fresh = TriField(field.positions, field.values, field.triangles)
     assert np.array_equal(field.dets, fresh.dets)
     # The kernel's simulated determinants are the ones a commit stores.
-    run = slice(scores.pair_start[j], scores.pair_start[j + 1])
-    assert np.array_equal(bits(scores.new_dets[run]), bits(fresh.dets[scores.affected(j)]))
+    assert np.array_equal(bits(variant.dets), bits(fresh.dets[variant.tids]))
+    assert np.array_equal(variant.tids, field.incident_triangles(variant.edge))
 
 
 def test_flipped_cell_neighbors_zero_and_one_flip():
@@ -235,7 +235,7 @@ def test_flipped_cell_neighbors_zero_and_one_flip():
     for edge, expected_flips in [((0, 1), 0), ((1, 2), 1)]:
         j = scores.edges.index(edge)
         probe = field.copy()
-        apply_collapse_variant(probe, scores.variant(j))
+        apply_collapse_variant(probe, scores.variant(j), VertexGroups(field.n_vertices))
         flipped = scores.flipped_cells(j)
         assert len(flipped) == expected_flips
         # Oracle: set difference of sign maps recomputed from scratch.
@@ -256,24 +256,34 @@ def test_groups_keep_earlier_collapses_glued():
     # first collapse; the merged group moves together.
     field = triangulate_structured(4, 2, (1.0, 1.0), np.arange(8.0), np.arange(8.0) ** 2)
     groups = VertexGroups(field.n_vertices)
-    v_a, v_b, v_c = 1, 5, 2  # edges (1,5) and (2,5) share vertex 5
+    cl = Worklist(field.n_triangles)
+    v_a, v_b, v_c = 1, 5, 4  # mesh edges (1,5) and (4,5) share vertex 5
 
-    target1 = 0.5 * (field.values[v_a] + field.values[v_b])
-    apply_collapse_variant(field, CollapseVariant((v_a, v_b), target1), groups)
+    def collapse_edge(edge):
+        c = next(t for t in range(field.n_triangles) if set(edge) <= set(field.triangles[t]))
+        scores = score_cells(field, [c], cl, groups)
+        variant = scores.variant(scores.edges.index(edge))
+        apply_collapse_variant(field, variant, groups)
+        return variant.target_value
+
+    target1 = collapse_edge((v_a, v_b))
     assert np.array_equal(field.values[v_a], field.values[v_b])
 
-    target2 = 0.5 * (field.values[v_b] + field.values[v_c])
-    apply_collapse_variant(field, CollapseVariant((v_b, v_c), target2), groups)
+    collapse_edge((v_c, v_b))
     # All three vertices now share one value; every triangle containing
-    # two of them has an exactly zero determinant.
+    # two of them has an exactly zero determinant, and the stored
+    # determinants equal a recomputation.
     assert np.array_equal(field.values[v_a], field.values[v_b])
     assert np.array_equal(field.values[v_b], field.values[v_c])
+    glued = np.isin(field.triangles, [v_a, v_b, v_c]).sum(axis=1) >= 2
+    assert (field.dets[glued] == 0.0).all()
+    fresh = TriField(field.positions, field.values, field.triangles)
+    assert np.array_equal(bits(field.dets), bits(fresh.dets))
 
-    # Without groups the same sequence breaks the first pair.
+    # Moving only the endpoints, the same sequence breaks the first pair.
     field2 = triangulate_structured(4, 2, (1.0, 1.0), np.arange(8.0), np.arange(8.0) ** 2)
-    apply_collapse_variant(field2, CollapseVariant((v_a, v_b), target1))
-    t2 = 0.5 * (field2.values[v_b] + field2.values[v_c])
-    apply_collapse_variant(field2, CollapseVariant((v_b, v_c), t2))
+    field2.set_vertex_values([v_a, v_b], target1)
+    field2.set_vertex_values([v_b, v_c], 0.5 * (field2.values[v_b] + field2.values[v_c]))
     assert not np.array_equal(field2.values[v_a], field2.values[v_b])
 
 
@@ -483,6 +493,27 @@ def test_simplify_matches_oracle_over_several_chunks():
     assert report.status is CollapseStatus.COMPLETED
 
 
+def test_group_budget_ends_chunks_early(monkeypatch):
+    # With a budget of 7 corner-group vertices a chunk holds at most two
+    # unmerged cells, or one cell whose corner groups hold more; the
+    # result must not depend on where chunks end.
+    budget = 7
+    loads = []
+
+    def recording(field, cells, cl, groups):
+        cells = np.asarray(cells, dtype=np.int64)
+        loads.append((len(cells), int(groups.size[groups.label[field.triangles[cells]]].sum())))
+        return score_cells(field, cells, cl, groups)
+
+    monkeypatch.setattr(collapse, "CHUNK_GROUP_VERTICES", budget)
+    monkeypatch.setattr(collapse, "score_cells", recording)
+    field = wave_field(np.random.default_rng(31), 40, 30, 0.25)
+    assert_simplify_matches_oracle(field, "B", _hv_quantile(field, "B", 0.5))
+    assert any(n > 1 for n, _ in loads)
+    assert any(load > budget for _, load in loads)
+    assert all(n == 1 or load <= budget for n, load in loads)
+
+
 @pytest.mark.parametrize(
     "seed, size, islands, guards, status",
     [
@@ -525,10 +556,7 @@ def test_batch_scores_equal_scores_of_each_cell_alone(rng):
         assert np.array_equal(bits([batch.delta[j] for j in run]), bits(alone.delta))
         assert batch.edges[batch.best(k)] == alone.edges[alone.best(0)]
         for i, j in enumerate(run):
-            assert np.array_equal(batch.affected(j), alone.affected(i))
+            assert np.array_equal(batch.variant(j).tids, alone.variant(i).tids)
+            assert np.array_equal(bits(batch.variant(j).dets), bits(alone.variant(i).dets))
             assert batch.flipped_cells(j) == alone.flipped_cells(i)
             assert batch.requeue_cells(j) == alone.requeue_cells(i)
-            p, q = slice(batch.pair_start[j], batch.pair_start[j + 1]), slice(
-                alone.pair_start[i], alone.pair_start[i + 1]
-            )
-            assert np.array_equal(bits(batch.new_dets[p]), bits(alone.new_dets[q]))
