@@ -17,9 +17,7 @@ from .mesh import (
 )
 from .fileio import GridField, ParseError, load_bsf, load_field, load_sgf, save_bsf, save_sgf
 from .jacobi import (
-    JacobiSet,
     Orientation,
-    TriangleJacobian,
     assign_degenerate,
     component_count,
     compute_jacobi_set,
@@ -31,8 +29,6 @@ from .jacobi import (
     orientation_signs,
 )
 from .regions import (
-    NeighborhoodGraph,
-    RegionDecomposition,
     build_graph,
     build_regions,
     find_collapsible_cells,
@@ -42,9 +38,7 @@ from .regions import (
     region_range_area,
 )
 from .collapse import (
-    CollapseReport,
     CollapseStatus,
-    CollapseVariant,
     apply_collapse_variant,
     cell_neighborhood,
     cells_oscillated,
@@ -54,21 +48,15 @@ from .baselines import FilterSpec, binomial_filter, gaussian_filter, loop_subdiv
 from .render import render_svg
 
 __all__ = [
-    "CollapseReport",
     "CollapseStatus",
-    "CollapseVariant",
     "DegenerateTriangleError",
     "FilterSpec",
     "GridField",
-    "JacobiSet",
     "MeshError",
-    "NeighborhoodGraph",
     "NonManifoldError",
     "Orientation",
     "ParseError",
-    "RegionDecomposition",
     "TriField",
-    "TriangleJacobian",
     "apply_collapse_variant",
     "assign_degenerate",
     "binomial_filter",

@@ -12,12 +12,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .fileio import GridField
 from .mesh import TriField
 
-_BOUNDARY_MODES = {"clamp": "nearest", "mirror": "mirror"}
+# np.pad modes: clamp repeats the edge sample, mirror reflects about it.
+_BOUNDARY_MODES = {"clamp": "edge", "mirror": "reflect"}
 
 
 @dataclass
@@ -59,9 +59,36 @@ def _separable(data: np.ndarray, kx: np.ndarray, ky: np.ndarray, mode: str) -> n
     # bit-identical (the normalized kernel need not sum to exactly 1).
     ref = data[0, 0]
     out = data - ref
-    out = correlate1d(out, ky, axis=0, mode=mode)
-    out = correlate1d(out, kx, axis=1, mode=mode)
+    out = _correlate1d(out, ky, 0, mode)
+    out = _correlate1d(out, kx, 1, mode)
     return out + ref
+
+
+def _correlate1d(x: np.ndarray, k: np.ndarray, axis: int, mode: str) -> np.ndarray:
+    """Correlate ``x`` with the symmetric kernel ``k`` along ``axis``.
+
+    Bit-identical to ``scipy.ndimage.correlate1d`` with ``nearest`` /
+    ``mirror`` boundaries: the centre tap first, then each pair of taps
+    summed and scaled, outermost pair first.
+    """
+    r = len(k) // 2
+    n = x.shape[axis]
+    widths = [(0, 0)] * x.ndim
+    widths[axis] = (r, r)
+    padded = np.pad(x, widths, mode=mode)
+
+    def tap(j):
+        index = [slice(None)] * x.ndim
+        index[axis] = slice(r + j, r + j + n)
+        return padded[tuple(index)]
+
+    out = tap(0) * k[r]
+    pair = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(tap(-j), tap(j), out=pair)
+        pair *= k[r - j]
+        out += pair
+    return out
 
 
 def binomial_filter(grid: GridField, spec: FilterSpec) -> GridField:

@@ -98,7 +98,6 @@ class TriField:
         self._build_adjacency()
         self._stars = None
         self._dets = None
-        self._vertex_neighbors = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -205,21 +204,6 @@ class TriField:
         """Boolean mask over `edges`: True where the edge has one triangle."""
         return self.edge_triangles[:, 1] < 0
 
-    def vertex_neighbors(self, v: int) -> np.ndarray:
-        """Vertex ids connected to ``v`` by a mesh edge (ascending)."""
-        if self._vertex_neighbors is None:
-            n = self.n_vertices
-            deg = np.bincount(self.edges.ravel(), minlength=n)
-            nbrs = [np.empty(d, dtype=np.int64) for d in deg]
-            fill = np.zeros(n, dtype=np.int64)
-            for a, b in self.edges:
-                nbrs[a][fill[a]] = b
-                fill[a] += 1
-                nbrs[b][fill[b]] = a
-                fill[b] += 1
-            self._vertex_neighbors = [np.sort(x) for x in nbrs]
-        return self._vertex_neighbors[v]
-
     def incident_triangles(self, vertex_ids) -> np.ndarray:
         """Triangles with at least one vertex in ``vertex_ids`` (ascending)."""
         return np.unique(self.star_entries(vertex_ids)[0])
@@ -265,7 +249,6 @@ class TriField:
         dup.edge_triangles = self.edge_triangles.copy()
         dup._stars = self._stars
         dup._dets = None if self._dets is None else self._dets.copy()
-        dup._vertex_neighbors = None
         return dup
 
 

@@ -127,6 +127,13 @@ def vertex_stars(field) -> list:
     return np.split(tids, offsets[1:-1])
 
 
+def vertex_neighbors(field, v: int) -> np.ndarray:
+    """Vertex ids joined to ``v`` by a mesh edge (ascending), read off
+    `TriField.edges`."""
+    edges = field.edges
+    return np.sort(np.concatenate([edges[edges[:, 0] == v, 1], edges[edges[:, 1] == v, 0]]))
+
+
 # -- independent oracles -----------------------------------------------------
 
 
@@ -313,7 +320,7 @@ def loop_once_oracle(field: TriField) -> TriField:
                 old_val[v] = val[v] + 0.125 * (left - val[v]) + 0.125 * (right - val[v])
             # Pinched boundary vertices keep their value.
         else:
-            ring = field.vertex_neighbors(v)
+            ring = vertex_neighbors(field, v)
             k = len(ring)
             beta = (0.625 - (0.375 + 0.25 * math.cos(2.0 * math.pi / k)) ** 2) / k
             old_val[v] = val[v] + beta * (val[ring] - val[v]).sum(axis=0)

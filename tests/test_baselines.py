@@ -12,10 +12,21 @@ from jacobiset import (
     measures,
     triangulate_structured,
 )
-from jacobiset.baselines import _loop_once
+from jacobiset.baselines import (
+    _binomial_kernel,
+    _correlate1d,
+    _gaussian_kernel,
+    _loop_once,
+)
 from jacobiset.fileio import GridField
 
-from conftest import assert_same_field, loop_once_oracle, noisy_island_field, wave_field
+from conftest import (
+    assert_same_field,
+    loop_once_oracle,
+    noisy_island_field,
+    vertex_neighbors,
+    wave_field,
+)
 
 
 def constant_grid(w=7, h=5, cf=1.7, cg=-2.3):
@@ -158,6 +169,42 @@ def test_gaussian_variance_reduction(rng):
     assert out.f.var() < noise.var()
 
 
+def test_filters_match_scipy_correlate1d_bit_for_bit(rng):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    scipy_mode = {"clamp": "nearest", "mirror": "mirror"}
+    numpy_mode = {"clamp": "edge", "mirror": "reflect"}
+
+    def reference(data, kx, ky, mode):
+        # The scipy form of `_separable`, shift by the first sample included.
+        ref = data[0, 0]
+        out = ndimage.correlate1d(data - ref, ky, axis=0, mode=mode)
+        return ndimage.correlate1d(out, kx, axis=1, mode=mode) + ref
+
+    shapes = [(6, 9), (9, 6), (1, 7), (7, 1), (2, 2), (1, 1)]
+    for h, w in shapes:
+        grid = GridField(w, h, 1.0, 1.0, rng.normal(size=(h, w)), 1e3 * rng.normal(size=(h, w)))
+        for boundary in ("clamp", "mirror"):
+            mode = scipy_mode[boundary]
+            # Binomial radii 1-3, and 12, which is larger than every grid side.
+            for radius in (1, 2, 3, 12):
+                k = _binomial_kernel(radius)
+                for axis in (0, 1):
+                    ours = _correlate1d(grid.f, k, axis, numpy_mode[boundary])
+                    theirs = ndimage.correlate1d(grid.f, k, axis=axis, mode=mode)
+                    assert np.array_equal(ours, theirs), (h, w, boundary, radius, axis)
+                out = binomial_filter(grid, FilterSpec("binomial", radius=radius, boundary=boundary))
+                assert np.array_equal(out.f, reference(grid.f, k, k, mode))
+                assert np.array_equal(out.g, reference(grid.g, k, k, mode))
+            # sigma 0.7 reaches radius 3 where the grid allows; sigma 50 is capped
+            # at width-1 / height-1.
+            for sigma in (0.7, 50.0):
+                kx = _gaussian_kernel(sigma, 3.0, w - 1)
+                ky = _gaussian_kernel(sigma, 3.0, h - 1)
+                out = gaussian_filter(grid, FilterSpec("gaussian", sigma=sigma, boundary=boundary))
+                assert np.array_equal(out.f, reference(grid.f, kx, ky, mode))
+                assert np.array_equal(out.g, reference(grid.g, kx, ky, mode))
+
+
 # -- loop subdivision --------------------------------------------------------
 
 
@@ -257,7 +304,7 @@ def test_loop_interior_vertex_rule():
     interior = [v for v in range(field.n_vertices) if v not in boundary]
     assert interior
     for v in interior:
-        ring = field.vertex_neighbors(v)
+        ring = vertex_neighbors(field, v)
         k = len(ring)
         beta = (0.625 - (0.375 + 0.25 * math.cos(2 * math.pi / k)) ** 2) / k
         expected = (1 - k * beta) * field.values[v] + beta * field.values[ring].sum(axis=0)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -472,3 +473,23 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "jacobiset" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is an optional test and benchmark dependency; importing it
+    # would cost every CLI process a few tenths of a second.
+    import jacobiset
+
+    src = os.path.dirname(os.path.dirname(jacobiset.__file__))
+    code = (
+        "import sys, jacobiset.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
