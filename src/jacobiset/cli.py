@@ -16,6 +16,8 @@ command's ``cmd_*`` handler returns.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from time import perf_counter
@@ -346,10 +348,12 @@ def _format_compare(args, results) -> str:
                     )
                 )
     if args.format == "csv":
-        out = ["input,method,length,components"]
-        for path, method, length, comp, _, _ in rows:
-            out.append(f"{path},{method},{length},{comp}")
-        return "\n".join(out) + "\n"
+        # csv quotes a cell holding a comma, e.g. a ParseError's message.
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["input", "method", "length", "components"])
+        writer.writerows(row[:4] for row in rows)
+        return buf.getvalue()
     out = [
         "| Input | Method | Length of Jacobi sets | # of components |",
         "| --- | --- | --- | --- |",
@@ -357,5 +361,6 @@ def _format_compare(args, results) -> str:
     for path, method, length, comp, is_best_len, is_best_comp in rows:
         length_cell = f"**{length}**" if is_best_len else length
         comp_cell = f"**{comp}**" if is_best_comp else comp
-        out.append(f"| {path} | {method} | {length_cell} | {comp_cell} |")
+        cells = (path, method, length_cell, comp_cell)
+        out.append("| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |")
     return "\n".join(out) + "\n"

@@ -15,21 +15,26 @@ SGF holds a structured grid of samples::
 
 Floats are written with ``repr`` so a save/load round trip is bit-exact.
 
-The readers parse the data lines in chunks of ``CHUNK_LINES``: each line
-of a chunk must hold the expected number of tokens, and the chunk's tokens
-are converted by one ``float``/``int`` pass into an array. Any anomaly in
-a chunk - a wrong token count, a hex float, a token that ``float``/``int``
-rejects, an index beyond int64 - sends that chunk through the line-by-line
-parser, which accepts hex floats and raises :class:`ParseError` with the
-offending line number. Both paths convert each token with the same
-Python call, so they give the same bits. The writers format a chunk of
-rows with one ``%`` call.
+The readers take the two header lines with ``readline`` and hand each
+data block, the next ``count`` lines of the open file, to numpy's C text
+reader (``np.loadtxt``), with no list of the file's lines. A block counts
+only if the reader raised and warned nothing and returned exactly
+``count`` rows of the expected width. Anything else - a wrong token
+count, a blank line, a short file, a hex float, ``1_0`` or a non-ASCII
+digit, an index beyond int64 - re-reads the file through the exact
+parser. It parses each block that numpy's reader does not take whole line
+by line with ``float``/``int`` (and ``float.fromhex``), and raises
+:class:`ParseError` with the first bad line's number. numpy's reader
+accepts only tokens that ``float``/``int`` read to the same bits, and
+splits a line on the same whitespace as ``str.split``, so both paths give
+the same arrays. The writers format a chunk of rows with one ``%`` call.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
-from itertools import chain
+from itertools import islice
 
 import numpy as np
 
@@ -45,10 +50,16 @@ class ParseError(ValueError):
         super().__init__(f"{self.path}:{line}: {message}")
 
 
-# A chunk's split token lists cost about 350 bytes a line; 512 lines keep
-# them far below the size of the file's own line list.
+# The writers format this many rows with one ``%`` call.
 CHUNK_LINES = 512
 _INT64 = np.iinfo(np.int64)
+# What the fast path raises on a file it cannot take: a reader error, a
+# warning turned into an error, a block of the wrong shape, a header
+# ParseError or a UnicodeDecodeError. Each sends the file to the line
+# parser, which raises the error with its line number or returns the
+# same arrays. So the fast path may check the header lines with their
+# newline: a header error it finds is raised again by the line parser.
+_FALLBACK_ERRORS = (ValueError, OverflowError, Warning)
 
 
 def _parse_float(tok: str, path, line) -> float:
@@ -79,33 +90,85 @@ def _parse_index_row(toks, path, line) -> list:
     return row
 
 
+def _read_block(rows, count: int, width: int, dtype) -> np.ndarray:
+    """Parse the ``count`` text lines ``rows`` with numpy's text reader into
+    a (count, width) array. Raises one of ``_FALLBACK_ERRORS`` if the reader
+    fails or warns, or if a line was blank, missing or of another width."""
+    if count == 0:
+        return np.empty((0, width), dtype=dtype)
+    with warnings.catch_warnings():
+        # numpy 1.24-1.26 reads "5.0" as an index with a DeprecationWarning,
+        # and a file that ends before the block warns "input contained no data".
+        warnings.simplefilter("error")
+        block = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
+    if block.shape != (count, width):
+        raise ValueError(f"expected a {count} x {width} block, got {block.shape}")
+    return block
+
+
 def _parse_lines(path, lines, first: int, count: int, width: int, kind) -> np.ndarray:
     """Parse ``lines[first:first + count]`` into a (count, width) array of
-    ``kind`` (float or int), one chunk of lines at a time. ``lines`` must
-    hold all of them."""
+    ``kind`` (float or int). ``lines`` must hold all of them. A block that
+    numpy's reader takes whole is not parsed line by line: in a hex-float
+    BSF only the vertex block needs the line loop."""
     dtype = np.float64 if kind is float else np.int64
-    noun = "fields" if kind is float else "indices"
+    try:
+        return _read_block(lines[first : first + count], count, width, dtype)
+    except _FALLBACK_ERRORS:
+        pass
     out = np.empty((count, width), dtype=dtype)
-    for lo in range(0, count, CHUNK_LINES):
-        hi = min(lo + CHUNK_LINES, count)
-        rows = list(map(str.split, lines[first + lo : first + hi]))
-        if set(map(len, rows)) == {width}:
-            try:
-                out[lo:hi] = np.fromiter(
-                    map(kind, chain.from_iterable(rows)), dtype, (hi - lo) * width
-                ).reshape(-1, width)
-                continue
-            except (ValueError, OverflowError):
-                pass
-        for i, toks in enumerate(rows, start=lo):
-            lineno = first + i + 1
-            if len(toks) != width:
-                raise ParseError(path, lineno, f"expected {width} {noun}, got {len(toks)}")
-            if kind is float:
-                out[i] = [_parse_float(t, path, lineno) for t in toks]
-            else:
-                out[i] = _parse_index_row(toks, path, lineno)
+    noun = "fields" if kind is float else "indices"
+    for i in range(count):
+        lineno = first + i + 1
+        toks = lines[first + i].split()
+        if len(toks) != width:
+            raise ParseError(path, lineno, f"expected {width} {noun}, got {len(toks)}")
+        if kind is float:
+            out[i] = [_parse_float(t, path, lineno) for t in toks]
+        else:
+            out[i] = _parse_index_row(toks, path, lineno)
     return out
+
+
+def _bsf_header(path, head) -> tuple:
+    """Check the first two lines of a BSF file (one if it has no more);
+    return (vertices, triangles)."""
+    if head[0].strip() != "bsf 1":
+        raise ParseError(path, 1, f"expected 'bsf 1' header, got {head[0]!r}")
+    if len(head) < 2:
+        raise ParseError(path, 1, "unexpected end of file")
+    toks = head[1].split()
+    if len(toks) != 4 or toks[0] != "vertices" or toks[2] != "triangles":
+        raise ParseError(path, 2, "expected 'vertices <N> triangles <M>'")
+    n = _parse_int(toks[1], path, 2)
+    m = _parse_int(toks[3], path, 2)
+    if n < 0 or m < 0:
+        raise ParseError(path, 2, "negative count")
+    return n, m
+
+
+def _sgf_header(path, head) -> tuple:
+    """Check the first two lines of an SGF file (one if it has no more);
+    return (width, height, dx, dy)."""
+    if head[0].strip() != "sgf 1":
+        raise ParseError(path, 1, "expected 'sgf 1' header")
+    if len(head) < 2:
+        raise ParseError(path, 2, "unexpected end of file")
+    toks = head[1].split()
+    if len(toks) != 5 or toks[0] != "grid":
+        raise ParseError(path, 2, "expected 'grid <W> <H> <dx> <dy>'")
+    w = _parse_int(toks[1], path, 2)
+    h = _parse_int(toks[2], path, 2)
+    dx = _parse_float(toks[3], path, 2)
+    dy = _parse_float(toks[4], path, 2)
+    if w < 2 or h < 2:
+        raise ParseError(path, 2, "grid must be at least 2 x 2")
+    return w, h, dx, dy
+
+
+def _read_lines(path) -> list:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read().split("\n")
 
 
 def _check_declared(path, lines, count: int, what: str) -> None:
@@ -114,6 +177,24 @@ def _check_declared(path, lines, count: int, what: str) -> None:
     present = len(lines) - 2 - (lines[-1] == "")
     if count > present:
         raise ParseError(path, 2, f"header declares {what} lines, file has {present}")
+
+
+def _parse_bsf(path) -> tuple:
+    """The exact BSF parser, over the file's list of lines: (samples,
+    triangles) arrays, or the :class:`ParseError` of the first bad line."""
+    lines = _read_lines(path)
+    n, m = _bsf_header(path, lines[:2])
+    _check_declared(path, lines, n + m, f"{n} vertex and {m} triangle")
+    return _parse_lines(path, lines, 2, n, 4, float), _parse_lines(path, lines, 2 + n, m, 3, int)
+
+
+def _parse_sgf(path) -> tuple:
+    """The exact SGF parser, over the file's list of lines: (width, height,
+    dx, dy, samples), or the :class:`ParseError` of the first bad line."""
+    lines = _read_lines(path)
+    w, h, dx, dy = _sgf_header(path, lines[:2])
+    _check_declared(path, lines, w * h, f"{w} x {h} sample")
+    return w, h, dx, dy, _parse_lines(path, lines, 2, w * h, 2, float)
 
 
 def _fmt(x: float) -> str:
@@ -147,28 +228,16 @@ class GridField:
 
 def load_bsf(path) -> TriField:
     """Read a BSF file into a validated :class:`TriField`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-
-    def need(idx):
-        if idx >= len(lines):
-            raise ParseError(path, len(lines), "unexpected end of file")
-        return lines[idx]
-
-    if need(0).strip() != "bsf 1":
-        raise ParseError(path, 1, f"expected 'bsf 1' header, got {lines[0]!r}")
-    head = need(1).split()
-    if len(head) != 4 or head[0] != "vertices" or head[2] != "triangles":
-        raise ParseError(path, 2, "expected 'vertices <N> triangles <M>'")
-    n = _parse_int(head[1], path, 2)
-    m = _parse_int(head[3], path, 2)
-    if n < 0 or m < 0:
-        raise ParseError(path, 2, "negative count")
-    _check_declared(path, lines, n + m, f"{n} vertex and {m} triangle")
-
-    samples = _parse_lines(path, lines, 2, n, 4, float)
-    triangles = _parse_lines(path, lines, 2 + n, m, 3, int)
-    del lines  # release the text before TriField builds its adjacency
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            n, m = _bsf_header(path, [fh.readline(), fh.readline()])
+            blocks = (
+                _read_block(islice(fh, n), n, 4, np.float64),
+                _read_block(islice(fh, m), m, 3, np.int64),
+            )
+    except _FALLBACK_ERRORS:
+        blocks = None  # parse outside the handler: its errors get no context
+    samples, triangles = blocks or _parse_bsf(path)
     return TriField(samples[:, :2], samples[:, 2:], triangles)
 
 
@@ -191,23 +260,13 @@ def save_bsf(field: TriField, path) -> None:
 
 def load_sgf(path) -> GridField:
     """Read an SGF file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if not lines or lines[0].strip() != "sgf 1":
-        raise ParseError(path, 1, f"expected 'sgf 1' header")
-    if len(lines) < 2:
-        raise ParseError(path, 2, "unexpected end of file")
-    head = lines[1].split()
-    if len(head) != 5 or head[0] != "grid":
-        raise ParseError(path, 2, "expected 'grid <W> <H> <dx> <dy>'")
-    w = _parse_int(head[1], path, 2)
-    h = _parse_int(head[2], path, 2)
-    dx = _parse_float(head[3], path, 2)
-    dy = _parse_float(head[4], path, 2)
-    if w < 2 or h < 2:
-        raise ParseError(path, 2, "grid must be at least 2 x 2")
-    _check_declared(path, lines, w * h, f"{w} x {h} sample")
-    samples = _parse_lines(path, lines, 2, w * h, 2, float)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            w, h, dx, dy = _sgf_header(path, [fh.readline(), fh.readline()])
+            grid = (w, h, dx, dy, _read_block(islice(fh, w * h), w * h, 2, np.float64))
+    except _FALLBACK_ERRORS:
+        grid = None  # parse outside the handler: its errors get no context
+    w, h, dx, dy, samples = grid or _parse_sgf(path)
     f, g = samples[:, 0], samples[:, 1]
     return GridField(w, h, dx, dy, f.reshape(h, w), g.reshape(h, w))
 

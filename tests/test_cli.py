@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -258,6 +261,43 @@ def test_compare_csv_single_cell(identity_sgf, capsys):
     rows = capsys.readouterr().out.strip().split("\n")
     assert rows[0] == "input,method,length,components"
     assert rows[1].endswith(",original,0,0")
+
+
+def test_compare_csv_quotes_cells_with_commas(tmp_path, capsys):
+    short_row = tmp_path / "short_row.bsf"
+    short_row.write_text("bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1 0 0\n0 1 0 1\n0 1 2\n")
+    short_file = tmp_path / "short_file.bsf"
+    short_file.write_text("bsf 1\nvertices 3 triangles 1\n0 0 0 0\n")
+    argv = ["compare", str(short_row), str(short_file), "--methods", "original", "loop",
+            "--format", "csv"]
+    assert main(argv) == 2
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["input", "method", "length", "components"]
+    assert len(rows) == 5
+    assert all(len(row) == 4 for row in rows)
+    fields = f"error: {short_row}:4: expected 4 fields, got 3"
+    lines = f"error: {short_file}:2: header declares 3 vertex and 1 triangle lines, file has 1"
+    assert rows[1:] == [
+        [str(short_row), "original", fields, ""],
+        [str(short_row), "loop", fields, ""],
+        [str(short_file), "original", lines, ""],
+        [str(short_file), "loop", lines, ""],
+    ]
+
+
+def test_compare_markdown_escapes_pipes(tmp_path, capsys):
+    path = tmp_path / "a|b.bsf"
+    path.write_text("bsf 1\nvertices 3 triangles 1\n0 0 0 0\n")
+    assert main(["compare", str(path), "--methods", "original"]) == 2
+    row = capsys.readouterr().out.strip().split("\n")[2]
+    cells = [c.strip() for c in re.split(r"(?<!\\)\|", row)[1:-1]]
+    escaped = str(path).replace("|", "\\|")
+    assert cells == [
+        escaped,
+        "original",
+        f"error: {escaped}:2: header declares 3 vertex and 1 triangle lines, file has 1",
+        "",
+    ]
 
 
 def test_compare_requires_methods(identity_sgf):

@@ -1,5 +1,8 @@
-"""Mutated BSF/SGF texts: the chunked readers must agree with the
-line-by-line oracles bit for bit, or raise the same error."""
+"""Mutated BSF/SGF texts: the readers, on numpy's text reader or on their
+line-by-line fallback, must agree with the line-by-line oracles bit for
+bit, or raise the same error. The tokens and separators probe where
+numpy's reader and Python's ``float``/``int`` and ``str.split`` could
+disagree."""
 
 import tempfile
 from pathlib import Path
@@ -11,7 +14,6 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from jacobiset import MeshError, ParseError, load_bsf, load_sgf, save_bsf, save_sgf
-from jacobiset import fileio
 from jacobiset.fileio import GridField
 
 from conftest import bits, load_bsf_oracle, load_sgf_oracle, wave_field
@@ -20,7 +22,11 @@ TOKENS = [
     "1_0", "nan", "-inf", "1e999", "0.5", "-0.0", "3", "+2", "1.", ".5e-3", "x", "0b1",
     "0x1.8p+1", "-0x0p+0", "0X1P-3", "0x1p99999", "-0x1p99999",
     "99999999999999999999", "-9223372036854775809", "9223372036854775807",
+    "#", '"1"', "1,2", "\u0661", "\uff11", "infinity", "-nan", "5.0", "1\x00", "\ufeff1",
 ]
+# Whitespace that str.split splits on, other than a space.
+SEPARATORS = ["\xa0", "\u2003", "\x0b"]
+BLANK_LINES = ["", " ", "\t", "\xa0 "]
 
 
 def _base_texts():
@@ -39,7 +45,9 @@ token = st.one_of(
     st.sampled_from(TOKENS), st.floats().map(float.hex), st.integers(-3, 12).map(str)
 )
 mutation = st.tuples(
-    st.sampled_from(["drop", "extra", "shift", "replace", "replace", "replace", "truncate"]),
+    st.sampled_from(
+        ["drop", "extra", "shift", "replace", "replace", "replace", "truncate", "sep", "blank"]
+    ),
     st.integers(0, 10**6),
     st.integers(0, 10**6),
     token,
@@ -54,7 +62,11 @@ def mutate(text: str, mutations) -> str:
             lines = joined[: pos % (len(joined) + 1)].split("\n")
             continue
         i = where % len(lines)
+        if kind == "blank":
+            lines.insert(i, BLANK_LINES[pos % len(BLANK_LINES)])
+            continue
         toks = lines[i].split()
+        sep = " "
         if kind == "shift" and toks and i + 1 < len(lines):
             # Move a token to the next line: the token total stays the same.
             lines[i + 1] = f"{toks.pop(pos % len(toks))} {lines[i + 1]}"
@@ -64,7 +76,9 @@ def mutate(text: str, mutations) -> str:
             toks.insert(pos % (len(toks) + 1), tok)
         elif kind == "replace" and toks:
             toks[pos % len(toks)] = tok
-        lines[i] = " ".join(toks)
+        elif kind == "sep":
+            sep = SEPARATORS[pos % len(SEPARATORS)]
+        lines[i] = sep.join(toks)
     return "\n".join(lines)
 
 
@@ -75,33 +89,46 @@ def outcome(load, path):
     except (ParseError, MeshError, OverflowError) as exc:
         return type(exc), str(exc)
     if isinstance(result, GridField):
-        return (result.width, result.height, result.dx, result.dy,
+        return (result.width, result.height, bits(np.array([result.dx, result.dy])).tolist(),
                 bits(result.f).tolist(), bits(result.g).tolist())
     return (bits(result.positions).tolist(), bits(result.values).tolist(),
             result.triangles.tolist())
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    sgf=st.booleans(),
-    mutations=st.lists(mutation, min_size=1, max_size=3),
-    chunk=st.sampled_from([2, 3, fileio.CHUNK_LINES]),
-)
-def test_mutated_text_matches_line_oracle(sgf, mutations, chunk):
-    text = mutate(SGF_TEXT if sgf else BSF_TEXT, mutations)
+def check_against_oracle(text: str, sgf: bool) -> None:
     load, oracle = (load_sgf, load_sgf_oracle) if sgf else (load_bsf, load_bsf_oracle)
-    saved = fileio.CHUNK_LINES
-    fileio.CHUNK_LINES = chunk
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / ("m.sgf" if sgf else "m.bsf")
-            path.write_text(text, encoding="utf-8")
-            got, want = outcome(load, path), outcome(oracle, path)
-    finally:
-        fileio.CHUNK_LINES = saved
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / ("m.sgf" if sgf else "m.bsf")
+        path.write_text(text, encoding="utf-8")
+        got, want = outcome(load, path), outcome(oracle, path)
     if want[0] is OverflowError:
         # The line-by-line parser crashed on an index beyond int64 or a
         # hex float beyond the double range; the reader names the line.
         assert got[0] is ParseError and "out of range" in got[1]
     else:
         assert got == want
+
+
+@pytest.mark.parametrize("tok", TOKENS)
+def test_each_token_matches_line_oracle(tok):
+    # A BSF vertex and triangle line, and the first and last SGF sample.
+    for sgf, line in ((False, 4), (False, 17), (True, 3), (True, 11)):
+        lines = (SGF_TEXT if sgf else BSF_TEXT).split("\n")
+        toks = lines[line - 1].split()
+        toks[1] = tok
+        lines[line - 1] = " ".join(toks)
+        check_against_oracle("\n".join(lines), sgf)
+
+
+@pytest.mark.parametrize("sep", SEPARATORS)
+def test_whitespace_separators_match_line_oracle(sep):
+    for sgf, text in ((False, BSF_TEXT), (True, SGF_TEXT)):
+        lines = text.split("\n")
+        lines[2:] = [sep.join(line.split()) for line in lines[2:]]
+        check_against_oracle("\n".join(lines), sgf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sgf=st.booleans(), mutations=st.lists(mutation, min_size=1, max_size=3))
+def test_mutated_text_matches_line_oracle(sgf, mutations):
+    check_against_oracle(mutate(SGF_TEXT if sgf else BSF_TEXT, mutations), sgf)
