@@ -22,6 +22,8 @@ import json
 import sys
 from time import perf_counter
 
+import numpy as np
+
 from . import __version__
 from .baselines import FilterSpec, binomial_filter, gaussian_filter, loop_subdivide
 from .collapse import simplify
@@ -289,7 +291,12 @@ def _compare_cell(method: str, grid, field, args) -> dict:
             raise ValueError(f"{method} requires structured grid (SGF) input")
         if isinstance(grid, Exception):
             raise grid
-        return measures(_filtered(grid, method, args).to_tri_field(), eps)
+        smooth = _filtered(grid, method, args)
+        if isinstance(field, Exception):
+            return measures(smooth.to_tri_field(), eps)
+        # The filters keep the grid's size and spacing: only values change.
+        values = np.column_stack([smooth.f.ravel(), smooth.g.ravel()])
+        return measures(field.with_values(values), eps)
     if isinstance(field, Exception):
         raise field
     if method == "original":

@@ -215,9 +215,8 @@ def extract_jacobi_set(field: TriField, signs: np.ndarray, assignment) -> Jacobi
     interior = et[:, 1] >= 0
     differ = interior.copy()
     differ[interior] = eff[et[interior, 0]] != eff[et[interior, 1]]
-    edges = field.edges[differ]
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    return JacobiSet(edges=edges[order], degenerate_assignment=dict(assignment))
+    # field.edges is sorted by (min, max), and so is any subset of it.
+    return JacobiSet(edges=field.edges[differ], degenerate_assignment=dict(assignment))
 
 
 def compute_jacobi_set(field: TriField, epsilon: float = 0.0) -> JacobiSet:
@@ -258,7 +257,7 @@ def measures(field: TriField, epsilon: float = 0.0) -> dict:
 
 def jacobi_set_to_json(js: JacobiSet) -> dict:
     return {
-        "edges": [[int(a), int(b)] for a, b in js.edges],
+        "edges": js.edges.tolist(),
         "degenerate": {
             str(t): ("+" if s > 0 else "-")
             for t, s in sorted(js.degenerate_assignment.items())

@@ -7,7 +7,8 @@ counter-clockwise, zero-area triangles are rejected, and every edge may be
 shared by at most two triangles (manifold with boundary).
 
 Vertex values are the only mutable state; positions and connectivity are
-fixed after construction.
+fixed after construction and read-only, so fields that differ only in
+their values can share them (:meth:`TriField.with_values`).
 """
 
 from __future__ import annotations
@@ -43,15 +44,24 @@ class TriField:
     Attributes
     ----------
     domain_areas : ndarray, shape (m,)
-        Domain area of every triangle (read-only).
+        Domain area of every triangle.
     neighbors : ndarray, shape (m, 3)
         ``neighbors[t, e]`` is the triangle across edge ``e`` of ``t``
         (edge ``e`` joins local vertices ``e`` and ``(e+1) % 3``), or -1
         on the domain boundary.
+    edges : ndarray, shape (E, 2)
+        Every mesh edge once as ``(min, max)`` vertex ids, sorted by
+        ``(min, max)`` ascending, so that a subset taken by a mask stays
+        sorted and an edge can be found by ``searchsorted``.
+    edge_triangles : ndarray, shape (E, 2)
+        The triangles on each side of ``edges[i]``; the second is -1 on
+        the domain boundary.
     stars : (ndarray, ndarray)
-        Vertex stars in CSR form (read-only, built on first use): the
-        triangles incident to vertex ``v`` are
+        Vertex stars in CSR form (built on first use): the triangles
+        incident to vertex ``v`` are
         ``star_tids[star_offsets[v]:star_offsets[v + 1]]``, ascending.
+
+    Every array but ``values`` is read-only.
     """
 
     def __init__(self, positions, values, triangles):
@@ -60,14 +70,11 @@ class TriField:
         tri = np.array(triangles, dtype=np.int64)
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise MeshError(f"positions must be (n, 2), got {pos.shape}")
-        if val.shape != pos.shape:
-            raise MeshError(f"values must match positions shape, got {val.shape}")
-        if tri.ndim != 2 or tri.shape[1] != 3:
-            raise MeshError(f"triangles must be (m, 3), got {tri.shape}")
         if not np.isfinite(pos).all():
             raise MeshError("non-finite vertex position")
-        if not np.isfinite(val).all():
-            raise MeshError("non-finite vertex value")
+        _check_values(val, pos.shape)
+        if tri.ndim != 2 or tri.shape[1] != 3:
+            raise MeshError(f"triangles must be (m, 3), got {tri.shape}")
         n = len(pos)
         if tri.size and (tri.min() < 0 or tri.max() >= n):
             raise MeshError("triangle vertex index out of range")
@@ -90,10 +97,10 @@ class TriField:
                 f"degenerate triangle (zero domain area) at id {int(np.flatnonzero(doubled == 0)[0])}"
             )
 
-        self.positions = pos
+        self.positions = _read_only(pos)
         self.values = val
-        self.triangles = tri
-        self._doubled_areas = doubled
+        self.triangles = _read_only(tri)
+        self._doubled_areas = _read_only(doubled)
         self.domain_areas = _read_only(0.5 * doubled)
         self._build_adjacency()
         self._stars = None
@@ -133,13 +140,13 @@ class TriField:
         b = order[paired + 1]
         neighbors[a // 3, a % 3] = b // 3
         neighbors[b // 3, b % 3] = a // 3
-        self.neighbors = neighbors
+        self.neighbors = _read_only(neighbors)
         firsts = spacked[starts]
-        self.edges = np.column_stack([firsts // n, firsts % n])
+        self.edges = _read_only(np.column_stack([firsts // n, firsts % n]))
         edge_tris = np.full((len(starts), 2), -1, dtype=np.int64)
         edge_tris[:, 0] = order[starts] // 3
         edge_tris[counts == 2, 1] = b // 3
-        self.edge_triangles = edge_tris
+        self.edge_triangles = _read_only(edge_tris)
 
     @property
     def stars(self) -> tuple[np.ndarray, np.ndarray]:
@@ -237,19 +244,29 @@ class TriField:
                 dets = self.compute_dets(tids)
             self._dets[tids] = dets
 
-    def copy(self) -> "TriField":
+    def with_values(self, values) -> "TriField":
+        """A field on this mesh with ``values`` at the vertices, validated
+        as the constructor does. It shares this field's read-only
+        positions and connectivity, and owns its values."""
+        val = np.array(values, dtype=np.float64)
+        _check_values(val, self.positions.shape)
         dup = object.__new__(TriField)
-        dup.positions = self.positions.copy()
-        dup.values = self.values.copy()
-        dup.triangles = self.triangles.copy()
-        dup._doubled_areas = self._doubled_areas.copy()
-        dup.domain_areas = _read_only(self.domain_areas.copy())
-        dup.neighbors = self.neighbors.copy()
-        dup.edges = self.edges.copy()
-        dup.edge_triangles = self.edge_triangles.copy()
-        dup._stars = self._stars
+        dup.__dict__.update(self.__dict__)
+        dup.values = val
+        dup._dets = None
+        return dup
+
+    def copy(self) -> "TriField":
+        dup = self.with_values(self.values)
         dup._dets = None if self._dets is None else self._dets.copy()
         return dup
+
+
+def _check_values(val: np.ndarray, shape) -> None:
+    if val.shape != shape:
+        raise MeshError(f"values must match positions shape, got {val.shape}")
+    if not np.isfinite(val).all():
+        raise MeshError("non-finite vertex value")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

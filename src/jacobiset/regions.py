@@ -23,7 +23,9 @@ regions for collapsing.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,14 +45,48 @@ class Region:
 
 @dataclass
 class RegionDecomposition:
+    """Regions as arrays: ``label[t]`` is the region of triangle ``t`` and
+    ``signs[t]`` its effective sign; ``len()`` is the region count.
+
+    ``regions`` lists them as :class:`Region` objects, built on first use;
+    the program itself reads only the arrays.
+    """
+
     variant: str
     label: np.ndarray
-    regions: list
+    signs: np.ndarray = dataclass_field(repr=False)
+    count: int
     field: TriField = dataclass_field(repr=False, default=None)
-    signs: np.ndarray = dataclass_field(repr=False, default=None)
 
     def __len__(self):
-        return len(self.regions)
+        return self.count
+
+    @cached_property
+    def regions(self) -> "_RegionList":
+        return _RegionList(self)
+
+
+class _RegionList(Sequence):
+    """The :class:`Region` of every region id. ``len`` builds none of
+    them; the first item access splits the triangles by label."""
+
+    def __init__(self, decomposition: RegionDecomposition):
+        self._decomposition = decomposition
+        self._items = None
+
+    def __len__(self):
+        return len(self._decomposition)
+
+    def __getitem__(self, r):
+        if self._items is None:
+            d = self._decomposition
+            order = np.argsort(d.label, kind="stable")
+            bounds = np.flatnonzero(np.diff(d.label[order])) + 1
+            self._items = [
+                Region(id=i, sign=int(d.signs[tri_ids[0]]), triangles=tri_ids)
+                for i, tri_ids in enumerate(np.split(order, bounds) if len(d) else [])
+            ]
+        return self._items[r]
 
 
 @dataclass
@@ -65,9 +101,35 @@ class GraphNode:
 
 @dataclass
 class NeighborhoodGraph:
+    """One node per region, as arrays indexed by region id, and the sorted
+    ``(lo, hi)`` region pairs that share a mesh edge.
+
+    ``nodes`` lists the nodes as :class:`GraphNode` objects, built on first
+    use; the program itself reads only the arrays.
+    """
+
     variant: str
-    nodes: list
+    sign: np.ndarray
+    domain_area: np.ndarray
+    range_area: np.ndarray
+    hypervolume: np.ndarray
+    triangle_count: np.ndarray
     edges: list
+
+    @cached_property
+    def nodes(self) -> list:
+        return [GraphNode(*row) for row in self._rows()]
+
+    def _rows(self):
+        """The fields of each :class:`GraphNode`, as Python scalars."""
+        return zip(
+            range(len(self.sign)),
+            self.sign.tolist(),
+            self.domain_area.tolist(),
+            self.range_area.tolist(),
+            self.hypervolume.tolist(),
+            self.triangle_count.tolist(),
+        )
 
 
 def build_regions(field: TriField, signs, assignment, variant: str = "A"):
@@ -99,15 +161,9 @@ def build_regions(field: TriField, signs, assignment, variant: str = "A"):
     del et
     label = connected_labels(m, a, b)
     del a, b
-
-    order = np.argsort(label, kind="stable")
-    bounds = np.flatnonzero(np.diff(label[order])) + 1
-    regions = [
-        Region(id=r, sign=int(eff[tri_ids[0]]), triangles=tri_ids)
-        for r, tri_ids in enumerate(np.split(order, bounds) if m else [])
-    ]
+    count = int(label.max()) + 1 if m else 0
     return RegionDecomposition(
-        variant=variant, label=label, regions=regions, field=field, signs=eff
+        variant=variant, label=label, signs=eff, count=count, field=field
     )
 
 
@@ -145,23 +201,10 @@ def build_graph(field: TriField, regions: RegionDecomposition) -> NeighborhoodGr
     label = regions.label
     areas = field.domain_areas
     range_areas = np.abs(field.dets) * areas
-    hv = areas * range_areas
-    n = len(regions.regions)
-    node_area = np.bincount(label, weights=areas, minlength=n)
-    node_range = np.bincount(label, weights=range_areas, minlength=n)
-    node_hv = np.bincount(label, weights=hv, minlength=n)
-    counts = np.bincount(label, minlength=n)
-    nodes = [
-        GraphNode(
-            id=r.id,
-            sign=r.sign,
-            domain_area=float(node_area[r.id]),
-            range_area=float(node_range[r.id]),
-            hypervolume=float(node_hv[r.id]),
-            triangle_count=int(counts[r.id]),
-        )
-        for r in regions.regions
-    ]
+    n = len(regions)
+    # Regions are numbered by first occurrence, so a region's lowest
+    # triangle is where the running maximum of the labels steps up.
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(label), prepend=-1))
     et = field.edge_triangles
     interior = et[:, 1] >= 0
     la = label[et[interior, 0]]
@@ -171,32 +214,41 @@ def build_graph(field: TriField, regions: RegionDecomposition) -> NeighborhoodGr
     # pairs in lexicographic order.
     keys = np.unique(np.minimum(la, lb)[differ] * n + np.maximum(la, lb)[differ])
     edges = list(zip((keys // n).tolist(), (keys % n).tolist()))
-    return NeighborhoodGraph(variant=regions.variant, nodes=nodes, edges=edges)
+    return NeighborhoodGraph(
+        variant=regions.variant,
+        sign=regions.signs[first],
+        domain_area=np.bincount(label, weights=areas, minlength=n),
+        range_area=np.bincount(label, weights=range_areas, minlength=n),
+        hypervolume=np.bincount(label, weights=areas * range_areas, minlength=n),
+        triangle_count=np.bincount(label, minlength=n),
+        edges=edges,
+    )
 
 
-def _check_region(regions: RegionDecomposition, r: int) -> Region:
-    if not 0 <= r < len(regions.regions):
+def _region_triangles(regions: RegionDecomposition, r: int) -> np.ndarray:
+    """Triangle ids of region ``r``, ascending."""
+    if not 0 <= r < len(regions):
         raise IndexError(f"region id {r} out of range")
-    return regions.regions[r]
+    return np.flatnonzero(regions.label == r)
 
 
 def region_domain_area(regions: RegionDecomposition, r: int) -> float:
-    reg = _check_region(regions, r)
-    return float(regions.field.domain_areas[reg.triangles].sum())
+    tris = _region_triangles(regions, r)
+    return float(regions.field.domain_areas[tris].sum())
 
 
 def region_range_area(regions: RegionDecomposition, r: int) -> float:
-    reg = _check_region(regions, r)
+    tris = _region_triangles(regions, r)
     f = regions.field
-    return float((np.abs(f.dets[reg.triangles]) * f.domain_areas[reg.triangles]).sum())
+    return float((np.abs(f.dets[tris]) * f.domain_areas[tris]).sum())
 
 
 def region_hypervolume(regions: RegionDecomposition, r: int) -> float:
     """Sum over member triangles of domain area times range area."""
-    reg = _check_region(regions, r)
+    tris = _region_triangles(regions, r)
     f = regions.field
-    a = f.domain_areas[reg.triangles]
-    return float((a * (np.abs(f.dets[reg.triangles]) * a)).sum())
+    a = f.domain_areas[tris]
+    return float((a * (np.abs(f.dets[tris]) * a)).sum())
 
 
 def find_collapsible_cells(graph: NeighborhoodGraph, regions: RegionDecomposition, t: float):
@@ -204,11 +256,7 @@ def find_collapsible_cells(graph: NeighborhoodGraph, regions: RegionDecompositio
     ``t``, in ascending order."""
     if not t >= 0:
         raise ValueError("threshold must be >= 0")
-    picked = [n.id for n in graph.nodes if n.hypervolume < t]
-    if not picked:
-        return np.empty(0, dtype=np.int64)
-    ids = np.concatenate([regions.regions[r].triangles for r in picked])
-    return np.sort(ids)
+    return np.flatnonzero(graph.hypervolume[regions.label] < t)
 
 
 def neighborhood_graph(field: TriField, variant: str = "A", epsilon: float = 0.0):
@@ -229,14 +277,14 @@ def graph_to_json(graph: NeighborhoodGraph) -> dict:
         "variant": graph.variant,
         "nodes": [
             {
-                "id": n.id,
-                "sign": _sign_char(n.sign),
-                "domain_area": n.domain_area,
-                "range_area": n.range_area,
-                "hv": n.hypervolume,
-                "triangles": n.triangle_count,
+                "id": r,
+                "sign": _sign_char(sign),
+                "domain_area": domain_area,
+                "range_area": range_area,
+                "hv": hv,
+                "triangles": count,
             }
-            for n in graph.nodes
+            for r, sign, domain_area, range_area, hv, count in graph._rows()
         ],
         "edges": [[a, b] for a, b in graph.edges],
     }
@@ -244,8 +292,8 @@ def graph_to_json(graph: NeighborhoodGraph) -> dict:
 
 def graph_to_dot(graph: NeighborhoodGraph) -> str:
     lines = [f"graph neighborhood_{graph.variant} {{"]
-    for n in graph.nodes:
-        lines.append(f'  {n.id} [label="{n.id}|{_sign_char(n.sign)}|{n.hypervolume!r}"];')
+    for r, sign, _, _, hv, _ in graph._rows():
+        lines.append(f'  {r} [label="{r}|{_sign_char(sign)}|{hv!r}"];')
     for a, b in graph.edges:
         lines.append(f"  {a} -- {b};")
     lines.append("}")

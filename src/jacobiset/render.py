@@ -21,8 +21,14 @@ from .jacobi import (
 from .mesh import TriField
 
 MIN_SATURATION = 0.08
-_POLYGON = '<polygon points="%.3f,%.3f %.3f,%.3f %.3f,%.3f" fill="#%02x%02x%02x"/>'
-_LINE = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f"/>'
+_POLYGON = '<polygon points="%s,%s %s,%s %s,%s" fill="#%s"/>'
+_LINE = '<line x1="%s" y1="%s" x2="%s" y2="%s"/>'
+# Fill colour by ``2 * faded + (sign > 0)``: the sign's own channel stays
+# at ff, the other two carry the faded value.
+_FILLS = np.array(
+    [c for f in range(256) for c in ("%02x%02xff" % (f, f), "ff%02x%02x" % (f, f))],
+    dtype=object,
+)
 
 
 def render_svg(
@@ -51,25 +57,29 @@ def render_svg(
     h = max(ymax - ymin, 1e-30)
     px = canvas_width / w
     canvas_height = h * px
-    # Pixel coordinates; y grows downward in SVG.
-    xy = np.column_stack([(pos[:, 0] - xmin) * px, (ymax - pos[:, 1]) * px])
+    # Pixel coordinates, y growing downward in SVG, as text: formatted once
+    # per vertex and shared by every triangle and Jacobi edge at it.
+    x = _format_each((pos[:, 0] - xmin) * px)
+    y = _format_each((ymax - pos[:, 1]) * px)
 
     # Red where the effective sign is +1, blue where it is -1; degenerate
     # triangles take their assigned sign at the minimum saturation.
     eff = effective_signs(field, signs, assignment)
     if scale_ref > 0:
-        sat = np.minimum(1.0, range_areas / scale_ref)
+        # fmin: an infinite range area over an infinite median is NaN, and
+        # takes full saturation.
+        sat = np.fmin(1.0, range_areas / scale_ref)
     else:
         sat = np.ones(field.n_triangles)
     sat[signs == 0] = MIN_SATURATION
     # The sign's own channel stays at 255; the other two fade from 255 to
     # 0 as saturation grows, rounded half to even.
     faded = np.rint(255 + -255 * sat).astype(np.int64)
-    polygons = np.empty((field.n_triangles, 9), dtype=object)
-    polygons[:, :6] = xy[field.triangles].reshape(-1, 6)
-    polygons[:, 6] = np.where(eff > 0, 255, faded)
-    polygons[:, 7] = faded
-    polygons[:, 8] = np.where(eff > 0, faded, 255)
+    tri = field.triangles
+    polygons = np.empty((field.n_triangles, 7), dtype=object)
+    polygons[:, 0:6:2] = x[tri]
+    polygons[:, 1:6:2] = y[tri]
+    polygons[:, 6] = _FILLS[2 * faded + (eff > 0)]
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -82,7 +92,14 @@ def render_svg(
     if show_jacobi and len(js.edges):
         stroke = 0.004 * max(canvas_width, canvas_height)
         parts.append(f'<g stroke="#000000" stroke-width="{stroke:.3f}" stroke-linecap="round">\n')
-        parts += format_rows(_LINE, xy[js.edges].reshape(-1, 4))
+        a, b = js.edges[:, 0], js.edges[:, 1]
+        parts += format_rows(_LINE, np.column_stack([x[a], y[a], x[b], y[b]]))
         parts.append("</g>\n")
     parts.append("</svg>\n")
     return "".join(parts)
+
+
+def _format_each(values: np.ndarray) -> np.ndarray:
+    """Each value as ``%.3f`` text, in an object array."""
+    text = ("%.3f\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
+    return np.array(text, dtype=object)

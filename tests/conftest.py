@@ -200,6 +200,46 @@ def bfs_region_labels(field, eff, variant="A", nbr_sums=None) -> np.ndarray:
     return bfs_labels(adjacency)
 
 
+def split_regions_oracle(label, eff) -> list:
+    """``(id, sign, triangles)`` of every region, by splitting the
+    label-sorted triangle ids: the per-region build the program used before
+    it kept regions as arrays."""
+    order = np.argsort(label, kind="stable")
+    bounds = np.flatnonzero(np.diff(label[order])) + 1
+    return [
+        (r, int(eff[tri_ids[0]]), tri_ids)
+        for r, tri_ids in enumerate(np.split(order, bounds) if len(label) else [])
+    ]
+
+
+def graph_nodes_oracle(field, label, eff) -> list:
+    """``(id, sign, domain_area, range_area, hypervolume, triangle_count)``
+    of every region, one node per :func:`split_regions_oracle` region."""
+    regions = split_regions_oracle(label, eff)
+    areas = field.domain_areas
+    range_areas = np.abs(field.dets) * areas
+    n = len(regions)
+    node_area = np.bincount(label, weights=areas, minlength=n)
+    node_range = np.bincount(label, weights=range_areas, minlength=n)
+    node_hv = np.bincount(label, weights=areas * range_areas, minlength=n)
+    counts = np.bincount(label, minlength=n)
+    return [
+        (r, sign, float(node_area[r]), float(node_range[r]), float(node_hv[r]), int(counts[r]))
+        for r, sign, _ in regions
+    ]
+
+
+def collapsible_cells_oracle(field, label, eff, t) -> np.ndarray:
+    """Triangle ids of every region with hypervolume below ``t``: the picked
+    regions' triangles concatenated and sorted."""
+    nodes = graph_nodes_oracle(field, label, eff)
+    regions = split_regions_oracle(label, eff)
+    picked = [regions[node[0]][2] for node in nodes if node[4] < t]
+    if not picked:
+        return np.empty(0, dtype=np.int64)
+    return np.sort(np.concatenate(picked))
+
+
 def bfs_labels(adjacency) -> np.ndarray:
     """Component labels numbered by first occurrence, by BFS over a list
     of neighbor sets."""

@@ -533,3 +533,76 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_empty_mesh_stats_and_simplify_exit_0(tmp_path, capsys):
+    empty = tmp_path / "empty.bsf"
+    empty.write_text("bsf 1\nvertices 3 triangles 0\n0 0 0 0\n1 0 1 1\n0 1 2 2\n")
+    assert main(["stats", str(empty)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "length": 0.0,
+        "components": 0,
+        "triangles": 0,
+        "regions_per_variant": {"A": 0, "B": 0, "C": 0, "D": 0},
+    }
+    out = tmp_path / "out.bsf"
+    assert main(["simplify", str(empty), "--threshold", "1", "--out", str(out)]) == 0
+    assert "collapsed 0 cells" in capsys.readouterr().out
+    assert out.read_text() == (
+        "bsf 1\nvertices 3 triangles 0\n0.0 0.0 0.0 0.0\n1.0 0.0 1.0 1.0\n0.0 1.0 2.0 2.0\n"
+    )
+
+
+def test_cli_builds_no_per_region_objects(island_bsf, island_threshold, tmp_path, monkeypatch):
+    # The commands read regions and graph nodes as arrays; the Region and
+    # GraphNode lists exist for library users only.
+    from jacobiset.regions import NeighborhoodGraph, RegionDecomposition
+
+    def forbidden(self):
+        raise AssertionError("per-region objects built")
+
+    monkeypatch.setattr(RegionDecomposition, "regions", property(forbidden))
+    monkeypatch.setattr(NeighborhoodGraph, "nodes", property(forbidden))
+    src = str(island_bsf)
+    for argv in (
+        ["stats", src],
+        ["graph", src, "--variant", "D", "--out", str(tmp_path / "g.dot")],
+        ["graph", src, "--variant", "B", "--out", str(tmp_path / "g.json")],
+        ["render", src, "--out", str(tmp_path / "f.svg")],
+        ["simplify", src, "--threshold", island_threshold, "--out", str(tmp_path / "s.bsf")],
+        ["compare", src, "--methods", "original", "ca-a", "ca-d", "--format", "csv"],
+    ):
+        assert main(argv) == 0, argv
+
+
+def test_compare_filters_share_the_input_topology(identity_sgf, monkeypatch, capsys):
+    # binomial and gaussian reuse the original field's mesh, and give the
+    # measures of a freshly triangulated filtered grid.
+    from jacobiset import measures, mesh
+    from jacobiset.baselines import FilterSpec, binomial_filter, gaussian_filter
+    from jacobiset.fileio import load_sgf
+
+    grid = load_sgf(identity_sgf)
+    grid.g = grid.g * np.cos(grid.f)  # det = cos x: Jacobi edges to measure
+    save_sgf(grid, identity_sgf)
+    fresh = {
+        name: measures(fn(grid, FilterSpec(name, 1, 1.5, 3.0, "mirror")).to_tri_field())
+        for name, fn in (("binomial", binomial_filter), ("gaussian", gaussian_filter))
+    }
+    built = []
+    init = mesh.TriField.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(mesh.TriField, "__init__", counted)
+    argv = ["compare", str(identity_sgf), "--methods", "original", "binomial", "gaussian",
+            "--sigma", "1.5", "--boundary", "mirror", "--format", "csv"]
+    assert main(argv) == 0
+    assert len(built) == 1
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    for name in ("binomial", "gaussian"):
+        m = fresh[name]
+        assert m["components"] > 0
+        assert f"{identity_sgf},{name},{m['length']:.6g},{m['components']}" in rows

@@ -187,3 +187,83 @@ def test_compute_dets_of_moved_vertices_matches_set_vertex_values_bitwise(rng):
     dup.set_vertex_values(moved, target)
     assert np.array_equal(bits(simulated), bits(dup.dets[tids]))
     assert np.array_equal(bits(field.compute_dets(tids)), bits(field.dets[tids]))
+
+
+def _shuffled_mesh(rng, w, h) -> TriField:
+    """A grid field with its vertices relabelled and its triangles given in
+    random order, rotation and winding."""
+    n = w * h
+    base = triangulate_structured(w, h, (1.0, 1.0), rng.normal(size=n), rng.normal(size=n))
+    new_id = rng.permutation(n)
+    positions = np.empty_like(base.positions)
+    positions[new_id] = base.positions
+    values = np.empty_like(base.values)
+    values[new_id] = base.values
+    tri = new_id[base.triangles][rng.permutation(base.n_triangles)]
+    turn = (np.arange(3) + rng.integers(0, 3, size=(len(tri), 1))) % 3
+    tri = np.take_along_axis(tri, turn, axis=1)
+    mirror = rng.random(len(tri)) < 0.5
+    tri[mirror] = tri[mirror][:, ::-1]
+    return TriField(positions, values, tri)
+
+
+def test_edges_strictly_ascending_by_min_max(rng):
+    for w, h in [(2, 2), (3, 5), (7, 4), (9, 9)]:
+        field = _shuffled_mesh(rng, w, h)
+        edges = field.edges
+        assert (edges[:, 0] < edges[:, 1]).all()
+        assert (np.diff(edges[:, 0] * field.n_vertices + edges[:, 1]) > 0).all()
+        expected = {
+            tuple(sorted((t[i], t[(i + 1) % 3])))
+            for t in field.triangles.tolist()
+            for i in range(3)
+        }
+        assert set(map(tuple, edges.tolist())) == expected
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (np.zeros((3, 2)), "values must match positions shape"),
+        (np.zeros((4, 3)), "values must match positions shape"),
+        ([(0, 0), (np.nan, 0), (0, 0), (0, 0)], "non-finite vertex value"),
+        ([(0, 0), (0, 0), (0, -np.inf), (0, 0)], "non-finite vertex value"),
+    ],
+)
+def test_with_values_rejects_as_the_constructor_does(values, message):
+    field = quad_field([0, 1, 1, 0], [0, 0, 1, 1])
+    with pytest.raises(MeshError, match=message) as shared:
+        field.with_values(values)
+    with pytest.raises(MeshError) as fresh:
+        TriField(field.positions, values, field.triangles)
+    assert str(shared.value) == str(fresh.value)
+
+
+def test_with_values_dets_match_fresh_triangulation_bitwise(rng):
+    w, h, spacing = 9, 7, (0.37, 1.3)
+    base = triangulate_structured(w, h, spacing, rng.normal(size=w * h), rng.normal(size=w * h))
+    base.dets  # a cached det array must not carry over
+    f, g = rng.normal(size=w * h) * 1e3, rng.normal(size=w * h) * 1e-3
+    shared = base.with_values(np.column_stack([f, g]))
+    fresh = triangulate_structured(w, h, spacing, f, g)
+    assert np.array_equal(bits(shared.dets), bits(fresh.dets))
+    assert not np.array_equal(bits(shared.dets), bits(base.dets))
+
+
+def test_with_values_shares_read_only_topology_and_owns_values(rng):
+    base = _irregular_field(rng)
+    base_values, base_dets = base.values.copy(), base.dets.copy()
+    other = base.with_values(base.values * 2)
+    other.set_vertex_values([0, 5], (7.0, -7.0))
+    assert np.array_equal(bits(base.values), bits(base_values))
+    assert np.array_equal(bits(base.dets), bits(base_dets))
+    other_values = other.values.copy()
+    base.set_vertex_values([1], (3.0, 3.0))
+    assert np.array_equal(bits(other.values), bits(other_values))
+    for name in ("positions", "triangles", "domain_areas", "neighbors", "edges", "edge_triangles"):
+        array = getattr(base, name)
+        assert getattr(other, name) is array
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+    assert other.values.flags.writeable

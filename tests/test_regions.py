@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jacobiset import (
+    TriField,
     assign_degenerate,
     build_graph,
     build_regions,
@@ -17,12 +18,16 @@ from jacobiset.regions import graph_to_dot, graph_to_json, point_neighbor_sums
 
 from conftest import (
     bfs_region_labels,
+    collapsible_cells_oracle,
+    graph_nodes_oracle,
     grid_field,
     noisy_island_field,
     point_neighbor_sum_oracle,
     quad_field,
     random_sign_field,
+    split_regions_oracle,
     unit_triangle,
+    wave_field,
 )
 
 # 3x3-vertex grid whose 8 triangles form a quad checkerboard: quads (0,0)
@@ -244,3 +249,46 @@ def test_unknown_variant_rejected():
     signs = orientation_signs(field)
     with pytest.raises(ValueError, match="variant"):
         build_regions(field, signs, {}, "X")
+
+
+def test_region_and_node_views_match_split_oracle_all_variants(rng):
+    fields = [random_sign_field(rng, 7, 6) for _ in range(4)]
+    fields += [wave_field(rng, 12, 9, step) for step in (None, 0.5)]
+    for field in fields:
+        signs = orientation_signs(field)
+        assignment = assign_degenerate(field, signs)
+        for variant in "ABCD":
+            regs = build_regions(field, signs, assignment, variant)
+            graph = build_graph(field, regs)
+            oracle = split_regions_oracle(regs.label, regs.signs)
+            assert len(regs) == len(regs.regions) == len(oracle) == regs.label.max() + 1
+            for region, (r, sign, tri_ids) in zip(regs.regions, oracle):
+                assert (region.id, region.sign) == (r, sign)
+                assert np.array_equal(region.triangles, tri_ids)
+            nodes = graph_nodes_oracle(field, regs.label, regs.signs)
+            assert [
+                (n.id, n.sign, n.domain_area, n.range_area, n.hypervolume, n.triangle_count)
+                for n in graph.nodes
+            ] == nodes
+            hvs = np.array([node[4] for node in nodes])
+            for t in (0.0, *np.quantile(hvs, [0.1, 0.5, 0.9]), np.inf):
+                picked = find_collapsible_cells(graph, regs, t)
+                expected = collapsible_cells_oracle(field, regs.label, regs.signs, t)
+                assert picked.dtype == expected.dtype
+                assert np.array_equal(picked, expected), (variant, t)
+
+
+def test_empty_mesh_regions_graph_and_exports():
+    field = TriField([(0, 0), (1, 0), (0, 1)], np.zeros((3, 2)), np.empty((0, 3), dtype=int))
+    signs = orientation_signs(field)
+    assignment = assign_degenerate(field, signs)
+    for variant in "ABCD":
+        regs = build_regions(field, signs, assignment, variant)
+        assert len(regs) == 0
+        assert list(regs.regions) == []
+        graph = build_graph(field, regs)
+        assert graph.nodes == []
+        assert graph.edges == []
+        assert len(find_collapsible_cells(graph, regs, np.inf)) == 0
+        assert graph_to_json(graph) == {"variant": variant, "nodes": [], "edges": []}
+        assert graph_to_dot(graph) == f"graph neighborhood_{variant} {{\n}}\n"

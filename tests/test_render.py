@@ -1,8 +1,10 @@
+import re
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from jacobiset import render_svg, triangulate_structured
+from jacobiset import TriField, render_svg, triangulate_structured
 
 from conftest import grid_field, quad_field, render_svg_oracle, wave_field
 
@@ -88,3 +90,25 @@ def test_render_matches_loop_oracle_with_degenerate_triangles(rng):
     assert (field.dets == 0).mean() > 0.1  # MIN_SATURATION path runs
     for kwargs in ({}, {"show_jacobi": False}, {"saturation_scale": 3.0, "epsilon": 0.05}):
         assert render_svg(field, **kwargs) == render_svg_oracle(field, **kwargs)
+
+
+def test_empty_mesh_renders_an_empty_group():
+    field = TriField([(0, 0), (1, 0), (0, 1)], np.zeros((3, 2)), np.empty((0, 3), dtype=int))
+    svg = render_svg(field)
+    _, polygons, lines = parse_svg(svg)
+    assert polygons == [] and lines == []
+    assert svg == render_svg_oracle(field)
+
+
+def test_overflowing_range_areas_take_full_saturation(rng):
+    # Most nonzero range areas overflow to inf, so their median is inf too
+    # and inf / inf is NaN; those triangles still get a valid full-tint fill.
+    f, g = rng.normal(size=(2, 16)) * 1e160
+    field = triangulate_structured(4, 4, (1.0, 1.0), f, g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        range_areas = np.abs(field.dets) * field.domain_areas
+        assert np.isinf(np.median(range_areas[range_areas > 0]))
+        svg = render_svg(field)
+    fills = [p.get("fill") for p in parse_svg(svg)[1]]
+    assert all(re.fullmatch("#[0-9a-f]{6}", fill) for fill in fills)
+    assert {"#ff0000", "#0000ff"} & set(fills)
