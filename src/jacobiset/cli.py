@@ -36,13 +36,7 @@ from .fileio import (
     save_sgf,
     sniff_format,
 )
-from .jacobi import (
-    assign_degenerate,
-    extract_jacobi_set,
-    jacobi_measures,
-    measures,
-    orientation_signs,
-)
+from .jacobi import compute_jacobi_set, jacobi_measures, measures
 from .mesh import MeshError
 from .regions import VARIANTS, build_regions, graph_to_dot, graph_to_json, neighborhood_graph
 
@@ -168,11 +162,10 @@ def _params(args, *names) -> dict:
 
 def cmd_stats(args):
     field = load_field(args.input)
-    signs = orientation_signs(field, args.epsilon)
-    assignment = assign_degenerate(field, signs)
-    stats = jacobi_measures(field, extract_jacobi_set(field, signs, assignment))
+    js = compute_jacobi_set(field, args.epsilon)
+    stats = jacobi_measures(field, js)
     regions_per_variant = {
-        v: len(build_regions(field, signs, assignment, v)) for v in VARIANTS
+        v: len(build_regions(field, js.signs, js.effective, v)) for v in VARIANTS
     }
     payload = {
         "length": stats["length"],

@@ -54,13 +54,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .jacobi import (
-    assign_degenerate,
-    extract_jacobi_set,
-    jacobi_measures,
-    measures,
-    orientation_signs,
-)
+from .jacobi import compute_jacobi_set, jacobi_measures, measures
 from .mesh import TriField
 from .regions import build_graph, build_regions, find_collapsible_cells
 
@@ -421,10 +415,9 @@ def simplify(
     (guard tripped), or EXHAUSTED (sweep cap hit).
     """
     t0 = perf_counter()
-    signs = orientation_signs(field, epsilon)
-    assignment = assign_degenerate(field, signs)
-    before = jacobi_measures(field, extract_jacobi_set(field, signs, assignment))
-    regions = build_regions(field, signs, assignment, variant)
+    js = compute_jacobi_set(field, epsilon)
+    before = jacobi_measures(field, js)
+    regions = build_regions(field, js.signs, js.effective, variant)
     graph = build_graph(field, regions)
     seeds = find_collapsible_cells(graph, regions, threshold)
 

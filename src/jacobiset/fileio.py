@@ -163,6 +163,8 @@ def _sgf_header(path, head) -> tuple:
     dy = _parse_float(toks[4], path, 2)
     if w < 2 or h < 2:
         raise ParseError(path, 2, "grid must be at least 2 x 2")
+    if not (np.isfinite(dx) and np.isfinite(dy) and dx and dy):
+        raise ParseError(path, 2, "grid spacing must be finite and nonzero")
     return w, h, dx, dy
 
 

@@ -92,13 +92,15 @@ def orientation_signs(field: TriField, epsilon: float = 0.0) -> np.ndarray:
 
 
 def assign_degenerate(field: TriField, signs: np.ndarray, prefer: int | None = None):
-    """Assign +1 or -1 to every degenerate triangle from its neighborhood.
+    """Effective orientation signs: a new int8 array equal to ``signs``,
+    except that each degenerate triangle (sign 0) borrows +1 or -1 from
+    its neighborhood.
 
     The default rule sums the signs over the point neighborhood (all
     triangles sharing a vertex, degenerate ones counting 0) and takes the
     majority; ties and all-degenerate neighborhoods grow the neighborhood
-    ring by ring until a strict majority appears. A fully degenerate mesh
-    falls back to +1.
+    ring by ring until a strict majority appears. A degenerate triangle
+    that no ring decides takes +1.
 
     With ``prefer`` set (+1 or -1), the first ring that contains any signed
     triangle decides: the preferred sign wins if present there at all,
@@ -109,9 +111,10 @@ def assign_degenerate(field: TriField, signs: np.ndarray, prefer: int | None = N
     only triangles it leaves undecided grow further rings.
     """
     signs = np.asarray(signs)
+    eff = signs.astype(np.int8)
     degenerate = np.flatnonzero(signs == 0)
     if len(degenerate) == 0:
-        return {}
+        return eff
     pos = point_neighbor_sums(field, signs > 0)[degenerate]
     neg = point_neighbor_sums(field, signs < 0)[degenerate]
     if prefer is None:
@@ -126,12 +129,23 @@ def assign_degenerate(field: TriField, signs: np.ndarray, prefer: int | None = N
     out[(nbr[:, 0] == nbr[:, 1]) & (nbr[:, 0] >= 0)] = 0
     undecided = np.flatnonzero(out == 0)
     if len(undecided):
+        # A plateau (degenerate triangles joined at shared vertices) that
+        # touches no signed triangle takes +1 at once: no ring reaches a sign.
+        tri = field.triangles[degenerate]
+        plateau = connected_labels(field.n_vertices, tri[:, :2].ravel(), tri[:, 1:].ravel())
+        signed = np.zeros(field.n_vertices, dtype=bool)
+        signed[plateau[field.triangles[signs != 0]]] = True
+        lone = ~signed[plateau[tri[undecided, 0]]]
+        out[undecided[lone]] = 1
+        undecided = undecided[~lone]
+    if len(undecided):
         # The ring search reads the star offsets once per vertex it
         # reaches, and a list is faster to index than an array.
         offsets = field.stars[0].tolist()
         for i in undecided:
             out[i] = _ring_search(field, signs, offsets, int(degenerate[i]), prefer)
-    return dict(zip(degenerate.tolist(), out.tolist()))
+    eff[degenerate] = out
+    return eff
 
 
 def point_neighbor_sums(field: TriField, weights: np.ndarray) -> np.ndarray:
@@ -183,47 +197,39 @@ def _ring_search(field, signs, offsets, seed, prefer):
         fresh = {v for v in field.triangles[ring].ravel().tolist() if v not in seen_v}
 
 
-def effective_signs(field: TriField, signs: np.ndarray, assignment) -> np.ndarray:
-    """Orientation signs with degenerate triangles replaced per `assignment`."""
-    eff = signs.astype(np.int8).copy()
-    if assignment:
-        eff[np.fromiter(assignment.keys(), np.int64)] = np.fromiter(assignment.values(), np.int8)
-    return eff
-
-
 @dataclass
 class JacobiSet:
     """Interior edges separating opposite effective orientations.
 
-    ``edges`` is an (E, 2) array of vertex-id pairs sorted by (min, max);
-    ``degenerate_assignment`` records the sign borrowed by each degenerate
-    triangle.
+    ``edges`` is an (E, 2) array of vertex-id pairs sorted by (min, max).
+    ``signs`` holds the orientation signs (+1 / 0 / -1) of the triangles
+    and ``effective`` the same signs after :func:`assign_degenerate`,
+    where each degenerate triangle carries its borrowed sign.
     """
 
     edges: np.ndarray
-    degenerate_assignment: dict
+    signs: np.ndarray
+    effective: np.ndarray
 
     def __len__(self):
         return len(self.edges)
 
 
-def extract_jacobi_set(field: TriField, signs: np.ndarray, assignment) -> JacobiSet:
+def extract_jacobi_set(field: TriField, signs: np.ndarray, effective: np.ndarray) -> JacobiSet:
     """Collect interior mesh edges whose two triangles disagree in
     effective sign. Boundary edges are never Jacobi edges."""
-    eff = effective_signs(field, signs, assignment)
     et = field.edge_triangles
     interior = et[:, 1] >= 0
     differ = interior.copy()
-    differ[interior] = eff[et[interior, 0]] != eff[et[interior, 1]]
+    differ[interior] = effective[et[interior, 0]] != effective[et[interior, 1]]
     # field.edges is sorted by (min, max), and so is any subset of it.
-    return JacobiSet(edges=field.edges[differ], degenerate_assignment=dict(assignment))
+    return JacobiSet(edges=field.edges[differ], signs=signs, effective=effective)
 
 
 def compute_jacobi_set(field: TriField, epsilon: float = 0.0) -> JacobiSet:
     """Orientation, degenerate assignment, and extraction in one step."""
     signs = orientation_signs(field, epsilon)
-    assignment = assign_degenerate(field, signs)
-    return extract_jacobi_set(field, signs, assignment)
+    return extract_jacobi_set(field, signs, assign_degenerate(field, signs))
 
 
 def jacobi_length(field: TriField, js: JacobiSet) -> float:
@@ -256,10 +262,11 @@ def measures(field: TriField, epsilon: float = 0.0) -> dict:
 
 
 def jacobi_set_to_json(js: JacobiSet) -> dict:
+    degenerate = np.flatnonzero(js.signs == 0)
     return {
         "edges": js.edges.tolist(),
         "degenerate": {
             str(t): ("+" if s > 0 else "-")
-            for t, s in sorted(js.degenerate_assignment.items())
+            for t, s in zip(degenerate.tolist(), js.effective[degenerate].tolist())
         },
     }

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .jacobi import assign_degenerate, effective_signs, orientation_signs, point_neighbor_sums
+from .jacobi import assign_degenerate, orientation_signs, point_neighbor_sums
 from .mesh import TriField
 from .unionfind import connected_labels
 
@@ -132,22 +132,22 @@ class NeighborhoodGraph:
         )
 
 
-def build_regions(field: TriField, signs, assignment, variant: str = "A"):
+def build_regions(field: TriField, signs, eff, variant: str = "A"):
     """Decompose the triangles into orientation regions: the connected
     components of the variant's merge links, labelled by first occurrence.
 
-    ``assignment`` is used as-is for variants A and D; variants B and C
-    re-derive degenerate signs with their stated preference (negative for
-    B, positive for C) before merging.
+    ``signs`` are the orientation signs and ``eff`` the effective signs
+    that :func:`assign_degenerate` gives them. Variants A and D merge by
+    ``eff``; variants B and C re-derive the effective signs from ``signs``
+    with their stated preference (negative for B, positive for C). The
+    result's ``signs`` is the array the variant merged by.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    signs = np.asarray(signs, dtype=np.int8)
     if variant == "B":
-        assignment = assign_degenerate(field, signs, prefer=-1)
+        eff = assign_degenerate(field, signs, prefer=-1)
     elif variant == "C":
-        assignment = assign_degenerate(field, signs, prefer=1)
-    eff = effective_signs(field, signs, assignment)
+        eff = assign_degenerate(field, signs, prefer=1)
 
     m = field.n_triangles
     et = field.edge_triangles
@@ -260,12 +260,13 @@ def find_collapsible_cells(graph: NeighborhoodGraph, regions: RegionDecompositio
 
 
 def neighborhood_graph(field: TriField, variant: str = "A", epsilon: float = 0.0):
-    """Convenience pipeline: signs, assignment, regions, and graph."""
+    """Convenience pipeline: ``(signs, effective, regions, graph)``, the
+    orientation and effective signs as in :class:`~jacobiset.jacobi.JacobiSet`,
+    then the variant's regions and graph."""
     signs = orientation_signs(field, epsilon)
-    assignment = assign_degenerate(field, signs)
-    regions = build_regions(field, signs, assignment, variant)
-    graph = build_graph(field, regions)
-    return signs, assignment, regions, graph
+    effective = assign_degenerate(field, signs)
+    regions = build_regions(field, signs, effective, variant)
+    return signs, effective, regions, build_graph(field, regions)
 
 
 def _sign_char(sign: int) -> str:

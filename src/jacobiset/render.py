@@ -12,12 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fileio import format_rows
-from .jacobi import (
-    assign_degenerate,
-    effective_signs,
-    extract_jacobi_set,
-    orientation_signs,
-)
+from .jacobi import compute_jacobi_set
 from .mesh import TriField
 
 MIN_SATURATION = 0.08
@@ -41,9 +36,7 @@ def render_svg(
     """Render the field to an SVG string (no external references)."""
     if not saturation_scale > 0:
         raise ValueError("saturation scale must be > 0")
-    signs = orientation_signs(field, epsilon)
-    assignment = assign_degenerate(field, signs)
-    js = extract_jacobi_set(field, signs, assignment)
+    js = compute_jacobi_set(field, epsilon)
 
     range_areas = np.abs(field.dets) * field.domain_areas
     nonzero = range_areas[range_areas > 0]
@@ -64,14 +57,13 @@ def render_svg(
 
     # Red where the effective sign is +1, blue where it is -1; degenerate
     # triangles take their assigned sign at the minimum saturation.
-    eff = effective_signs(field, signs, assignment)
     if scale_ref > 0:
         # fmin: an infinite range area over an infinite median is NaN, and
         # takes full saturation.
         sat = np.fmin(1.0, range_areas / scale_ref)
     else:
         sat = np.ones(field.n_triangles)
-    sat[signs == 0] = MIN_SATURATION
+    sat[js.signs == 0] = MIN_SATURATION
     # The sign's own channel stays at 255; the other two fade from 255 to
     # 0 as saturation grows, rounded half to even.
     faded = np.rint(255 + -255 * sat).astype(np.int64)
@@ -79,7 +71,7 @@ def render_svg(
     polygons = np.empty((field.n_triangles, 7), dtype=object)
     polygons[:, 0:6:2] = x[tri]
     polygons[:, 1:6:2] = y[tri]
-    polygons[:, 6] = _FILLS[2 * faded + (eff > 0)]
+    polygons[:, 6] = _FILLS[2 * faded + (js.effective > 0)]
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'

@@ -204,6 +204,16 @@ def test_baseline_grid_filter_rejects_bsf(island_bsf, tmp_path, capsys):
     assert "structured grid" in capsys.readouterr().err
 
 
+def test_baseline_rejects_nan_grid_spacing_exit_2(tmp_path, capsys):
+    path = tmp_path / "nan.sgf"
+    path.write_text("sgf 1\ngrid 3 2 nan 1\n0 0\n1 0\n2 1\n0 1\n1 1\n2 0\n")
+    out = tmp_path / "x.sgf"
+    code = main(["baseline", str(path), "--method", "binomial", "--out", str(out)])
+    assert code == 2
+    assert f"{path}:2: grid spacing must be finite and nonzero" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_baseline_gaussian_warns_on_degenerate_kernel(identity_sgf, tmp_path, capsys):
     out = tmp_path / "g.sgf"
     code = main(
@@ -481,21 +491,26 @@ def test_compare_error_rows_pinned(identity_sgf, tmp_path, capsys):
     bad_head.write_text("hello\n")
     flat = tmp_path / "flat.sgf"
     flat.write_text("sgf 1\ngrid 2 2 0 1\n0 0\n1 0\n0 1\n1 1\n")
+    collinear = tmp_path / "collinear.bsf"
+    collinear.write_text("bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1 0 1 0\n2 0 0 1\n0 1 2\n")
     missing = tmp_path / "missing.sgf"
     methods = ["original", "ca-b", "binomial", "gaussian", "loop"]
-    argv = ["compare", str(bad_body), str(bad_head), str(flat), str(missing), str(identity_sgf),
-            "--methods", *methods, "--format", "csv", "--radius", "0"]
+    argv = ["compare", str(bad_body), str(bad_head), str(flat), str(collinear), str(missing),
+            str(identity_sgf), "--methods", *methods, "--format", "csv", "--radius", "0"]
     assert main(argv) == 0
     rows = capsys.readouterr().out.strip().split("\n")
     parse = f"error: {bad_body}:4: not a number: 'x'"
     head = f"error: {bad_head}:1: unrecognized header 'hello'"
+    spacing = f"error: {flat}:2: grid spacing must be finite and nonzero"
     zero = "error: degenerate triangle (zero domain area) at id 0"
     gone = f"error: [Errno 2] No such file or directory: '{missing}'"
+    needs_grid = ["error: binomial requires structured grid (SGF) input",
+                  "error: gaussian requires structured grid (SGF) input"]
     expected = {
-        bad_body: [parse, parse, "error: binomial requires structured grid (SGF) input",
-                   "error: gaussian requires structured grid (SGF) input", parse],
+        bad_body: [parse, parse, *needs_grid, parse],
         bad_head: [head] * 5,
-        flat: [zero, zero, "error: radius must be >= 1", "error: radius must be >= 1", zero],
+        flat: [spacing] * 5,
+        collinear: [zero, zero, *needs_grid, zero],
         missing: [gone] * 5,
     }
     for path, cells in expected.items():

@@ -178,6 +178,23 @@ def test_sgf_huge_declared_count_is_parse_error(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("spacing", ["nan", "inf", "-inf", "0"])
+def test_sgf_bad_grid_spacing_is_parse_error(tmp_path, spacing):
+    path = tmp_path / "bad.sgf"
+    for header in (f"grid 2 2 {spacing} 1", f"grid 2 2 1 {spacing}"):
+        path.write_text(f"sgf 1\n{header}\n0 0\n1 0\n0 1\n1 1\n")
+        with pytest.raises(ParseError, match="grid spacing must be finite and nonzero") as err:
+            load_sgf(path)
+        assert err.value.line == 2
+
+
+def test_sgf_negative_grid_spacing_loads(tmp_path):
+    path = tmp_path / "neg.sgf"
+    path.write_text("sgf 1\ngrid 2 2 -1 0.5\n0 0\n1 0\n0 1\n1 1\n")
+    grid = load_sgf(path)
+    assert (grid.dx, grid.dy) == (-1.0, 0.5)
+
+
 def no_leaked_warnings(test):
     """Fail ``test`` if a warning escapes the readers: numpy's reader warns
     on a block the file ends before, and on "5.0" as an index under numpy

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from jacobiset import MeshError, ParseError, load_bsf, load_sgf, save_bsf, save_sgf
 from jacobiset.fileio import GridField
 
-from conftest import bits, load_bsf_oracle, load_sgf_oracle, wave_field
+from conftest import _parse_float, _parse_int, bits, load_bsf_oracle, load_sgf_oracle, wave_field
 
 TOKENS = [
     "1_0", "nan", "-inf", "1e999", "0.5", "-0.0", "3", "+2", "1.", ".5e-3", "x", "0b1",
@@ -95,13 +95,32 @@ def outcome(load, path):
             result.triangles.tolist())
 
 
+def _bad_spacing(text: str) -> bool:
+    """Whether the SGF header passes every check of the line oracle and its
+    ``dx`` or ``dy`` is not finite or is zero."""
+    lines = text.split("\n")
+    toks = lines[1].split() if len(lines) > 1 else []
+    if lines[0].strip() != "sgf 1" or len(toks) != 5 or toks[0] != "grid":
+        return False
+    try:
+        w, h = (_parse_int(t, "", 2) for t in toks[1:3])
+        spacing = np.array([_parse_float(t, "", 2) for t in toks[3:]])
+    except (ParseError, OverflowError):
+        return False
+    return w >= 2 and h >= 2 and not (np.isfinite(spacing).all() and spacing.all())
+
+
 def check_against_oracle(text: str, sgf: bool) -> None:
     load, oracle = (load_sgf, load_sgf_oracle) if sgf else (load_bsf, load_bsf_oracle)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / ("m.sgf" if sgf else "m.bsf")
         path.write_text(text, encoding="utf-8")
         got, want = outcome(load, path), outcome(oracle, path)
-    if want[0] is OverflowError:
+    if sgf and _bad_spacing(text):
+        # The oracle reads any grid spacing; the reader rejects a
+        # non-finite or zero one at the header, before the samples.
+        assert got == (ParseError, f"{path}:2: grid spacing must be finite and nonzero")
+    elif want[0] is OverflowError:
         # The line-by-line parser crashed on an index beyond int64 or a
         # hex float beyond the double range; the reader names the line.
         assert got[0] is ParseError and "out of range" in got[1]

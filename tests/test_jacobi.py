@@ -10,12 +10,15 @@ from jacobiset import (
     extract_jacobi_set,
     jacobian,
     jacobi_length,
+    load_bsf,
     measures,
+    neighborhood_graph,
     orientation,
     orientation_signs,
+    save_bsf,
     triangulate_structured,
 )
-from jacobiset.jacobi import effective_signs, jacobi_set_to_json
+from jacobiset.jacobi import jacobi_set_to_json
 
 from conftest import (
     bfs_edge_components,
@@ -136,6 +139,12 @@ def test_orientation_signs_vectorized():
 # -- degenerate assignment ---------------------------------------------------
 
 
+def _assigned(signs, eff) -> dict:
+    """The borrowed sign of each degenerate triangle, as the ring oracle
+    gives it: ``{t: eff[t]}`` over the triangles with ``signs[t] == 0``."""
+    return {t: int(eff[t]) for t in np.flatnonzero(signs == 0).tolist()}
+
+
 def _fan_field(n=6):
     """n triangles around a central vertex (closed fan)."""
     center = (0.0, 0.0)
@@ -153,7 +162,7 @@ def test_assign_unanimous_neighbors():
     triangles = [(0, 1, 2), (0, 3, 1), (1, 4, 2), (0, 2, 5)]
     field = TriField(positions, np.zeros((6, 2)), triangles)
     signs = np.array([0, 1, 1, 1], dtype=np.int8)
-    assert assign_degenerate(field, signs) == {0: 1}
+    assert assign_degenerate(field, signs).tolist() == [1, 1, 1, 1]
 
 
 def test_assign_majority_in_fan():
@@ -170,7 +179,7 @@ def test_assign_recursive_chain_on_strip():
     signs = np.zeros(4, dtype=np.int8)
     signs[[1, 2]] = -1  # the two ends of the path
     out = assign_degenerate(field, signs)
-    assert out == {0: -1, 3: -1}
+    assert out.tolist() == [-1, -1, -1, -1]
 
 
 def test_assign_expands_rings_until_majority():
@@ -197,7 +206,7 @@ def test_assign_all_degenerate_falls_back_positive():
     field = triangulate_structured(3, 3, (1.0, 1.0), np.zeros(9), np.zeros(9))
     signs = np.zeros(field.n_triangles, dtype=np.int8)
     out = assign_degenerate(field, signs)
-    assert set(out.values()) == {1}
+    assert set(out.tolist()) == {1}
 
 
 def test_assign_with_preference():
@@ -222,8 +231,7 @@ def test_assign_matches_ring_oracle_on_plateaus(rng, prefer):
             signs = orientation_signs(field)
             assert (signs == 0).mean() >= 0.15
             out = assign_degenerate(field, signs, prefer)
-            assert out == ring_assignment_oracle(field, signs, prefer)
-            assert list(out) == sorted(out)
+            assert _assigned(signs, out) == ring_assignment_oracle(field, signs, prefer)
 
 
 @pytest.mark.parametrize("prefer", [None, 1, -1])
@@ -237,7 +245,7 @@ def test_assign_matches_ring_oracle_past_first_ring(rng, prefer):
         signs = np.zeros(field.n_triangles, dtype=np.int8)
         signs[border] = rng.choice([-1, 1], size=int(border.sum()))
         out = assign_degenerate(field, signs, prefer)
-        assert out == ring_assignment_oracle(field, signs, prefer)
+        assert _assigned(signs, out) == ring_assignment_oracle(field, signs, prefer)
 
 
 @pytest.mark.parametrize("prefer", [None, 1, -1])
@@ -245,8 +253,8 @@ def test_assign_matches_ring_oracle_all_degenerate(prefer):
     field = triangulate_structured(6, 5, (1.0, 1.0), np.zeros(30), np.zeros(30))
     signs = orientation_signs(field)
     out = assign_degenerate(field, signs, prefer)
-    assert out == ring_assignment_oracle(field, signs, prefer)
-    assert set(out.values()) == {1}
+    assert _assigned(signs, out) == ring_assignment_oracle(field, signs, prefer)
+    assert set(out.tolist()) == {1}
 
 
 def test_assign_twin_triangle_matches_ring_oracle():
@@ -257,9 +265,67 @@ def test_assign_twin_triangle_matches_ring_oracle():
     field = TriField(positions, np.zeros((5, 2)), triangles)
     signs = np.array([0, 1, -1], dtype=np.int8)
     for prefer in (None, 1, -1):
-        assert assign_degenerate(field, signs, prefer) == ring_assignment_oracle(
-            field, signs, prefer
-        )
+        out = assign_degenerate(field, signs, prefer)
+        assert _assigned(signs, out) == ring_assignment_oracle(field, signs, prefer)
+
+
+@pytest.mark.parametrize("prefer", [None, 1, -1])
+def test_assign_constant_field_all_positive(prefer):
+    # One all-degenerate plateau of 3,422 triangles: every triangle takes
+    # +1 at once, with no ring search over the plateau.
+    field = triangulate_structured(60, 30, (1.0, 1.0), np.zeros(1800), np.zeros(1800))
+    signs = orientation_signs(field)
+    assert not signs.any()
+    out = assign_degenerate(field, signs, prefer)
+    assert out.dtype == np.int8
+    assert (out == 1).all()
+
+
+def test_assign_two_islands_matches_ring_oracle(rng, tmp_path):
+    # A BSF of two grids that share no vertex: a constant one, all one
+    # degenerate plateau, and a rounded wave field whose plateaus touch
+    # signed triangles.
+    flat = triangulate_structured(12, 8, (1.0, 1.0), np.zeros(96), np.zeros(96))
+    wave = wave_field(rng, 20, 14, step=0.5)
+    positions = np.concatenate([flat.positions, wave.positions + (20.0, 0.0)])
+    values = np.concatenate([flat.values, wave.values])
+    triangles = np.concatenate([flat.triangles, wave.triangles + flat.n_vertices])
+    path = tmp_path / "islands.bsf"
+    save_bsf(TriField(positions, values, triangles), path)
+    field = load_bsf(path)
+    signs = orientation_signs(field)
+    assert not signs[: flat.n_triangles].any()
+    assert (signs[flat.n_triangles :] == 0).any() and signs[flat.n_triangles :].any()
+    for prefer in (None, 1, -1):
+        out = assign_degenerate(field, signs, prefer)
+        assert _assigned(signs, out) == ring_assignment_oracle(field, signs, prefer)
+        assert (out[: flat.n_triangles] == 1).all()
+
+
+@pytest.mark.parametrize("prefer", [None, 1, -1])
+def test_assign_returns_effective_sign_array(rng, prefer):
+    fields = [wave_field(rng, w, h, step=0.5) for w, h in [(12, 9), (20, 14), (9, 17)]]
+    fields.append(triangulate_structured(6, 5, (1.0, 1.0), np.zeros(30), np.zeros(30)))
+    for field in fields:
+        signs = orientation_signs(field)
+        before = signs.copy()
+        out = assign_degenerate(field, signs, prefer)
+        assert out.dtype == np.int8
+        assert np.isin(out, (-1, 1)).all()
+        assert np.array_equal(out[signs != 0], signs[signs != 0])
+        assert np.array_equal(signs, before)
+        assert out is not signs
+
+
+def test_neighborhood_graph_effective_matches_jacobi_set(rng):
+    fields = [wave_field(rng, 12, 9, step) for step in (None, 0.5)]
+    for field in fields:
+        js = compute_jacobi_set(field)
+        assert np.array_equal(js.signs, orientation_signs(field))
+        for variant in "ABCD":
+            signs, effective, _, _ = neighborhood_graph(field, variant)
+            assert np.array_equal(signs, js.signs)
+            assert np.array_equal(effective, js.effective)
 
 
 # -- extraction and measures -------------------------------------------------
@@ -317,9 +383,8 @@ def test_extraction_separates_signs_full_scan(rng):
     for _ in range(20):
         field = random_sign_field(rng, 5, 5)
         signs = orientation_signs(field)
-        assignment = assign_degenerate(field, signs)
-        js = extract_jacobi_set(field, signs, assignment)
-        eff = effective_signs(field, signs, assignment)
+        eff = assign_degenerate(field, signs)
+        js = extract_jacobi_set(field, signs, eff)
         jacobi = {tuple(e) for e in js.edges.tolist()}
         for (a, b), (t1, t2) in zip(field.edges, field.edge_triangles):
             if t2 < 0:
