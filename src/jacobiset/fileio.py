@@ -163,9 +163,16 @@ def _sgf_header(path, head) -> tuple:
     dy = _parse_float(toks[4], path, 2)
     if w < 2 or h < 2:
         raise ParseError(path, 2, "grid must be at least 2 x 2")
-    if not (np.isfinite(dx) and np.isfinite(dy) and dx and dy):
-        raise ParseError(path, 2, "grid spacing must be finite and nonzero")
+    if not _spacing_ok(dx, dy):
+        raise ParseError(path, 2, _BAD_SPACING)
     return w, h, dx, dy
+
+
+_BAD_SPACING = "grid spacing must be finite and nonzero"
+
+
+def _spacing_ok(dx, dy) -> bool:
+    return bool(np.isfinite(dx) and np.isfinite(dy) and dx and dy)
 
 
 def _read_lines(path) -> list:
@@ -208,7 +215,8 @@ class GridField:
     """Structured bivariate samples on a regular grid.
 
     ``f`` and ``g`` are (height, width) arrays; row index is y, column
-    index is x. ``dx``/``dy`` give the sample spacing.
+    index is x. ``dx``/``dy`` give the sample spacing: finite and nonzero
+    (a ``ValueError`` otherwise), and negative to mirror that axis.
     """
 
     width: int
@@ -219,6 +227,8 @@ class GridField:
     g: np.ndarray
 
     def __post_init__(self):
+        if not _spacing_ok(self.dx, self.dy):
+            raise ValueError(_BAD_SPACING)
         self.f = np.asarray(self.f, dtype=np.float64).reshape(self.height, self.width)
         self.g = np.asarray(self.g, dtype=np.float64).reshape(self.height, self.width)
 

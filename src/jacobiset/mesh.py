@@ -6,6 +6,15 @@ Construction validates the mesh: triangle winding is normalized to
 counter-clockwise, zero-area triangles are rejected, and every edge may be
 shared by at most two triangles (manifold with boundary).
 
+The adjacency arrays (``neighbors``, ``edges``, ``edge_triangles``) of a
+triangle list, such as one read from a BSF file, are found by sorting its
+3m edge keys. The two builders that know their mesh's structure derive
+them instead:
+:func:`triangulate_structured` in closed form from the grid, and Loop
+subdivision (:func:`jacobiset.baselines.loop_subdivide`) from the parent
+mesh. Both still construct through ``TriField.__init__``, which validates
+their positions, values and triangles as it does any other input.
+
 Vertex values are the only mutable state; positions and connectivity are
 fixed after construction and read-only, so fields that differ only in
 their values can share them (:meth:`TriField.with_values`).
@@ -54,17 +63,25 @@ class TriField:
         ``(min, max)`` ascending, so that a subset taken by a mask stays
         sorted and an edge can be found by ``searchsorted``.
     edge_triangles : ndarray, shape (E, 2)
-        The triangles on each side of ``edges[i]``; the second is -1 on
-        the domain boundary.
+        The triangles on each side of ``edges[i]``, ascending; the second
+        is -1 on the domain boundary.
     stars : (ndarray, ndarray)
         Vertex stars in CSR form (built on first use): the triangles
         incident to vertex ``v`` are
         ``star_tids[star_offsets[v]:star_offsets[v + 1]]``, ascending.
 
     Every array but ``values`` is read-only.
+
+    The constructor checks that positions and values are finite, indices
+    in range, no triangle repeats a vertex and none has zero area, and it
+    makes every winding counter-clockwise. The adjacency arrays come from
+    sorting the edges, which also rejects a non-manifold edge, unless a
+    builder in this package passes arrays it derived from the mesh's
+    structure through the private ``_adjacency`` argument; the constructor
+    then only swaps the neighbour slots of the triangles it flips.
     """
 
-    def __init__(self, positions, values, triangles):
+    def __init__(self, positions, values, triangles, *, _adjacency=None):
         pos = np.array(positions, dtype=np.float64)
         val = np.array(values, dtype=np.float64)
         tri = np.array(triangles, dtype=np.int64)
@@ -87,7 +104,10 @@ class TriField:
             )
 
         # Normalize winding so every signed domain area is positive.
-        doubled = _edge_cross(pos[tri])
+        # Construction and the Loop step gather rows with np.take and
+        # np.compress: fancy and boolean indexing copy them about ten times
+        # slower on numpy 2.4.
+        doubled = _edge_cross(np.take(pos, tri, axis=0))
         flip = doubled < 0
         if flip.any():
             tri[flip] = tri[flip][:, [0, 2, 1]]
@@ -102,51 +122,19 @@ class TriField:
         self.triangles = _read_only(tri)
         self._doubled_areas = _read_only(doubled)
         self.domain_areas = _read_only(0.5 * doubled)
-        self._build_adjacency()
+        if _adjacency is None:
+            neighbors, edges, edge_tris = _sorted_adjacency(tri, n)
+        else:
+            # Derived arrays describe the triangles as given: flipping one
+            # turns its edge slots (0, 1, 2) into (2, 1, 0).
+            neighbors, edges, edge_tris = _adjacency
+            if flip.any():
+                neighbors[flip] = neighbors[flip][:, [2, 1, 0]]
+        self.neighbors = _read_only(neighbors)
+        self.edges = _read_only(edges)
+        self.edge_triangles = _read_only(edge_tris)
         self._stars = None
         self._dets = None
-
-    # -- construction helpers ------------------------------------------------
-
-    def _build_adjacency(self):
-        tri = self.triangles
-        m = len(tri)
-        n = len(self.positions)
-        # Directed edge e of triangle t runs tri[t, e] -> tri[t, (e+1) % 3];
-        # slot t*3 + e holds it, packed into one sortable key per edge.
-        lo = np.empty(3 * m, dtype=np.int64)
-        hi = np.empty(3 * m, dtype=np.int64)
-        for e in range(3):
-            a = tri[:, e]
-            b = tri[:, (e + 1) % 3]
-            np.minimum(a, b, out=lo[e::3])
-            np.maximum(a, b, out=hi[e::3])
-        packed = lo * n + hi
-        order = np.argsort(packed, kind="stable")
-        spacked = packed[order]
-        new_group = np.ones(len(spacked), dtype=bool)
-        if len(spacked) > 1:
-            new_group[1:] = spacked[1:] != spacked[:-1]
-        starts = np.flatnonzero(new_group)
-        counts = np.diff(np.append(starts, len(spacked)))
-        if (counts > 2).any():
-            bad = spacked[starts[counts > 2][0]]
-            raise NonManifoldError(
-                f"edge ({bad // n}, {bad % n}) shared by more than two triangles"
-            )
-        neighbors = np.full((m, 3), -1, dtype=np.int64)
-        paired = starts[counts == 2]
-        a = order[paired]
-        b = order[paired + 1]
-        neighbors[a // 3, a % 3] = b // 3
-        neighbors[b // 3, b % 3] = a // 3
-        self.neighbors = _read_only(neighbors)
-        firsts = spacked[starts]
-        self.edges = _read_only(np.column_stack([firsts // n, firsts % n]))
-        edge_tris = np.full((len(starts), 2), -1, dtype=np.int64)
-        edge_tris[:, 0] = order[starts] // 3
-        edge_tris[counts == 2, 1] = b // 3
-        self.edge_triangles = _read_only(edge_tris)
 
     @property
     def stars(self) -> tuple[np.ndarray, np.ndarray]:
@@ -269,6 +257,46 @@ def _check_values(val: np.ndarray, shape) -> None:
         raise MeshError("non-finite vertex value")
 
 
+def _sorted_adjacency(tri: np.ndarray, n: int):
+    """``(neighbors, edges, edge_triangles)`` of any triangle list, found by
+    sorting the packed keys of all 3m directed edges."""
+    m = len(tri)
+    # Directed edge e of triangle t runs tri[t, e] -> tri[t, (e+1) % 3];
+    # slot t*3 + e holds it, packed into one sortable key per edge.
+    lo = np.empty(3 * m, dtype=np.int64)
+    hi = np.empty(3 * m, dtype=np.int64)
+    for e in range(3):
+        a = tri[:, e]
+        b = tri[:, (e + 1) % 3]
+        np.minimum(a, b, out=lo[e::3])
+        np.maximum(a, b, out=hi[e::3])
+    packed = lo * n + hi
+    order = np.argsort(packed, kind="stable")
+    spacked = packed[order]
+    new_group = np.ones(len(spacked), dtype=bool)
+    if len(spacked) > 1:
+        new_group[1:] = spacked[1:] != spacked[:-1]
+    starts = np.flatnonzero(new_group)
+    counts = np.diff(np.append(starts, len(spacked)))
+    if (counts > 2).any():
+        bad = spacked[starts[counts > 2][0]]
+        raise NonManifoldError(
+            f"edge ({bad // n}, {bad % n}) shared by more than two triangles"
+        )
+    neighbors = np.full((m, 3), -1, dtype=np.int64)
+    paired = starts[counts == 2]
+    a = order[paired]
+    b = order[paired + 1]
+    neighbors[a // 3, a % 3] = b // 3
+    neighbors[b // 3, b % 3] = a // 3
+    firsts = spacked[starts]
+    edges = np.column_stack([firsts // n, firsts % n])
+    edge_tris = np.full((len(starts), 2), -1, dtype=np.int64)
+    edge_tris[:, 0] = order[starts] // 3
+    edge_tris[counts == 2, 1] = b // 3
+    return neighbors, edges, edge_tris
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -294,9 +322,12 @@ def triangulate_structured(width, height, spacing, f, g) -> TriField:
     """Triangulate a regular grid of ``width x height`` samples.
 
     Every grid cell is split along its lower-left to upper-right diagonal,
-    giving ``2 * (width-1) * (height-1)`` triangles. ``f`` and ``g`` are
-    row-major with x varying fastest; vertex (i, j) sits at
-    ``(i * spacing[0], j * spacing[1])``.
+    giving ``2 * (width-1) * (height-1)`` triangles: cell ``c``, numbered
+    row-major, holds the lower triangle ``2c`` and the upper ``2c + 1``.
+    ``f`` and ``g`` are row-major with x varying fastest; vertex (i, j)
+    sits at ``(i * spacing[0], j * spacing[1])``. The adjacency arrays are
+    written down from the grid in closed form, not sorted for; they equal
+    what the sort would give, for any sign of the spacing.
     """
     w, h = int(width), int(height)
     if w < 2 or h < 2:
@@ -323,4 +354,48 @@ def triangulate_structured(width, height, spacing, f, g) -> TriField:
     triangles = np.empty((2 * len(v00), 3), dtype=np.int64)
     triangles[0::2] = lower
     triangles[1::2] = upper
-    return TriField(positions, values, triangles)
+    return TriField(positions, values, triangles, _adjacency=_grid_adjacency(w, h))
+
+
+def _grid_adjacency(w: int, h: int):
+    """``(neighbors, edges, edge_triangles)`` of the triangulation of a
+    ``w x h`` grid, in the order :func:`_sorted_adjacency` gives them."""
+    lower = 2 * np.arange((h - 1) * (w - 1)).reshape(h - 1, w - 1)
+    upper = lower + 1
+    # Lower (v00, v10, v11) meets, across its edge slots 0-2, the upper
+    # triangles of the cell below, of the cell to the right and of its own
+    # cell; upper (v00, v11, v01) the lower triangles of its own cell, of
+    # the cell above and of the cell to the left.
+    neighbors = np.full((h - 1, w - 1, 2, 3), -1, dtype=np.int64)
+    neighbors[1:, :, 0, 0] = upper[:-1]
+    neighbors[:, :-1, 0, 1] = upper[:, 1:]
+    neighbors[:, :, 0, 2] = upper
+    neighbors[:, :, 1, 0] = lower
+    neighbors[:-1, :, 1, 1] = lower[1:]
+    neighbors[:, 1:, 1, 2] = lower[:, :-1]
+
+    # Vertex v is the lower end of its edges to v+1, v+w and v+w+1, where
+    # they exist, so listing them vertex by vertex sorts them by (min, max).
+    # The lower-id triangle of an edge comes first.
+    v = np.arange(h * w).reshape(h, w, 1)
+    edges = np.empty((h, w, 3, 2), dtype=np.int64)
+    edges[..., 0] = v
+    edges[..., 1] = v + np.array([1, w, w + 1])
+    exists = np.ones((h, w, 3), dtype=bool)
+    exists[:, -1, 0] = False
+    exists[-1, :, 1] = False
+    exists[:, -1, 2] = False
+    exists[-1, :, 2] = False
+    sides = np.full((h, w, 3, 2), -1, dtype=np.int64)
+    sides[1:, :-1, 0, 0] = upper  # v -- v+1: top of the cell below,
+    sides[:-1, :-1, 0, 1] = lower  # bottom of the cell above
+    sides[0, :-1, 0] = sides[0, :-1, 0, ::-1]  # bottom row: no cell below
+    sides[:-1, 1:, 1, 0] = lower  # v -- v+w: right of the cell to the left,
+    sides[:-1, :-1, 1, 1] = upper  # left of the cell to the right
+    sides[:-1, 0, 1] = sides[:-1, 0, 1, ::-1]  # left column: none to the left
+    sides[:-1, :-1, 2, 0] = lower  # v -- v+w+1: the diagonal of a cell
+    sides[:-1, :-1, 2, 1] = upper
+    keep = exists.ravel()
+    edges = np.compress(keep, edges.reshape(-1, 2), axis=0)
+    edge_tris = np.compress(keep, sides.reshape(-1, 2), axis=0)
+    return neighbors.reshape(-1, 3), edges, edge_tris

@@ -177,23 +177,31 @@ def _star_links(field: TriField, eff: np.ndarray, variant: str):
     (sign, point-neighborhood sum) for D.
     """
     vertex = field.triangles.ravel()
-    tid = np.repeat(np.arange(field.n_triangles), 3)
     if variant == "D":
-        key = point_neighbor_sums(field, eff)
-        order = np.lexsort((key[tid], eff[tid], vertex))
+        sums = point_neighbor_sums(field, eff)
+        sums -= sums.min(initial=0)
+        span = sums.max(initial=0) + 1
+        # (vertex, sign, sum) packed into one int64 that sorts as the three
+        # keys would. A sum of at most m - 1 signs gives span <= 2m + 1 and
+        # vertex < n, so the key stays below 3n(2m + 1): no overflow below
+        # about 1.5e18 for n * m. Built in place, one 3m temporary at a time.
+        key = vertex * 3
+        key += np.repeat(eff, 3)
+        key += 1
+        key *= span
+        key += np.repeat(sums, 3)
+        del sums
+        slot = None
     else:
-        keep = eff[tid] == (-1 if variant == "B" else 1)
-        vertex, tid = vertex[keep], tid[keep]
-        del keep
-        order = np.argsort(vertex, kind="stable")
-    vertex, tid = vertex[order], tid[order]
-    del order
-    link = vertex[1:] == vertex[:-1]
-    del vertex
-    lo, hi = tid[:-1], tid[1:]
-    if variant == "D":
-        link &= (eff[lo] == eff[hi]) & (key[lo] == key[hi])
-    return lo[link], hi[link]
+        slot = np.flatnonzero(np.repeat(eff == (-1 if variant == "B" else 1), 3))
+        key = vertex[slot]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    tid = (order if slot is None else slot[order]) // 3
+    del order, slot
+    link = key[1:] == key[:-1]
+    del key
+    return tid[:-1][link], tid[1:][link]
 
 
 def build_graph(field: TriField, regions: RegionDecomposition) -> NeighborhoodGraph:

@@ -871,6 +871,30 @@ def assert_same_field(a: TriField, b: TriField) -> None:
     assert np.array_equal(a.triangles, b.triangles)
 
 
+def assert_same_topology(derived: TriField, triangles=None) -> None:
+    """``derived`` holds, bit for bit, the neighbours, edges, edge
+    triangles, normalized triangles and domain areas that the sorting
+    constructor gives for ``triangles`` (default: its own)."""
+    if triangles is None:
+        triangles = derived.triangles
+    sorted_ = TriField(derived.positions, derived.values, triangles)
+    for name in ("neighbors", "edges", "edge_triangles", "triangles", "domain_areas"):
+        a, b = getattr(derived, name), getattr(sorted_, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+
+
+def grid_triangles(w, h) -> np.ndarray:
+    """The triangles of the SGF rule in the given winding, cell by cell:
+    lower (v00, v10, v11), then upper (v00, v11, v01)."""
+    tris = []
+    for j in range(h - 1):
+        for i in range(w - 1):
+            v = j * w + i
+            tris += [(v, v + 1, v + w + 1), (v, v + w + 1, v + w)]
+    return np.array(tris, dtype=np.int64)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -5,11 +5,14 @@ import pytest
 
 from jacobiset import (
     FilterSpec,
+    NonManifoldError,
     TriField,
     binomial_filter,
     gaussian_filter,
+    load_bsf,
     loop_subdivide,
     measures,
+    save_bsf,
     triangulate_structured,
 )
 from jacobiset.baselines import (
@@ -22,6 +25,8 @@ from jacobiset.fileio import GridField
 
 from conftest import (
     assert_same_field,
+    assert_same_topology,
+    grid_triangles,
     loop_once_oracle,
     noisy_island_field,
     vertex_neighbors,
@@ -365,3 +370,40 @@ def test_loop_matches_loop_oracle_on_irregular_mesh(rng):
     pinched = 1 + 11  # first outer vertex: four boundary edges
     assert (field.edges[field.boundary_edge_mask()] == pinched).sum() == 4
     assert_same_field(_loop_once(field), loop_once_oracle(field))
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize("w, h", [(2, 2), (2, 7), (7, 2), (5, 4)])
+@pytest.mark.parametrize("sx, sy", [(1, 1), (-1, 1), (1, -1), (-1, -1)])
+def test_loop_adjacency_matches_the_sorting_constructor_on_grids(rng, steps, w, h, sx, sy):
+    grid = triangulate_structured(
+        w, h, (0.37 * sx, 1.3 * sy), rng.normal(size=w * h), rng.normal(size=w * h)
+    )
+    assert_same_topology(loop_subdivide(grid, steps))
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_loop_adjacency_matches_the_sorting_constructor_on_irregular_mesh(rng, steps):
+    assert_same_topology(loop_subdivide(irregular_fan_field(rng), steps))
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_loop_adjacency_matches_the_sorting_constructor_on_bsf_with_hole(rng, tmp_path, steps):
+    w, h = 9, 8
+    grid = triangulate_structured(w, h, (1.0, 1.0), rng.normal(size=w * h), rng.normal(size=w * h))
+    tris = grid_triangles(w, h)
+    centre = grid.positions[tris].mean(axis=1)
+    keep = np.hypot(centre[:, 0] - 4.0, centre[:, 1] - 3.5) > 1.6
+    save_bsf(TriField(grid.positions, grid.values, tris[keep]), tmp_path / "hole.bsf")
+    field = load_bsf(tmp_path / "hole.bsf")
+    boundary = field.edges[field.edge_triangles[:, 1] < 0]
+    assert len(boundary) > 2 * (w - 1 + h - 1)  # the hole adds an inner rim
+    assert_same_topology(loop_subdivide(field, steps))
+
+
+def test_loop_of_a_doubled_triangle_is_rejected_as_non_manifold():
+    # Two triangles on the same three vertices share all three edges; their
+    # children share the midpoint edges four ways.
+    field = TriField([(0, 0), (1, 0), (0, 1)], np.zeros((3, 2)), [(0, 1, 2), (0, 2, 1)])
+    with pytest.raises(NonManifoldError):
+        loop_subdivide(field, 1)

@@ -195,6 +195,24 @@ def test_sgf_negative_grid_spacing_loads(tmp_path):
     assert (grid.dx, grid.dy) == (-1.0, 0.5)
 
 
+@pytest.mark.parametrize("spacing", [float("nan"), float("inf"), 0.0])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_grid_field_rejects_bad_spacing_as_the_reader_does(spacing, axis):
+    dx, dy = (spacing, 1.0) if axis == 0 else (1.0, spacing)
+    with pytest.raises(ValueError, match="^grid spacing must be finite and nonzero$"):
+        GridField(3, 2, dx, dy, np.zeros(6), np.zeros(6))
+
+
+@pytest.mark.parametrize("dx, dy", [(-1.0, 1.0), (1.0, -0.5), (-2.0, -0.5)])
+def test_grid_field_negative_spacing_builds_and_roundtrips(tmp_path, dx, dy):
+    grid = GridField(3, 2, dx, dy, np.arange(6.0), np.arange(6.0) ** 2)
+    path = tmp_path / "neg.sgf"
+    save_sgf(grid, path)
+    back = load_sgf(path)
+    assert (back.dx, back.dy) == (dx, dy)
+    assert back.to_tri_field().n_triangles == 4
+
+
 def no_leaked_warnings(test):
     """Fail ``test`` if a warning escapes the readers: numpy's reader warns
     on a block the file ends before, and on "5.0" as an index under numpy

@@ -115,12 +115,15 @@ def check_against_oracle(text: str, sgf: bool) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / ("m.sgf" if sgf else "m.bsf")
         path.write_text(text, encoding="utf-8")
-        got, want = outcome(load, path), outcome(oracle, path)
-    if sgf and _bad_spacing(text):
-        # The oracle reads any grid spacing; the reader rejects a
-        # non-finite or zero one at the header, before the samples.
-        assert got == (ParseError, f"{path}:2: grid spacing must be finite and nonzero")
-    elif want[0] is OverflowError:
+        got = outcome(load, path)
+        if sgf and _bad_spacing(text):
+            # The reader rejects a non-finite or zero spacing at the header,
+            # before the samples; the oracle reads it, and GridField then
+            # raises ValueError, so the oracle has nothing to compare.
+            assert got == (ParseError, f"{path}:2: grid spacing must be finite and nonzero")
+            return
+        want = outcome(oracle, path)
+    if want[0] is OverflowError:
         # The line-by-line parser crashed on an index beyond int64 or a
         # hex float beyond the double range; the reader names the line.
         assert got[0] is ParseError and "out of range" in got[1]
@@ -145,6 +148,18 @@ def test_whitespace_separators_match_line_oracle(sep):
         lines = text.split("\n")
         lines[2:] = [sep.join(line.split()) for line in lines[2:]]
         check_against_oracle("\n".join(lines), sgf)
+
+
+@pytest.mark.parametrize("tok", ["nan", "-inf", "1e999", "-0.0", "0", "0x0p+0"])
+@pytest.mark.parametrize("axis", [3, 4])
+def test_bad_header_spacing_matches_reader(tok, axis):
+    lines = SGF_TEXT.split("\n")
+    toks = lines[1].split()
+    toks[axis] = tok
+    lines[1] = " ".join(toks)
+    text = "\n".join(lines)
+    assert _bad_spacing(text)
+    check_against_oracle(text, sgf=True)
 
 
 @settings(max_examples=300, deadline=None)

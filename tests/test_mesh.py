@@ -9,8 +9,17 @@ from jacobiset import (
     domain_area,
     triangulate_structured,
 )
+from jacobiset.mesh import _sorted_adjacency
 
-from conftest import bits, quad_field, shoelace, unit_triangle, vertex_stars
+from conftest import (
+    assert_same_topology,
+    bits,
+    grid_triangles,
+    quad_field,
+    shoelace,
+    unit_triangle,
+    vertex_stars,
+)
 
 
 def test_minimal_simplex():
@@ -267,3 +276,32 @@ def test_with_values_shares_read_only_topology_and_owns_values(rng):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[0]
     assert other.values.flags.writeable
+
+
+SPACING_SIGNS = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
+
+
+@pytest.mark.parametrize("w, h", [(2, 2), (2, 7), (7, 2), (5, 4)])
+@pytest.mark.parametrize("sx, sy", SPACING_SIGNS)
+def test_structured_adjacency_matches_the_sorting_constructor(rng, w, h, sx, sy):
+    field = triangulate_structured(
+        w, h, (0.37 * sx, 1.3 * sy), rng.normal(size=w * h), rng.normal(size=w * h)
+    )
+    # A spacing of one negative sign flips every triangle, and with it
+    # the derived neighbour slots.
+    assert np.array_equal(field.triangles, grid_triangles(w, h)) == (sx * sy > 0)
+    assert_same_topology(field, grid_triangles(w, h))
+
+
+def test_derived_adjacency_follows_the_triangles_the_constructor_flips(rng):
+    # Arrays derived for the triangles as given must come out as the sort
+    # finds them for the normalized ones, whichever triangles flip.
+    w, h = 6, 5
+    base = triangulate_structured(w, h, (1.0, 1.0), rng.normal(size=w * h), rng.normal(size=w * h))
+    tri = grid_triangles(w, h)
+    flipped = rng.random(len(tri)) < 0.5
+    tri[flipped] = tri[flipped][:, [0, 2, 1]]
+    as_given = _sorted_adjacency(tri, base.n_vertices)
+    derived = TriField(base.positions, base.values, tri, _adjacency=as_given)
+    assert 0 < flipped.sum() < len(tri)
+    assert_same_topology(derived, tri)

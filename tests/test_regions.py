@@ -14,7 +14,7 @@ from jacobiset import (
     region_range_area,
     triangulate_structured,
 )
-from jacobiset.regions import graph_to_dot, graph_to_json, point_neighbor_sums
+from jacobiset.regions import _star_links, graph_to_dot, graph_to_json, point_neighbor_sums
 
 from conftest import (
     bfs_region_labels,
@@ -292,3 +292,43 @@ def test_empty_mesh_regions_graph_and_exports():
         assert len(find_collapsible_cells(graph, regs, np.inf)) == 0
         assert graph_to_json(graph) == {"variant": variant, "nodes": [], "edges": []}
         assert graph_to_dot(graph) == f"graph neighborhood_{variant} {{\n}}\n"
+
+
+def hub_fan_field(k=48):
+    """A hub of valence ``k`` ringed by a band of ``2k`` triangles, so
+    that point-neighbourhood sizes range from 3 up to about ``k``."""
+    ang = 2 * np.pi * np.arange(k) / k
+    inner = np.column_stack([np.cos(ang), np.sin(ang)])
+    outer = 2.5 * np.column_stack([np.cos(ang + 0.3), np.sin(ang + 0.3)])
+    tris = [(0, 1 + i, 1 + (i + 1) % k) for i in range(k)]
+    tris += [(1 + i, 1 + k + i, 1 + (i + 1) % k) for i in range(k)]
+    tris += [(1 + (i + 1) % k, 1 + k + i, 1 + k + (i + 1) % k) for i in range(k)]
+    positions = np.vstack([[0.0, 0.0], inner, outer])
+    return TriField(positions, np.zeros((len(positions), 2)), tris)
+
+
+def star_links_lexsort_oracle(field, eff):
+    """Variant D's star links ordered by three sort keys: vertex, then
+    sign, then point-neighbourhood sum."""
+    vertex = field.triangles.ravel()
+    tid = np.repeat(np.arange(field.n_triangles), 3)
+    key = point_neighbor_sums(field, eff)
+    order = np.lexsort((key[tid], eff[tid], vertex))
+    vertex, tid = vertex[order], tid[order]
+    lo, hi = tid[:-1], tid[1:]
+    link = (vertex[1:] == vertex[:-1]) & (eff[lo] == eff[hi]) & (key[lo] == key[hi])
+    return lo[link], hi[link]
+
+
+@pytest.mark.parametrize("hub_sign", [1, -1])
+def test_variant_d_one_key_order_matches_three_key_lexsort(rng, hub_sign):
+    field = hub_fan_field()
+    # The hub's triangles mostly share one sign, the band's are mixed.
+    eff = np.where(rng.random(field.n_triangles) < 0.5, 1, -1).astype(np.int8)
+    eff[:48] = np.where(rng.random(48) < 0.9, hub_sign, -hub_sign)
+    sums = point_neighbor_sums(field, eff)
+    assert sums.max() - sums.min() > 30
+    lo, hi = _star_links(field, eff, "D")
+    expected_lo, expected_hi = star_links_lexsort_oracle(field, eff)
+    assert len(lo) > 0
+    assert np.array_equal(lo, expected_lo) and np.array_equal(hi, expected_hi)
