@@ -48,7 +48,7 @@ print("expected: one chain along x = 0 of length about 2")
 # The positive and negative half-planes become the two graph nodes.
 for variant in "ABCD":
     _, _, regs, graph = neighborhood_graph(field, variant)
-    print(f"neighborhood graph {variant}: {len(graph.nodes)} nodes, {len(graph.edges)} edges")
+    print(f"neighborhood graph {variant}: {len(regs)} nodes, {len(graph.edges)} edges")
 
 _, _, _, graph = neighborhood_graph(field, "A")
 (out_dir / "pipeline_graph_a.dot").write_text(graph_to_dot(graph))

@@ -42,11 +42,11 @@ print(f"before: {before['components']} components, length {before['length']:.2f}
 # Pick the threshold from the hypervolume distribution: everything but
 # the dominant region counts as noise here.
 _, _, regs, graph = neighborhood_graph(field, "A")
-hvs = sorted(n.hypervolume for n in graph.nodes)
-threshold = 0.5 * (hvs[-2] + hvs[-1])
+second, largest = np.sort(graph.hypervolume)[-2:].tolist()
+threshold = 0.5 * (second + largest)
 selected = find_collapsible_cells(graph, regs, threshold)
 print(f"threshold {threshold:.3g} selects {len(selected)} of {field.n_triangles} cells "
-      f"in {sum(1 for n in graph.nodes if n.hypervolume < threshold)} regions")
+      f"in {(graph.hypervolume < threshold).sum()} regions")
 
 original_values = field.values.copy()
 report = simplify(field, "A", threshold)

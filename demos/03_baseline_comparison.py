@@ -45,8 +45,8 @@ subdivided = loop_subdivide(base, 2)
 rows.append(("loop x2", measures(subdivided)))
 
 _, _, _, graph = neighborhood_graph(base, "A")
-hvs = sorted(n.hypervolume for n in graph.nodes)
-threshold = 0.5 * (hvs[-2] + hvs[-1])
+second, largest = np.sort(graph.hypervolume)[-2:].tolist()
+threshold = 0.5 * (second + largest)
 collapsed = base.copy()
 report = simplify(collapsed, "A", threshold)
 rows.append((f"collapse A ({report.status.value})", report.after))

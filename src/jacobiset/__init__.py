@@ -12,20 +12,16 @@ from .mesh import (
     MeshError,
     NonManifoldError,
     TriField,
-    domain_area,
     triangulate_structured,
 )
 from .fileio import GridField, ParseError, load_bsf, load_field, load_sgf, save_bsf, save_sgf
 from .jacobi import (
-    Orientation,
     assign_degenerate,
     component_count,
     compute_jacobi_set,
     extract_jacobi_set,
-    jacobian,
     jacobi_length,
     measures,
-    orientation,
     orientation_signs,
 )
 from .regions import (
@@ -33,9 +29,6 @@ from .regions import (
     build_regions,
     find_collapsible_cells,
     neighborhood_graph,
-    region_domain_area,
-    region_hypervolume,
-    region_range_area,
 )
 from .collapse import (
     CollapseStatus,
@@ -54,7 +47,6 @@ __all__ = [
     "GridField",
     "MeshError",
     "NonManifoldError",
-    "Orientation",
     "ParseError",
     "TriField",
     "apply_collapse_variant",
@@ -66,11 +58,9 @@ __all__ = [
     "cells_oscillated",
     "component_count",
     "compute_jacobi_set",
-    "domain_area",
     "extract_jacobi_set",
     "find_collapsible_cells",
     "gaussian_filter",
-    "jacobian",
     "jacobi_length",
     "load_bsf",
     "load_field",
@@ -78,11 +68,7 @@ __all__ = [
     "loop_subdivide",
     "measures",
     "neighborhood_graph",
-    "orientation",
     "orientation_signs",
-    "region_domain_area",
-    "region_hypervolume",
-    "region_range_area",
     "render_svg",
     "save_bsf",
     "save_sgf",

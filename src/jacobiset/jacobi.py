@@ -1,86 +1,21 @@
-"""Per-triangle linear maps, orientations, and Jacobi set extraction.
+"""Orientation signs, degenerate assignment, and Jacobi set extraction.
 
-The field restricted to a triangle is an affine map ``x -> A x + b``.
-The sign of ``det A`` is the triangle's orientation: positive maps keep
-the winding in the range, negative maps mirror it, zero means the image
-collapsed to a segment or point. The Jacobi set is the set of interior
-mesh edges whose two triangles have opposite effective orientation, where
-degenerate triangles borrow a sign from their neighborhood first.
+A triangle's orientation is the sign of its Jacobian determinant, read
+from the field's determinant array ``TriField.dets``: positive keeps the
+winding in the range, negative mirrors it, zero means the image collapsed
+to a segment or point. The Jacobi set is the set of interior mesh edges
+whose two triangles have opposite effective orientation, where degenerate
+triangles borrow a sign from their neighborhood first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
 from .mesh import TriField
 from .unionfind import connected_labels
-
-
-class Orientation(IntEnum):
-    POSITIVE = 1
-    DEGENERATE = 0
-    NEGATIVE = -1
-
-
-@dataclass
-class TriangleJacobian:
-    """Affine map of one triangle: value(x) = a @ x + b."""
-
-    a: np.ndarray
-    b: np.ndarray
-    det: float
-    range_area: float
-
-
-def jacobian(field: TriField, t: int) -> TriangleJacobian:
-    """Solve the 3-point interpolation for triangle ``t``.
-
-    ``det`` is computed as the value-edge cross product over the
-    domain-edge cross product rather than from the entries of ``a``, so it
-    is exactly zero whenever two vertices share identical values.
-    """
-    tri = field.triangles[t]
-    p = field.positions[tri]
-    w = field.values[tri]
-    # a and b go through extended precision so the rounded result
-    # reproduces the vertex values to within a few ulp.
-    pl = p.astype(np.longdouble)
-    wl = w.astype(np.longdouble)
-    x1, y1 = pl[1] - pl[0]
-    x2, y2 = pl[2] - pl[0]
-    dl = x1 * y2 - x2 * y1  # = 2 * domain area, positive after CCW normalization
-    f1, g1 = wl[1] - wl[0]
-    f2, g2 = wl[2] - wl[0]
-    a_l = np.array(
-        [
-            [(f1 * y2 - f2 * y1) / dl, (f2 * x1 - f1 * x2) / dl],
-            [(g1 * y2 - g2 * y1) / dl, (g2 * x1 - g1 * x2) / dl],
-        ],
-        dtype=np.longdouble,
-    )
-    b = (wl[0] - a_l @ pl[0]).astype(np.float64)
-    # det uses the double kernel of the determinant cache: exactly zero
-    # whenever an edge carries identical values.
-    det = float(field.compute_dets([t])[0])
-    d = float(field._doubled_areas[t])
-    return TriangleJacobian(
-        a=a_l.astype(np.float64), b=b, det=det, range_area=abs(det) * d / 2.0
-    )
-
-
-def orientation(j: TriangleJacobian, epsilon: float = 0.0) -> Orientation:
-    """Classify the sign of the determinant with a degeneracy band of
-    ``+-epsilon`` (default 0: exact sign test)."""
-    if not epsilon >= 0:
-        raise ValueError("epsilon must be >= 0")
-    if j.det > epsilon:
-        return Orientation.POSITIVE
-    if j.det < -epsilon:
-        return Orientation.NEGATIVE
-    return Orientation.DEGENERATE
 
 
 def orientation_signs(field: TriField, epsilon: float = 0.0) -> np.ndarray:

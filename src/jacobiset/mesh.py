@@ -190,14 +190,10 @@ class TriField:
         numerator is exactly 0.0 whenever two vertices of the triangle
         carry identical (f, g) values; 0/area keeps that exact.
         """
-        w = self.values[self.triangles[tids]]
+        w = np.take(self.values, np.take(self.triangles, tids, axis=0), axis=0)
         if moves is not None:
             w = np.where(moves[..., None], np.asarray(target)[..., None, :], w)
         return _edge_cross(w) / self._doubled_areas[tids]
-
-    def boundary_edge_mask(self) -> np.ndarray:
-        """Boolean mask over `edges`: True where the edge has one triangle."""
-        return self.edge_triangles[:, 1] < 0
 
     def incident_triangles(self, vertex_ids) -> np.ndarray:
         """Triangles with at least one vertex in ``vertex_ids`` (ascending)."""
@@ -207,12 +203,6 @@ class TriField:
         """Triangles sharing at least one vertex with ``t`` (excluding ``t``)."""
         star = self.incident_triangles(self.triangles[t])
         return star[star != t]
-
-    def edge_endpoints(self, t: int, e: int) -> tuple[int, int]:
-        """Endpoints of edge slot ``e`` of triangle ``t`` as (min, max)."""
-        a = int(self.triangles[t, e])
-        b = int(self.triangles[t, (e + 1) % 3])
-        return (a, b) if a < b else (b, a)
 
     # -- mutation ------------------------------------------------------------
 
@@ -309,13 +299,6 @@ def _edge_cross(p) -> np.ndarray:
     return (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
         p[:, 2, 0] - p[:, 0, 0]
     ) * (p[:, 1, 1] - p[:, 0, 1])
-
-
-def domain_area(field: TriField, t: int) -> float:
-    """Domain area of triangle ``t`` (shoelace, strictly positive)."""
-    if not 0 <= t < field.n_triangles:
-        raise IndexError(f"triangle id {t} out of range")
-    return float(field.domain_areas[t])
 
 
 def triangulate_structured(width, height, spacing, f, g) -> TriField:

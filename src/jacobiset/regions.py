@@ -18,7 +18,10 @@ numbered in order of their lowest triangle id.
 
 Each node carries domain area, range area, and hypervolume (the summed
 per-triangle product of the two), the quantity thresholded to pick
-regions for collapsing.
+regions for collapsing. :func:`build_graph` sums them for every region
+at once, and its arrays are the one source of region measures. The
+:class:`Region` and :class:`GraphNode` views (``regions.regions``,
+``graph.nodes``) are built from the arrays on first read.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ class RegionDecomposition:
     label: np.ndarray
     signs: np.ndarray = dataclass_field(repr=False)
     count: int
-    field: TriField = dataclass_field(repr=False, default=None)
 
     def __len__(self):
         return self.count
@@ -162,9 +164,7 @@ def build_regions(field: TriField, signs, eff, variant: str = "A"):
     label = connected_labels(m, a, b)
     del a, b
     count = int(label.max()) + 1 if m else 0
-    return RegionDecomposition(
-        variant=variant, label=label, signs=eff, count=count, field=field
-    )
+    return RegionDecomposition(variant=variant, label=label, signs=eff, count=count)
 
 
 def _star_links(field: TriField, eff: np.ndarray, variant: str):
@@ -231,32 +231,6 @@ def build_graph(field: TriField, regions: RegionDecomposition) -> NeighborhoodGr
         triangle_count=np.bincount(label, minlength=n),
         edges=edges,
     )
-
-
-def _region_triangles(regions: RegionDecomposition, r: int) -> np.ndarray:
-    """Triangle ids of region ``r``, ascending."""
-    if not 0 <= r < len(regions):
-        raise IndexError(f"region id {r} out of range")
-    return np.flatnonzero(regions.label == r)
-
-
-def region_domain_area(regions: RegionDecomposition, r: int) -> float:
-    tris = _region_triangles(regions, r)
-    return float(regions.field.domain_areas[tris].sum())
-
-
-def region_range_area(regions: RegionDecomposition, r: int) -> float:
-    tris = _region_triangles(regions, r)
-    f = regions.field
-    return float((np.abs(f.dets[tris]) * f.domain_areas[tris]).sum())
-
-
-def region_hypervolume(regions: RegionDecomposition, r: int) -> float:
-    """Sum over member triangles of domain area times range area."""
-    tris = _region_triangles(regions, r)
-    f = regions.field
-    a = f.domain_areas[tris]
-    return float((a * (np.abs(f.dets[tris]) * a)).sum())
 
 
 def find_collapsible_cells(graph: NeighborhoodGraph, regions: RegionDecomposition, t: float):

@@ -37,9 +37,6 @@ class UnionFind:
         self.size[ra] += self.size[rb]
         return ra
 
-    def connected(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
-
 
 def connected_labels(n: int, a, b) -> np.ndarray:
     """Component labels of the graph on nodes ``0..n-1`` with edges

@@ -134,6 +134,13 @@ def vertex_neighbors(field, v: int) -> np.ndarray:
     return np.sort(np.concatenate([edges[edges[:, 0] == v, 1], edges[edges[:, 1] == v, 0]]))
 
 
+def edge_endpoints(field, t: int, e: int) -> tuple:
+    """Endpoints of edge slot ``e`` of triangle ``t`` as (min, max)."""
+    a = int(field.triangles[t, e])
+    b = int(field.triangles[t, (e + 1) % 3])
+    return (a, b) if a < b else (b, a)
+
+
 # -- independent oracles -----------------------------------------------------
 
 
@@ -142,6 +149,17 @@ def shoelace(points) -> float:
     pts = np.asarray(points, dtype=float)
     x, y = pts[:, 0], pts[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def affine_map_oracle(field, t: int):
+    """``(A, b)`` of the affine map ``x -> A x + b`` that interpolates the
+    values of triangle ``t``, solved from its two edge vectors with
+    ``np.linalg.solve``."""
+    p = field.positions[field.triangles[t]]
+    w = field.values[field.triangles[t]]
+    # A @ [p1 - p0, p2 - p0] = [w1 - w0, w2 - w0], solved for A's rows.
+    a = np.linalg.solve(p[1:] - p[0], w[1:] - w[0]).T
+    return a, w[0] - a @ p[0]
 
 
 def bfs_edge_components(edges) -> int:
@@ -371,7 +389,7 @@ def loop_once_oracle(field: TriField) -> TriField:
     mid = np.empty((len(tri), 3), dtype=np.int64)
     for t in range(len(tri)):
         for e in range(3):
-            key = field.edge_endpoints(t, e)
+            key = edge_endpoints(field, t, e)
             mid[t, e] = n + edge_index[key]
     v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
     m01, m12, m20 = mid[:, 0], mid[:, 1], mid[:, 2]
@@ -645,7 +663,7 @@ class VertexGroupsOracle:
     def merged_members(self, u: int, v: int) -> list:
         """Members of the union of both groups, without merging."""
         mu = self.members(u)
-        if self._uf.connected(u, v):
+        if self._uf.find(u) == self._uf.find(v):
             return mu
         return mu + self.members(v)
 
@@ -677,7 +695,7 @@ def possible_collapse_variants_oracle(field: TriField, cl, c: int) -> list:
         slots = in_cl + boundary
     else:
         slots = in_cl
-    return sorted(field.edge_endpoints(c, e) for e in slots)
+    return sorted(edge_endpoints(field, c, e) for e in slots)
 
 
 def evaluate_variant_oracle(

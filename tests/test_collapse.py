@@ -23,7 +23,15 @@ from jacobiset.collapse import (
     score_cells,
 )
 
-from conftest import bits, noisy_island_field, quad_field, score_cell, simplify_oracle, wave_field
+from conftest import (
+    bits,
+    edge_endpoints,
+    noisy_island_field,
+    quad_field,
+    score_cell,
+    simplify_oracle,
+    wave_field,
+)
 
 # 4-triangle fan around cell 0 where collapsing edge (1, 2) flips one
 # neighbor and the other candidate edges flip none (signs + + - -).
@@ -74,21 +82,21 @@ def test_possible_collapse_variants_cases():
     interior = next(
         t for t in range(field.n_triangles) if (field.neighbors[t] >= 0).all()
     )
-    edges_of = lambda t: sorted(field.edge_endpoints(t, e) for e in range(3))
+    edges_of = lambda t: sorted(edge_endpoints(field, t, e) for e in range(3))
     candidates = lambda selected: sorted(score_cell(field, interior, selected).edges)
     # Case 1: no selected neighbor -> all three edges.
     assert candidates([]) == edges_of(interior)
     nbrs = [int(n) for n in field.neighbors[interior]]
     # Case 2: one selected neighbor -> only the shared edge (no boundary here).
     shared = [
-        field.edge_endpoints(interior, e)
+        edge_endpoints(field, interior, e)
         for e in range(3)
         if field.neighbors[interior, e] == nbrs[0]
     ]
     assert candidates([nbrs[0]]) == shared
     # Case 3: two selected neighbors -> exactly those two shared edges.
     expect = sorted(
-        field.edge_endpoints(interior, e)
+        edge_endpoints(field, interior, e)
         for e in range(3)
         if field.neighbors[interior, e] in nbrs[:2]
     )
@@ -103,12 +111,12 @@ def test_possible_collapse_variants_boundary_case2():
     nbrs = [int(n) for n in field.neighbors[boundary] if n >= 0]
     cands = sorted(score_cell(field, boundary, [nbrs[0]]).edges)
     shared = [
-        field.edge_endpoints(boundary, e)
+        edge_endpoints(field, boundary, e)
         for e in range(3)
         if field.neighbors[boundary, e] == nbrs[0]
     ]
     bedge = [
-        field.edge_endpoints(boundary, e)
+        edge_endpoints(field, boundary, e)
         for e in range(3)
         if field.neighbors[boundary, e] < 0
     ]

@@ -2,18 +2,15 @@ import numpy as np
 import pytest
 
 from jacobiset import (
-    Orientation,
     TriField,
     assign_degenerate,
     component_count,
     compute_jacobi_set,
     extract_jacobi_set,
-    jacobian,
     jacobi_length,
     load_bsf,
     measures,
     neighborhood_graph,
-    orientation,
     orientation_signs,
     save_bsf,
     triangulate_structured,
@@ -21,6 +18,7 @@ from jacobiset import (
 from jacobiset.jacobi import jacobi_set_to_json
 
 from conftest import (
+    affine_map_oracle,
     bfs_edge_components,
     bits,
     grid_field,
@@ -33,50 +31,35 @@ from conftest import (
 )
 
 
-# -- jacobian ----------------------------------------------------------------
+# -- determinants ------------------------------------------------------------
+
+
+def range_area(field, t: int) -> float:
+    """Range area of triangle ``t`` as the graph sums it: |det| * area."""
+    return abs(float(field.dets[t])) * float(field.domain_areas[t])
 
 
 def test_identity_map():
     field = unit_triangle([(0, 0), (1, 0), (0, 1)])
-    j = jacobian(field, 0)
-    assert np.allclose(j.a, np.eye(2))
-    assert np.allclose(j.b, 0)
-    assert j.det == 1.0
-    assert j.range_area == 0.5
+    a, b = affine_map_oracle(field, 0)
+    assert np.allclose(a, np.eye(2))
+    assert np.allclose(b, 0)
+    assert field.dets[0] == 1.0
+    assert range_area(field, 0) == 0.5
 
 
 def test_equal_components_degenerate():
     field = unit_triangle([(0, 0), (1, 1), (0, 0)])  # f = g, image is a line
-    j = jacobian(field, 0)
-    assert j.det == 0.0
-    assert orientation(j) is Orientation.DEGENERATE
+    assert field.dets[0] == 0.0
+    assert orientation_signs(field)[0] == 0
 
 
 def test_scaled_map_det_and_range_area():
     field = unit_triangle([(0, 0), (2, 0), (0, 3)])
-    j = jacobian(field, 0)
-    assert j.det == pytest.approx(6.0)
+    assert field.dets[0] == pytest.approx(6.0)
     # Image triangle (0,0), (2,0), (0,3) has shoelace area 3 = 6 * 0.5.
-    assert j.range_area == pytest.approx(3.0)
-    assert j.range_area == pytest.approx(abs(shoelace([(0, 0), (2, 0), (0, 3)])))
-
-
-def test_affine_reconstruction_random(rng):
-    # Well-conditioned triangles; the bound is ulps of the per-component
-    # value scale (cancellation makes ulps of a tiny component meaningless).
-    checked = 0
-    while checked < 300:
-        pts = rng.uniform(-1.5, 1.5, size=(3, 2))
-        if abs(shoelace(pts)) < 1.0:
-            continue
-        checked += 1
-        vals = rng.uniform(-10, 10, size=(3, 2))
-        field = TriField(pts, vals, [(0, 1, 2)])
-        j = jacobian(field, 0)
-        tol = 4 * np.spacing(np.abs(vals).max(axis=0))
-        for v in field.triangles[0]:
-            got = j.a @ field.positions[v] + j.b
-            assert (np.abs(got - field.values[v]) <= tol).all()
+    assert range_area(field, 0) == pytest.approx(3.0)
+    assert range_area(field, 0) == pytest.approx(abs(shoelace([(0, 0), (2, 0), (0, 3)])))
 
 
 def test_det_area_identity_random(rng):
@@ -86,10 +69,11 @@ def test_det_area_identity_random(rng):
             continue
         vals = rng.uniform(-5, 5, size=(3, 2))
         field = TriField(pts, vals, [(0, 1, 2)])
-        j = jacobian(field, 0)
+        det = field.dets[0]
         image_area = abs(shoelace(vals))
-        assert abs(j.det) * field.domain_areas[0] == pytest.approx(image_area, rel=1e-12)
-        assert j.det == pytest.approx(np.linalg.det(j.a), rel=1e-9, abs=1e-12)
+        assert abs(det) * field.domain_areas[0] == pytest.approx(image_area, rel=1e-12)
+        a, _ = affine_map_oracle(field, 0)
+        assert det == pytest.approx(np.linalg.det(a), rel=1e-9, abs=1e-12)
 
 
 def test_identical_edge_values_give_exact_zero(rng):
@@ -103,12 +87,12 @@ def test_identical_edge_values_give_exact_zero(rng):
         vals[pair[1]] = vals[pair[0]]
         field = TriField(pts, vals, [(0, 1, 2)])
         assert field.dets[0] == 0.0
-        assert jacobian(field, 0).det == 0.0
+        assert field.compute_dets([0])[0] == 0.0
 
 
 def test_jacobian_det_is_the_cached_det_bitwise(rng):
     field = wave_field(rng, 12, 9, step=0.25)
-    dets = [jacobian(field, t).det for t in range(field.n_triangles)]
+    dets = [field.compute_dets([t])[0] for t in range(field.n_triangles)]
     assert np.array_equal(bits(dets), bits(field.dets))
     assert 0.0 in dets  # the rounded field has exact-zero triangles
 
@@ -117,17 +101,15 @@ def test_jacobian_det_is_the_cached_det_bitwise(rng):
 
 
 def test_orientation_classification():
-    field = unit_triangle([(0, 0), (2, 0), (0, 3)])
-    j = jacobian(field, 0)
-    assert orientation(j) is Orientation.POSITIVE
-    j.det = 0.0
-    assert orientation(j) is Orientation.DEGENERATE
-    j.det = -1e-300
-    assert orientation(j) is Orientation.NEGATIVE  # exact-sign policy
-    j.det = 0.5
-    assert orientation(j, epsilon=1.0) is Orientation.DEGENERATE
+    # Image triangles of determinant 6, 0, -1e-300 and 0.5: values
+    # (0, 0), (a, 0), (0, 1) on the unit triangle give det a.
+    for det, eps, sign in [(6.0, 0.0, 1), (0.0, 0.0, 0), (-1e-300, 0.0, -1), (0.5, 1.0, 0)]:
+        field = unit_triangle([(0, 0), (det, 0), (0, 1)])
+        assert field.dets[0] == det
+        # -1e-300 stays negative: the sign test is exact by default.
+        assert orientation_signs(field, eps)[0] == sign
     with pytest.raises(ValueError):
-        orientation(j, epsilon=-1.0)
+        orientation_signs(field, epsilon=-1.0)
 
 
 def test_orientation_signs_vectorized():
@@ -423,8 +405,7 @@ def test_measure_json_shapes():
 def test_range_area_identity_across_mesh(rng):
     field = random_sign_field(rng, 7, 6)
     for t in range(0, field.n_triangles, 5):
-        j = jacobian(field, t)
         image = field.values[field.triangles[t]]
-        assert abs(j.det) * field.domain_areas[t] == pytest.approx(
+        assert abs(field.compute_dets([t])[0]) * field.domain_areas[t] == pytest.approx(
             abs(shoelace(image)), rel=1e-12, abs=1e-300
         )

@@ -6,7 +6,6 @@ from jacobiset import (
     MeshError,
     NonManifoldError,
     TriField,
-    domain_area,
     triangulate_structured,
 )
 from jacobiset.mesh import _sorted_adjacency
@@ -14,6 +13,7 @@ from jacobiset.mesh import _sorted_adjacency
 from conftest import (
     assert_same_topology,
     bits,
+    edge_endpoints,
     grid_triangles,
     quad_field,
     shoelace,
@@ -26,7 +26,7 @@ def test_minimal_simplex():
     field = unit_triangle([(0, 0), (1, 0), (0, 1)])
     assert field.n_triangles == 1
     assert field.n_vertices == 3
-    assert domain_area(field, 0) == 0.5
+    assert field.domain_areas[0] == 0.5
 
 
 def test_cw_triangle_normalized_to_ccw():
@@ -72,8 +72,8 @@ def test_quad_adjacency_symmetric():
     n1 = [n for n in field.neighbors[1] if n >= 0]
     assert n0 == [1] and n1 == [0]
     # The shared edge slot endpoints agree.
-    slots0 = [field.edge_endpoints(0, e) for e in range(3) if field.neighbors[0, e] == 1]
-    slots1 = [field.edge_endpoints(1, e) for e in range(3) if field.neighbors[1, e] == 0]
+    slots0 = [edge_endpoints(field, 0, e) for e in range(3) if field.neighbors[0, e] == 1]
+    slots1 = [edge_endpoints(field, 1, e) for e in range(3) if field.neighbors[1, e] == 0]
     assert slots0 == slots1 == [(0, 2)]
 
 
@@ -112,13 +112,7 @@ def test_domain_area_against_shoelace_oracle(rng):
         if area < 1e-3:
             continue
         field = TriField(pts, np.zeros((3, 2)), [(0, 1, 2)])
-        assert domain_area(field, 0) == pytest.approx(area, rel=1e-14)
-
-
-def test_domain_area_bad_id():
-    field = unit_triangle(np.zeros((3, 2)))
-    with pytest.raises(IndexError):
-        domain_area(field, 5)
+        assert field.domain_areas[0] == pytest.approx(area, rel=1e-14)
 
 
 def test_point_neighbors_and_stars():

@@ -9,9 +9,6 @@ from jacobiset import (
     find_collapsible_cells,
     neighborhood_graph,
     orientation_signs,
-    region_domain_area,
-    region_hypervolume,
-    region_range_area,
     triangulate_structured,
 )
 from jacobiset.regions import _star_links, graph_to_dot, graph_to_json, point_neighbor_sums
@@ -152,44 +149,43 @@ def test_checkerboard_graph_counts_match_regions():
 def test_region_metric_ops():
     field = unit_triangle([(0, 0), (2, 0), (0, 3)])  # det 6, area 0.5
     signs, regs = decompose(field, "A")
-    assert region_domain_area(regs, 0) == pytest.approx(0.5)
-    assert region_range_area(regs, 0) == pytest.approx(3.0)
-    assert region_hypervolume(regs, 0) == pytest.approx(1.5)
-    with pytest.raises(IndexError):
-        region_domain_area(regs, 5)
+    graph = build_graph(field, regs)
+    assert len(graph.hypervolume) == len(regs) == 1
+    assert graph.domain_area[0] == pytest.approx(0.5)
+    assert graph.range_area[0] == pytest.approx(3.0)
+    assert graph.hypervolume[0] == pytest.approx(1.5)
 
 
 def test_region_metrics_identity_triangle():
     field = unit_triangle([(0, 0), (1, 0), (0, 1)])
     _, regs = decompose(field, "A")
-    assert region_domain_area(regs, 0) == pytest.approx(0.5)
-    assert region_range_area(regs, 0) == pytest.approx(0.5)
-    assert region_hypervolume(regs, 0) == pytest.approx(0.25)
+    graph = build_graph(field, regs)
+    assert graph.domain_area[0] == pytest.approx(0.5)
+    assert graph.range_area[0] == pytest.approx(0.5)
+    assert graph.hypervolume[0] == pytest.approx(0.25)
 
 
 def test_collapsed_region_zero_metrics():
     field = unit_triangle([(1, 1), (1, 1), (1, 1)])
     _, regs = decompose(field, "A")
-    assert region_range_area(regs, 0) == 0.0
-    assert region_hypervolume(regs, 0) == 0.0
+    graph = build_graph(field, regs)
+    assert graph.range_area[0] == 0.0
+    assert graph.hypervolume[0] == 0.0
 
 
 def test_region_metrics_vs_summation_oracle(rng):
     field = random_sign_field(rng, 6, 5)
     _, regs = decompose(field, "A")
     graph = build_graph(field, regs)
-    for node in graph.nodes:
-        tris = regs.regions[node.id].triangles
+    for r in range(len(regs)):
+        tris = np.flatnonzero(regs.label == r)
         a = field.domain_areas[tris]
         ra = np.abs(field.dets[tris]) * a
-        assert node.domain_area == pytest.approx(float(a.sum()), rel=1e-12)
-        assert node.range_area == pytest.approx(float(ra.sum()), rel=1e-12)
-        assert node.hypervolume == pytest.approx(float((a * ra).sum()), rel=1e-12)
-        assert region_hypervolume(regs, node.id) == pytest.approx(
-            float((a * ra).sum()), rel=1e-12
-        )
-    # Domain areas over all nodes sum to the mesh total.
-    total = sum(n.domain_area for n in graph.nodes)
+        assert graph.domain_area[r] == pytest.approx(float(a.sum()), rel=1e-12)
+        assert graph.range_area[r] == pytest.approx(float(ra.sum()), rel=1e-12)
+        assert graph.hypervolume[r] == pytest.approx(float((a * ra).sum()), rel=1e-12)
+    # Domain areas over all regions sum to the mesh total.
+    total = graph.domain_area.sum()
     assert total == pytest.approx(float(field.domain_areas.sum()), rel=1e-10)
 
 
