@@ -293,17 +293,19 @@ def _child_adjacency(field: TriField, eid, half_order):
 
 
 def _sorted_neighbors(n: int, edges: np.ndarray):
-    """Per-vertex neighbor lists of an edge list in CSR form: vertex ``v``
-    has ``deg[v]`` neighbors, ascending, at ``nbrs[start[v]:]``. The last
-    array gives each entry's index in ``edges.T.ravel()``: ``side * E +
-    k`` for the end ``side`` of edge ``k``."""
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.argsort(src * n + dst)
+    """Per-vertex neighbor lists of an edge list sorted by ``(min, max)``,
+    in CSR form: vertex ``v`` has ``deg[v]`` neighbors, ascending, at
+    ``nbrs[start[v]:]``. The last array gives each entry's index in
+    ``edges.T.ravel()``: ``side * E + k`` for the end ``side`` of edge
+    ``k``; listed upper ends first, a stable sort by vertex sorts them."""
+    src = edges.T.ravel()
+    # Position p of the sort key is entry (p + E) % 2E; `src[p]` is its neighbor.
+    by_vertex = np.argsort(np.concatenate([edges[:, 1], edges[:, 0]]), kind="stable")
+    entry = np.roll(np.arange(2 * len(edges)), -len(edges))
     deg = np.bincount(src, minlength=n)
     start = np.zeros(n, dtype=np.int64)
     np.cumsum(deg[:-1], out=start[1:])
-    return start, deg, dst[order], order
+    return start, deg, np.take(src, by_vertex), np.take(entry, by_vertex)
 
 
 def _opposite_vertices(field, edges, edge_tris):

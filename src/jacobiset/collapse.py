@@ -37,8 +37,9 @@ for bit. The scores of a cell read only the worklist membership of its
 affected triangles and the values, groups and determinants of their
 vertices, and the checks above see every change to those. The arithmetic
 is the per-cell arithmetic: one ``_edge_cross`` per triangle on the same
-values, and the range-area growth of each candidate summed by its own
-``.sum()`` over its triangles in ascending order. A commit stores the
+values, and, for the candidates of a cell that tie on fewest flips (the
+only ones growth can order), the range-area growth of each summed by its
+own ``.sum()`` over its triangles in ascending order. A commit stores the
 scored determinants of the winner, which equal a recomputation after the
 move, through :func:`apply_collapse_variant`. The flip repairs and
 re-queues it triggers are filtered against the live worklist.
@@ -127,11 +128,11 @@ class VertexGroups:
     Collapsing an edge merges its endpoints' groups; every member of the
     merged group is assigned the common target value, so pairs glued by
     earlier collapses never drift apart. ``label[v]`` names the group of
-    ``v``, and a merge relabels the smaller group, so the whole run
-    relabels each vertex at most log2(n) times. ``size[label[v]]`` counts
-    the members of that group. ``stamp[v]`` is the merge count at which
-    ``v`` last moved: a merge stamps every member of the merged group, also
-    when no value changes.
+    ``v``; a merge gives the merged group the label of its larger part.
+    ``size[label[v]]`` counts the members of that group, and
+    ``members[label[v]]`` lists them once there are two or more.
+    ``stamp[v]`` is the merge count at which ``v`` last moved: a merge
+    stamps every member of the merged group, also when no value changes.
     """
 
     def __init__(self, n_vertices: int):
@@ -139,29 +140,24 @@ class VertexGroups:
         self.size = np.ones(n_vertices, dtype=np.int64)
         self.stamp = np.zeros(n_vertices, dtype=np.int64)
         self.merges = 0
-        self._members: dict[int, list] = {}
+        self.members: dict[int, list] = {}
 
-    def merged_members(self, u: int, v: int) -> list:
-        """Members of the union of both groups, without merging."""
-        lu, lv = int(self.label[u]), int(self.label[v])
-        mu = self._members.get(lu, [u])
-        return mu if lu == lv else mu + self._members.get(lv, [v])
-
-    def merge(self, u: int, v: int) -> list:
+    def merge(self, u: int, v: int) -> np.ndarray:
         """Merge both groups, stamp every member as moved, and return the
-        members."""
+        members as an index array."""
         lu, lv = int(self.label[u]), int(self.label[v])
-        merged = self._members.get(lu, [u])
+        keep, merged = lu, self.members.get(lu, [u])
         if lu != lv:
-            mu, mv = self._members.pop(lu, merged), self._members.pop(lv, [v])
+            mu, mv = self.members.pop(lu, merged), self.members.pop(lv, [v])
             merged = mu + mv
-            keep, relabel = (lu, mv) if len(mu) >= len(mv) else (lv, mu)
-            self.label[relabel] = keep
+            keep = lu if len(mu) >= len(mv) else lv
             self.size[keep] = len(merged)
-            self._members[keep] = merged
+            self.members[keep] = merged
+        ids = np.array(merged, dtype=np.int64)
+        self.label[ids] = keep
         self.merges += 1
-        self.stamp[merged] = self.merges
-        return merged
+        self.stamp[ids] = self.merges
+        return ids
 
 
 class Worklist(set):
@@ -247,37 +243,42 @@ class CellScores:
     ``edges[j]`` to ``target[j]``; the triangles with a moved vertex are
     ``tids[p]`` for ``pair_start[j] <= p < pair_start[j + 1]``,
     ascending, and ``new_dets[p]`` is their determinant after the move.
-    ``flipped[p]`` marks the ones other than the cell whose orientation
-    crosses between positive and negative, ``requeue[p]`` the ones whose
-    determinant leaves zero. ``flips[j]`` counts the flipped ones outside
-    the worklist and ``delta[j]`` sums the change of range area.
+    ``flipped[p]`` marks the ones whose orientation crosses between
+    positive and negative (never the cell: its determinant becomes 0),
+    ``requeue[p]`` those whose determinant leaves zero, ``growth[p]`` the
+    change of range area; ``flips[j]`` counts flipped ones outside ``cl``.
     """
 
     cells: list
     edges: list
     target: np.ndarray
     flips: list
-    delta: list
     cand_start: list
     pair_start: list
     tids: np.ndarray
     corners: np.ndarray
     new_dets: np.ndarray
+    growth: np.ndarray
     flipped: np.ndarray
     requeue: np.ndarray
     scored_at: tuple
 
     def best(self, k: int) -> int:
         """The candidate of ``cells[k]`` with (fewest flips, smallest
-        range-area growth, lowest edge ids), in that order, comparing the
-        candidates in ascending edge order like a per-cell loop would."""
-        best = None
-        run = range(self.cand_start[k], self.cand_start[k + 1])
-        for j in sorted(run, key=self.edges.__getitem__):
-            key = (self.flips[j], self.delta[j], self.edges[j])
-            if best is None or key < best[0]:
-                best = (key, j)
-        return best[1]
+        range-area growth, lowest edge ids), compared in ascending edge
+        order like a per-cell loop; growth is summed only on a flip tie."""
+        a, b = self.cand_start[k], self.cand_start[k + 1]
+        flips = self.flips[a:b]
+        fewest = min(flips)
+        if flips.count(fewest) == 1:
+            return a + flips.index(fewest)
+        tied = [j for j in range(a, b) if self.flips[j] == fewest]
+        tied.sort(key=self.edges.__getitem__)
+        return min(tied, key=lambda j: (self.delta(j), self.edges[j]))
+
+    def delta(self, j: int) -> float:
+        """Range-area growth of candidate ``j``, summed as ``.sum()`` sums its run."""
+        return float(np.add.reduce(self.growth[self._run(j)]))
 
     def fresh(self, k: int, cl: Worklist, groups: VertexGroups) -> bool:
         """True while nothing the scores of ``cells[k]`` read has changed
@@ -298,21 +299,19 @@ class CellScores:
         p1 = self.pair_start[self.cand_start[k + 1]]
         merges, changes = self.scored_at
         return bool(
-            groups.stamp[self.corners[p0:p1]].max() <= merges
-            and cl.stamp[self.tids[p0:p1]].max() <= changes
+            np.maximum.reduce(groups.stamp.take(self.corners[p0:p1]), None) <= merges
+            and np.maximum.reduce(cl.stamp.take(self.tids[p0:p1])) <= changes
         )
 
     def variant(self, j: int) -> CollapseVariant:
         p = self._run(j)
         return CollapseVariant(self.edges[j], self.target[j], self.tids[p], self.new_dets[p])
 
-    def flipped_cells(self, j: int) -> list:
+    def repairs(self, j: int) -> tuple[list, list]:
+        """Triangles that candidate ``j`` flips, and those it moves off zero."""
         p = self._run(j)
-        return self.tids[p][self.flipped[p]].tolist()
-
-    def requeue_cells(self, j: int) -> list:
-        p = self._run(j)
-        return self.tids[p][self.requeue[p]].tolist()
+        tids = self.tids[p]
+        return tids[self.flipped[p]].tolist(), tids[self.requeue[p]].tolist()
 
     def _run(self, j: int) -> slice:
         return slice(self.pair_start[j], self.pair_start[j + 1])
@@ -329,59 +328,59 @@ def score_cells(field: TriField, cells, cl: Worklist, groups: VertexGroups) -> C
     the endpoint values.
     """
     cells = np.asarray(cells, dtype=np.int64)
-    nbr = field.neighbors[cells]
-    inner = nbr >= 0
-    selected = inner & cl.mask[nbr]
-    n_selected = selected.sum(axis=1, keepdims=True)
-    use = selected | (n_selected == 0) | ((n_selected == 1) & ~inner)
-    corner = field.triangles[cells]
-    following = corner[:, [1, 2, 0]]
-    owner = np.nonzero(use)[0]
-    lo = np.minimum(corner, following)[use]
-    hi = np.maximum(corner, following)[use]
-    n_cand = len(owner)
-    edges = list(zip(lo.tolist(), hi.tolist()))
+    corner_rows = field.triangles.take(cells, axis=0)
+    edges, moved, cand_start = [], [], [0]
+    for corner, labels, nbr in zip(
+        corner_rows.tolist(),
+        groups.label.take(corner_rows).tolist(),
+        field.neighbors.take(cells, axis=0).tolist(),
+    ):
+        selected = [n in cl for n in nbr]  # -1, no neighbor, is never in cl
+        n_selected = sum(selected)
+        for e, f in ((0, 1), (1, 2), (2, 0)):
+            if selected[e] or not n_selected or (n_selected == 1 and nbr[e] < 0):
+                u, v, lu, lv = corner[e], corner[f], labels[e], labels[f]
+                edges.append((u, v) if u < v else (v, u))
+                group = groups.members.get(lu, [u])
+                moved.append(group if lu == lv else group + groups.members.get(lv, [v]))
+        cand_start.append(len(edges))
+    n_cand = len(edges)
 
     # Affected triangles: the stars of each candidate's moved vertices,
     # one sorted run per candidate.
-    moved = [groups.merged_members(u, v) for u, v in edges]
     sizes = [len(group) for group in moved]
     moved_ids = np.fromiter(chain.from_iterable(moved), np.int64, sum(sizes))
-    star_tids, source = field.star_entries(moved_ids)
+    star_tids, star_sizes = field.star_entries(moved_ids)
     m = field.n_triangles
-    pairs = np.repeat(np.arange(n_cand), sizes)[source] * m + star_tids
+    pairs = np.arange(n_cand).repeat(sizes).repeat(star_sizes) * m + star_tids
     pairs.sort()
     first = np.ones(len(pairs), dtype=bool)
     np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
-    pairs = pairs[first]
-    cand = pairs // m
-    tids = pairs - cand * m
-    pair_start = np.searchsorted(cand, np.arange(n_cand + 1))
+    cand, tids = np.divmod(pairs[first], m)
+    pair_start = cand.searchsorted(np.arange(n_cand + 1))
 
-    corners = field.triangles[tids]
-    label = groups.label[corners]
-    moves = (label == groups.label[lo][cand, None]) | (label == groups.label[hi][cand, None])
-    target = 0.5 * (field.values[lo] + field.values[hi])
-    new_dets = field.compute_dets(tids, moves, target[cand])
-    old_dets = field.dets[tids]
-    flipped = (np.sign(old_dets) * np.sign(new_dets) < 0) & (tids != cells[owner][cand])
-    flips = np.bincount(cand[flipped & ~cl.mask[tids]], minlength=n_cand)
-    growth = (np.abs(new_dets) - np.abs(old_dets)) * field.domain_areas[tids]
-    # One .sum() per candidate over its ascending run: the same pairwise
-    # summation as a sum over that candidate alone, to the last bit.
-    bounds = pair_start.tolist()
-    delta = [float(growth[a:b].sum()) for a, b in zip(bounds, bounds[1:])]
+    ends = np.array(edges, dtype=np.int64).reshape(n_cand, 2)
+    end_labels = groups.label.take(ends).take(cand, axis=0)
+    corners = field.triangles.take(tids, axis=0)
+    label = groups.label.take(corners)
+    moves = (label == end_labels[:, :1]) | (label == end_labels[:, 1:])
+    end_values = field.values.take(ends, axis=0)
+    target = 0.5 * (end_values[:, 0] + end_values[:, 1])
+    new_dets = field.compute_dets(tids, moves, target.take(cand, axis=0), corners)
+    old_dets = field.dets.take(tids)
+    flipped = np.sign(old_dets) * np.sign(new_dets) < 0
+    flips = np.bincount(cand[flipped & ~cl.mask.take(tids)], minlength=n_cand)
     return CellScores(
         cells=cells.tolist(),
         edges=edges,
         target=target,
         flips=flips.tolist(),
-        delta=delta,
-        cand_start=np.searchsorted(owner, np.arange(len(cells) + 1)).tolist(),
-        pair_start=bounds,
+        cand_start=cand_start,
+        pair_start=pair_start.tolist(),
         tids=tids,
         corners=corners,
         new_dets=new_dets,
+        growth=(np.abs(new_dets) - np.abs(old_dets)) * field.domain_areas.take(tids),
         flipped=flipped,
         requeue=~((old_dets > 0) | (old_dets < 0)) & (new_dets != 0.0),
         scored_at=(groups.merges, cl.changes),
@@ -453,7 +452,7 @@ def simplify(
                 index = {t: k for k, t in enumerate(chunk_scores.cells)}
             if c not in cl:
                 continue
-            if field.det(c) == 0.0:
+            if field.dets[c] == 0.0:
                 cl.discard(c)  # already collapsed, nothing to apply
                 continue
             if cell_neighborhood(cl, field, c) == 0:
@@ -466,7 +465,8 @@ def simplify(
             collapsed += 1
             cl.discard(c)
 
-            for t in scores.flipped_cells(j):
+            flipped, requeue = scores.repairs(j)
+            for t in flipped:
                 if t not in cl:
                     cl.add(t)
                     ever.add(t)
@@ -474,7 +474,7 @@ def simplify(
                     flip_repairs += 1
             # A touched cell that was collapsed before must stay collapsed;
             # re-queue it if a value move broke its zero determinant.
-            for t in scores.requeue_cells(j):
+            for t in requeue:
                 if t in ever and t not in cl:
                     cl.add(t)
                     history.record_entry(t)

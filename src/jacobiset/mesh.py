@@ -148,17 +148,15 @@ class TriField:
         return self._stars
 
     def star_entries(self, vertex_ids) -> tuple[np.ndarray, np.ndarray]:
-        """The stars of ``vertex_ids`` concatenated: triangle ids, and for
-        each the position in ``vertex_ids`` of the vertex it came from."""
+        """The stars of ``vertex_ids`` concatenated, and the size of each."""
         offsets, tids = self.stars
         vids = np.asarray(vertex_ids, dtype=np.int64)
-        starts = offsets[vids]
-        counts = offsets[vids + 1] - starts
-        owner = np.repeat(np.arange(len(vids)), counts)
+        starts = offsets.take(vids)
+        counts = offsets.take(vids + 1) - starts
         # Output slot i takes entry i - (first output slot of its star)
         # of that star.
-        shift = starts - (np.cumsum(counts) - counts)
-        return tids[np.arange(len(owner)) + shift[owner]], owner
+        skip = (starts - counts.cumsum() + counts).repeat(counts)
+        return tids.take(np.arange(len(skip)) + skip), counts
 
     # -- basic queries -------------------------------------------------------
 
@@ -177,23 +175,23 @@ class TriField:
             self._dets = self.compute_dets(np.arange(self.n_triangles))
         return self._dets
 
-    def det(self, t: int) -> float:
-        return float(self.dets[t])
-
-    def compute_dets(self, tids, moves=None, target=None) -> np.ndarray:
+    def compute_dets(self, tids, moves=None, target=None, corners=None) -> np.ndarray:
         """Determinants of triangles ``tids`` from the current values, or as
         if the corners where the ``(len(tids), 3)`` mask ``moves`` is True
         carried ``target`` (the field is unchanged): one (f, g) for all
-        triangles, or one per triangle as shape ``(len(tids), 2)``.
+        triangles, or one per triangle as shape ``(len(tids), 2)``. A
+        caller that holds ``triangles[tids]`` passes it as ``corners``.
 
         Value-edge cross product over domain-edge cross product. The
         numerator is exactly 0.0 whenever two vertices of the triangle
         carry identical (f, g) values; 0/area keeps that exact.
         """
-        w = np.take(self.values, np.take(self.triangles, tids, axis=0), axis=0)
+        if corners is None:
+            corners = self.triangles.take(tids, axis=0)
+        w = self.values.take(corners, axis=0)
         if moves is not None:
             w = np.where(moves[..., None], np.asarray(target)[..., None, :], w)
-        return _edge_cross(w) / self._doubled_areas[tids]
+        return _edge_cross(w) / self._doubled_areas.take(tids)
 
     def incident_triangles(self, vertex_ids) -> np.ndarray:
         """Triangles with at least one vertex in ``vertex_ids`` (ascending)."""

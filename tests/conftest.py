@@ -765,7 +765,7 @@ def flipped_cell_neighbors_oracle(field: TriField, before_signs: dict, c: int) -
     for t, s0 in before_signs.items():
         if t == c or s0 == 0:
             continue
-        d = field.det(t)
+        d = field.dets[t]
         s1 = 1 if d > 0 else -1 if d < 0 else 0
         if s1 != 0 and s1 != s0:
             flipped.append(t)
@@ -818,7 +818,7 @@ def simplify_oracle(
         for c in order:
             if c not in cl:
                 continue
-            if field.det(c) == 0.0:
+            if field.dets[c] == 0.0:
                 cl.discard(c)  # already collapsed, nothing to apply
                 continue
             if cell_neighborhood(cl, field, c) == 0:
@@ -847,7 +847,7 @@ def simplify_oracle(
             # re-queue it if a value move broke its zero determinant.
             for t in sorted(before_signs):
                 if before_signs[t] == 0 and t in ever and t not in cl:
-                    if field.det(t) != 0.0:
+                    if field.dets[t] != 0.0:
                         cl.add(t)
                         history.record_entry(t)
         if not cl:

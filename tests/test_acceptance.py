@@ -121,7 +121,7 @@ def test_c04_collapse_postcondition_50_fields():
         report = simplify(field, "A", threshold)
         if report.status is CollapseStatus.COMPLETED:
             completed += 1
-            bad_det = [int(c) for c in seeds if field.det(int(c)) != 0.0]
+            bad_det = [int(c) for c in seeds if field.dets[int(c)] != 0.0]
             if bad_det:
                 violations.append(f"nonzero dets {bad_det[:3]}")
             if not report.after["components"] < report.before["components"]:
@@ -144,14 +144,14 @@ def test_c05_exact_zero_collapse_100_cells():
     while checked < 100:
         field = random_sign_field(rng, 6, 6)
         c = int(rng.integers(field.n_triangles))
-        if field.det(c) == 0.0:
+        if field.dets[c] == 0.0:
             continue
         scores = score_cell(field, c)
         candidates = sorted(range(len(scores.edges)), key=scores.edges.__getitem__)
         j = candidates[int(rng.integers(len(candidates)))]
         apply_collapse_variant(field, scores.variant(j), VertexGroups(field.n_vertices))
         checked += 1
-        if field.det(c) == 0.0:
+        if field.dets[c] == 0.0:
             exact += 1
     ok = exact == 100
     gate(5, ok, f"{exact}/100 collapsed cells compare equal to 0.0")

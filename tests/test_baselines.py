@@ -20,6 +20,7 @@ from jacobiset.baselines import (
     _correlate1d,
     _gaussian_kernel,
     _loop_once,
+    _sorted_neighbors,
 )
 from jacobiset.fileio import GridField
 
@@ -387,18 +388,46 @@ def test_loop_adjacency_matches_the_sorting_constructor_on_irregular_mesh(rng, s
     assert_same_topology(loop_subdivide(irregular_fan_field(rng), steps))
 
 
-@pytest.mark.parametrize("steps", [1, 2])
-def test_loop_adjacency_matches_the_sorting_constructor_on_bsf_with_hole(rng, tmp_path, steps):
-    w, h = 9, 8
+def bsf_with_hole(rng, tmp_path, w=9, h=8):
+    """A w x h grid field with the triangles near (4, 3.5) removed, read
+    back from a BSF file, so that its adjacency comes from the sort."""
     grid = triangulate_structured(w, h, (1.0, 1.0), rng.normal(size=w * h), rng.normal(size=w * h))
     tris = grid_triangles(w, h)
     centre = grid.positions[tris].mean(axis=1)
     keep = np.hypot(centre[:, 0] - 4.0, centre[:, 1] - 3.5) > 1.6
     save_bsf(TriField(grid.positions, grid.values, tris[keep]), tmp_path / "hole.bsf")
-    field = load_bsf(tmp_path / "hole.bsf")
+    return load_bsf(tmp_path / "hole.bsf")
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_loop_adjacency_matches_the_sorting_constructor_on_bsf_with_hole(rng, tmp_path, steps):
+    w, h = 9, 8
+    field = bsf_with_hole(rng, tmp_path, w, h)
     boundary = field.edges[field.edge_triangles[:, 1] < 0]
     assert len(boundary) > 2 * (w - 1 + h - 1)  # the hole adds an inner rim
     assert_same_topology(loop_subdivide(field, steps))
+
+
+def _sorted_neighbors_oracle(n, edges):
+    """Neighbor lists by an argsort of the packed (vertex, neighbor) keys."""
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.argsort(src * n + dst)
+    deg = np.bincount(src, minlength=n)
+    start = np.zeros(n, dtype=np.int64)
+    np.cumsum(deg[:-1], out=start[1:])
+    return start, deg, dst[order], order
+
+
+def test_sorted_neighbors_match_the_packed_key_argsort(rng, tmp_path):
+    bsf = bsf_with_hole(rng, tmp_path)
+    for field in (bsf, loop_subdivide(bsf, 1), irregular_fan_field(rng)):
+        boundary = field.edge_triangles[:, 1] < 0
+        for edges in (field.edges, field.edges[boundary], field.edges[:0]):
+            got = _sorted_neighbors(field.n_vertices, edges)
+            want = _sorted_neighbors_oracle(field.n_vertices, edges)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
 
 def test_loop_of_a_doubled_triangle_is_rejected_as_non_manifold():

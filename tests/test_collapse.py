@@ -17,6 +17,7 @@ from jacobiset import (
 from jacobiset import collapse
 from jacobiset.collapse import (
     CHUNK_CELLS,
+    CellScores,
     CollapseHistory,
     VertexGroups,
     Worklist,
@@ -24,9 +25,12 @@ from jacobiset.collapse import (
 )
 
 from conftest import (
+    VertexGroupsOracle,
     bits,
     edge_endpoints,
+    evaluate_variant_oracle,
     noisy_island_field,
+    possible_collapse_variants_oracle,
     quad_field,
     score_cell,
     simplify_oracle,
@@ -53,10 +57,10 @@ def fan_field():
 
 def island_threshold(field):
     """Threshold between the largest region's hypervolume and the rest."""
-    _, _, regs, graph = neighborhood_graph(field, "A")
-    hvs = sorted(n.hypervolume for n in graph.nodes)
+    _, _, _, graph = neighborhood_graph(field, "A")
+    hvs = np.sort(graph.hypervolume)
     assert len(hvs) >= 2
-    return 0.5 * (hvs[-2] + hvs[-1])
+    return float(0.5 * (hvs[-2] + hvs[-1]))
 
 
 # -- cell neighborhood and candidate edges -----------------------------------
@@ -133,7 +137,7 @@ def test_evaluate_idempotent_collapse():
     scores = score_cell(field, 0)
     j = scores.edges.index((0, 2))
     assert scores.flips[j] == 0
-    assert scores.delta[j] == 0.0
+    assert scores.delta(j) == 0.0
     before = field.values.copy()
     apply_collapse_variant(field, scores.variant(j), VertexGroups(field.n_vertices))
     assert np.array_equal(field.values, before)
@@ -164,13 +168,13 @@ def test_evaluate_flip_counts_against_recompute_oracle():
 
 def test_evaluate_simulated_self_det_zero():
     field = fan_field()
-    assert field.det(0) != 0.0
+    assert field.dets[0] != 0.0
     scores = score_cell(field, 0)
     variant = scores.variant(scores.edges.index((0, 1)))
     assert variant.dets[variant.tids == 0].tolist() == [0.0]
     probe = field.copy()
     apply_collapse_variant(probe, variant, VertexGroups(field.n_vertices))
-    assert probe.det(0) == 0.0
+    assert probe.dets[0] == 0.0
 
 
 def test_find_best_single_candidate():
@@ -192,7 +196,7 @@ def test_find_best_delta_tiebreak():
     field = fan_field()
     scores = score_cell(field, 0, [1, 3])
     assert sorted(scores.edges) == [(0, 1), (0, 2)]
-    scored = {e: (scores.flips[j], scores.delta[j]) for j, e in enumerate(scores.edges)}
+    scored = {e: (scores.flips[j], scores.delta(j)) for j, e in enumerate(scores.edges)}
     assert scored[(0, 1)][0] == scored[(0, 2)][0] == 0
     want = min(scored, key=lambda e: (scored[e][0], scored[e][1], e))
     assert scores.edges[scores.best(0)] == want
@@ -217,7 +221,7 @@ def test_apply_sets_exact_zero_and_idempotent():
     variant = scores.variant(scores.edges.index((0, 1)))
     groups = VertexGroups(field.n_vertices)
     apply_collapse_variant(field, variant, groups)
-    assert field.det(0) == 0.0
+    assert field.dets[0] == 0.0
     assert np.array_equal(field.values[0], field.values[1])
     snapshot = field.values.copy()
     apply_collapse_variant(field, variant, groups)  # second application is a no-op
@@ -239,12 +243,12 @@ def test_apply_neighbor_dets_match_fresh_recompute():
 def test_flipped_cell_neighbors_zero_and_one_flip():
     field = fan_field()
     scores = score_cell(field, 0)
-    before = {t: int(np.sign(field.det(t))) for t in range(field.n_triangles)}
+    before = {t: int(np.sign(field.dets[t])) for t in range(field.n_triangles)}
     for edge, expected_flips in [((0, 1), 0), ((1, 2), 1)]:
         j = scores.edges.index(edge)
         probe = field.copy()
         apply_collapse_variant(probe, scores.variant(j), VertexGroups(field.n_vertices))
-        flipped = scores.flipped_cells(j)
+        flipped = scores.repairs(j)[0]
         assert len(flipped) == expected_flips
         # Oracle: set difference of sign maps recomputed from scratch.
         fresh = TriField(probe.positions, probe.values, probe.triangles)
@@ -349,7 +353,7 @@ def test_simplify_island_completes_and_zeroes(rng):
     assert report.status is CollapseStatus.COMPLETED
     assert report.residual_cl == []
     for c in seeds:
-        assert field.det(int(c)) == 0.0
+        assert field.dets[int(c)] == 0.0
     assert report.after["components"] < report.before["components"]
     # Report measures match a fresh recomputation of the mutated field.
     assert measures(field) == report.after
@@ -407,7 +411,7 @@ def test_simplify_final_state_has_no_eligible_cells(rng):
     assert report.status is CollapseStatus.COMPLETED
     _, _, regs, graph = neighborhood_graph(field, "A")
     leftovers = find_collapsible_cells(graph, regs, t)
-    assert all(field.det(int(c)) == 0.0 for c in leftovers)
+    assert all(field.dets[int(c)] == 0.0 for c in leftovers)
 
 
 def test_simplify_isolated_triangle_stalls():
@@ -417,7 +421,7 @@ def test_simplify_isolated_triangle_stalls():
     report = simplify(field, "A", np.inf)
     assert report.status is CollapseStatus.OSCILLATED
     assert report.collapsed_cells == 0
-    assert field.det(0) == 1.0  # untouched
+    assert field.dets[0] == 1.0  # untouched
 
 
 def test_simplify_variant_parameter(rng):
@@ -561,10 +565,60 @@ def test_batch_scores_equal_scores_of_each_cell_alone(rng):
         run = range(batch.cand_start[k], batch.cand_start[k + 1])
         assert [batch.edges[j] for j in run] == alone.edges
         assert [batch.flips[j] for j in run] == alone.flips
-        assert np.array_equal(bits([batch.delta[j] for j in run]), bits(alone.delta))
+        assert np.array_equal(
+            bits([batch.delta(j) for j in run]),
+            bits([alone.delta(i) for i in range(len(alone.edges))]),
+        )
         assert batch.edges[batch.best(k)] == alone.edges[alone.best(0)]
         for i, j in enumerate(run):
             assert np.array_equal(batch.variant(j).tids, alone.variant(i).tids)
             assert np.array_equal(bits(batch.variant(j).dets), bits(alone.variant(i).dets))
-            assert batch.flipped_cells(j) == alone.flipped_cells(i)
-            assert batch.requeue_cells(j) == alone.requeue_cells(i)
+            assert batch.repairs(j) == alone.repairs(i)
+
+
+def test_score_cells_of_no_cells_is_empty():
+    # The sweep scores an empty chunk when none of its cells is live.
+    field = wave_field(np.random.default_rng(2), 6, 5)
+    scores = score_cells(field, [], Worklist(field.n_triangles), VertexGroups(field.n_vertices))
+    assert scores.cells == scores.edges == scores.flips == []
+    assert scores.cand_start == scores.pair_start == [0]
+    for name in ("target", "tids", "corners", "new_dets", "growth", "flipped", "requeue"):
+        assert len(getattr(scores, name)) == 0, name
+
+
+@pytest.mark.parametrize("step", [None, 0.25])
+def test_best_is_the_eager_minimum_of_the_per_candidate_oracle(rng, monkeypatch, step):
+    # The eager rule sums every candidate's growth and takes the minimum
+    # (flips, delta, edge) in ascending edge order. `best` must pick the
+    # same edge on a batch of cells whose fewest flips tie, and on a batch
+    # whose fewest flips never tie, without summing any growth there.
+    field = wave_field(rng, 30, 20, step)
+    cl = Worklist(field.n_triangles)
+    for t in rng.choice(field.n_triangles, size=300, replace=False).tolist():
+        cl.add(t)
+    groups = VertexGroups(field.n_vertices)
+    oracle_groups = VertexGroupsOracle(field.n_vertices)
+    for u, v in rng.integers(field.n_vertices, size=(40, 2)).tolist():
+        if u != v:
+            groups.merge(u, v)
+            oracle_groups.merge(u, v)
+    eager, tie, n_candidates = {}, {}, {}
+    for c in rng.choice(field.n_triangles, size=200, replace=False).tolist():
+        keys = [
+            (*evaluate_variant_oracle(field, c, edge, cl, oracle_groups)[:2], edge)
+            for edge in possible_collapse_variants_oracle(field, cl, c)
+        ]
+        eager[c] = min(keys)[2]
+        fewest = min(flips for flips, _, _ in keys)
+        tie[c] = sum(flips == fewest for flips, _, _ in keys) > 1
+        n_candidates[c] = len(keys)
+    tied = [c for c in eager if tie[c]]
+    untied = [c for c in eager if not tie[c]]
+    assert tied and any(n_candidates[c] > 1 for c in untied)
+
+    scores = score_cells(field, tied, cl, groups)
+    assert [scores.edges[scores.best(k)] for k in range(len(tied))] == [eager[c] for c in tied]
+
+    scores = score_cells(field, untied, cl, groups)
+    monkeypatch.setattr(CellScores, "delta", lambda self, j: pytest.fail("growth summed"))
+    assert [scores.edges[scores.best(k)] for k in range(len(untied))] == [eager[c] for c in untied]
