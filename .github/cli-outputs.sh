@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Write the CLI outputs of the source tree in $1 to $1/cli-out, from the
-# inputs $1/cli-in/field.bsf and $1/cli-in/field.sgf. Every path is relative
-# to $1, so two trees that behave alike write byte-identical files (the
-# manifests aside, which record times).
+# inputs $1/cli-in/field.bsf, $1/cli-in/field.sgf and $1/cli-in/plateau.bsf.
+# The plateau field is rounded, so it holds degenerate triangles: its runs
+# cover both `prefer` rules of the degenerate assignment and the B and C
+# star links. Every path is relative to $1, so two trees that behave alike
+# write byte-identical files (the manifests aside, which record times).
 #
 #   bash .github/cli-outputs.sh TREE
 set -euo pipefail
@@ -20,3 +22,10 @@ jss graph cli-in/field.sgf --variant D --out cli-out/graph-D.dot
 jss render cli-in/field.sgf --out cli-out/field.svg
 jss compare cli-in/field.sgf cli-in/field.bsf --methods original ca-a loop --steps 1 \
   --threshold 0.12 --out cli-out/compare.md
+jss stats cli-in/plateau.bsf > cli-out/stats-plateau.txt
+for v in B C; do
+  jss graph cli-in/plateau.bsf --variant "$v" --out "cli-out/graph-plateau-$v.json"
+done
+jss simplify cli-in/plateau.bsf --variant B --threshold 0.3 \
+  --out cli-out/simplified-plateau-B.bsf --report cli-out/report-plateau-B.json \
+  > cli-out/simplify-plateau-B.txt

@@ -23,14 +23,15 @@ in one numpy pass: flips, range-area growth, the determinants after the
 move, and the triangles that would flip or leave a zero determinant. When
 the walk reaches a cell it uses the stored scores, unless something they
 read has changed since: a commit moved a vertex of one of the candidates'
-affected triangles (a commit stamps every vertex of the group it moves),
-or one of those triangles entered or left the worklist. The affected
-triangles include the cell and its edge neighbors, whose membership picks
-the candidates. A stale cell is scored again, alone, by the same kernel.
-A run also ends early once the groups at the corners of its cells hold
-``CHUNK_GROUP_VERTICES`` vertices: a candidate's working set is the stars
-of its merged group, so this bounds a chunk's memory when groups grow
-large.
+affected triangles, or one of those triangles entered or left the
+worklist. Both are stamps on the worklist's one clock: a commit stamps
+the triangles with a moved vertex, which are the stars of the group it
+moves. The affected triangles include the cell and its edge neighbors,
+whose membership picks the candidates. A stale cell is scored again,
+alone, by the same kernel. A run also ends early once the groups at the
+corners of its cells hold ``CHUNK_GROUP_VERTICES`` vertices: a
+candidate's working set is the stars of its merged group, so this bounds
+a chunk's memory when groups grow large.
 
 This gives the result of scoring each cell when the walk reaches it, bit
 for bit. The scores of a cell read only the worklist membership of its
@@ -131,20 +132,15 @@ class VertexGroups:
     ``v``; a merge gives the merged group the label of its larger part.
     ``size[label[v]]`` counts the members of that group, and
     ``members[label[v]]`` lists them once there are two or more.
-    ``stamp[v]`` is the merge count at which ``v`` last moved: a merge
-    stamps every member of the merged group, also when no value changes.
     """
 
     def __init__(self, n_vertices: int):
         self.label = np.arange(n_vertices, dtype=np.int64)
         self.size = np.ones(n_vertices, dtype=np.int64)
-        self.stamp = np.zeros(n_vertices, dtype=np.int64)
-        self.merges = 0
         self.members: dict[int, list] = {}
 
     def merge(self, u: int, v: int) -> np.ndarray:
-        """Merge both groups, stamp every member as moved, and return the
-        members as an index array."""
+        """Merge both groups and return the members as an index array."""
         lu, lv = int(self.label[u]), int(self.label[v])
         keep, merged = lu, self.members.get(lu, [u])
         if lu != lv:
@@ -155,8 +151,6 @@ class VertexGroups:
             self.members[keep] = merged
         ids = np.array(merged, dtype=np.int64)
         self.label[ids] = keep
-        self.merges += 1
-        self.stamp[ids] = self.merges
         return ids
 
 
@@ -164,8 +158,9 @@ class Worklist(set):
     """The cells selected for collapse.
 
     A set of triangle ids, mirrored in the boolean ``mask``; ``stamp[t]``
-    is the count of worklist changes at which ``t`` last entered or left.
-    Change it only through `add` and `discard`, which keep both in step.
+    is the count of changes at which ``t`` last entered or left, or had a
+    vertex moved by a commit (`moved`). Change it only through `add` and
+    `discard`, which keep the set and the mask in step.
     """
 
     def __init__(self, n_triangles: int):
@@ -181,6 +176,11 @@ class Worklist(set):
     def discard(self, t: int) -> None:
         super().discard(t)
         self._stamp(t, False)
+
+    def moved(self, tids: np.ndarray) -> None:
+        """Stamp the triangles ``tids``, whose vertices a commit moved."""
+        self.changes += 1
+        self.stamp[tids] = self.changes
 
     def _stamp(self, t: int, member: bool) -> None:
         self.mask[t] = member
@@ -256,12 +256,11 @@ class CellScores:
     cand_start: list
     pair_start: list
     tids: np.ndarray
-    corners: np.ndarray
     new_dets: np.ndarray
     growth: np.ndarray
     flipped: np.ndarray
     requeue: np.ndarray
-    scored_at: tuple
+    scored_at: int
 
     def best(self, k: int) -> int:
         """The candidate of ``cells[k]`` with (fewest flips, smallest
@@ -280,11 +279,11 @@ class CellScores:
         """Range-area growth of candidate ``j``, summed as ``.sum()`` sums its run."""
         return float(np.add.reduce(self.growth[self._run(j)]))
 
-    def fresh(self, k: int, cl: Worklist, groups: VertexGroups) -> bool:
+    def fresh(self, k: int, cl: Worklist) -> bool:
         """True while nothing the scores of ``cells[k]`` read has changed
         since they were made: no vertex of a candidate's affected
         triangles moved, and none of those triangles entered or left the
-        worklist.
+        worklist; ``cl.stamp`` records both.
 
         The affected triangles include the cell and its edge neighbors,
         whose membership picks the candidates: each candidate moves two
@@ -297,11 +296,7 @@ class CellScores:
         """
         p0 = self.pair_start[self.cand_start[k]]
         p1 = self.pair_start[self.cand_start[k + 1]]
-        merges, changes = self.scored_at
-        return bool(
-            np.maximum.reduce(groups.stamp.take(self.corners[p0:p1]), None) <= merges
-            and np.maximum.reduce(cl.stamp.take(self.tids[p0:p1])) <= changes
-        )
+        return bool(np.maximum.reduce(cl.stamp.take(self.tids[p0:p1])) <= self.scored_at)
 
     def variant(self, j: int) -> CollapseVariant:
         p = self._run(j)
@@ -378,12 +373,11 @@ def score_cells(field: TriField, cells, cl: Worklist, groups: VertexGroups) -> C
         cand_start=cand_start,
         pair_start=pair_start.tolist(),
         tids=tids,
-        corners=corners,
         new_dets=new_dets,
         growth=(np.abs(new_dets) - np.abs(old_dets)) * field.domain_areas.take(tids),
         flipped=flipped,
         requeue=~((old_dets > 0) | (old_dets < 0)) & (new_dets != 0.0),
-        scored_at=(groups.merges, cl.changes),
+        scored_at=cl.changes,
     )
 
 
@@ -458,10 +452,12 @@ def simplify(
             if cell_neighborhood(cl, field, c) == 0:
                 continue
             scores, k = chunk_scores, index.get(c)
-            if k is None or not scores.fresh(k, cl, groups):
+            if k is None or not scores.fresh(k, cl):
                 scores, k = score_cells(field, [c], cl, groups), 0
             j = scores.best(k)
-            apply_collapse_variant(field, scores.variant(j), groups)
+            move = scores.variant(j)
+            apply_collapse_variant(field, move, groups)
+            cl.moved(move.tids)
             collapsed += 1
             cl.discard(c)
 

@@ -50,8 +50,10 @@ def assign_degenerate(field: TriField, signs: np.ndarray, prefer: int | None = N
     degenerate = np.flatnonzero(signs == 0)
     if len(degenerate) == 0:
         return eff
-    pos = point_neighbor_sums(field, signs > 0)[degenerate]
-    neg = point_neighbor_sums(field, signs < 0)[degenerate]
+    tri = field.triangles.take(degenerate, axis=0)
+    nbr = field.neighbors.take(degenerate, axis=0)
+    pos = _neighbor_sums(field, signs > 0, tri, nbr)
+    neg = _neighbor_sums(field, signs < 0, tri, nbr)
     if prefer is None:
         out = np.sign(pos - neg)
     else:
@@ -60,17 +62,15 @@ def assign_degenerate(field: TriField, signs: np.ndarray, prefer: int | None = N
     # Ring 1 from vertex counts needs distinct edge neighbours; a triangle
     # whose twin (same three vertices) borders all its edges, or one that
     # ring 1 leaves undecided, takes the ring search.
-    nbr = field.neighbors[degenerate]
     out[(nbr[:, 0] == nbr[:, 1]) & (nbr[:, 0] >= 0)] = 0
     undecided = np.flatnonzero(out == 0)
     if len(undecided):
         # A plateau (degenerate triangles joined at shared vertices) that
         # touches no signed triangle takes +1 at once: no ring reaches a sign.
-        tri = field.triangles[degenerate]
         plateau = connected_labels(field.n_vertices, tri[:, :2].ravel(), tri[:, 1:].ravel())
         signed = np.zeros(field.n_vertices, dtype=bool)
-        signed[plateau[field.triangles[signs != 0]]] = True
-        lone = ~signed[plateau[tri[undecided, 0]]]
+        signed[plateau.take(np.compress(signs != 0, field.triangles, axis=0))] = True
+        lone = ~signed.take(plateau.take(tri[undecided, 0]))
         out[undecided[lone]] = 1
         undecided = undecided[~lone]
     if len(undecided):
@@ -88,14 +88,23 @@ def point_neighbor_sums(field: TriField, weights: np.ndarray) -> np.ndarray:
     over all triangles sharing at least one vertex with it (itself
     excluded)."""
     weights = np.asarray(weights).astype(np.int64)
-    tri = field.triangles
-    per_vertex = np.bincount(tri.ravel(), np.repeat(weights, 3), field.n_vertices)
-    total = per_vertex.astype(np.int64)[tri].sum(axis=1)
-    # Vertex sums count edge neighbors twice and the triangle itself three
-    # times; correct both to get the plain point-neighborhood sum.
-    nbr = field.neighbors
-    edge_nbr_sum = np.where(nbr >= 0, weights[np.clip(nbr, 0, None)], 0).sum(axis=1)
-    return total - edge_nbr_sum - 3 * weights
+    return _neighbor_sums(field, weights, field.triangles, field.neighbors) - 3 * weights
+
+
+def _neighbor_sums(field: TriField, weights: np.ndarray, tri, nbr) -> np.ndarray:
+    """:func:`point_neighbor_sums` of the triangles with corner rows ``tri``
+    and edge-neighbour rows ``nbr``, plus three times their own weights."""
+    # bincount sums float64 weights, and casts int64 ones several times slower.
+    per_vertex = np.bincount(
+        field.triangles.ravel(), np.repeat(weights.astype(np.float64), 3), field.n_vertices
+    )
+    # Vertex sums count edge neighbors twice; take them off once. A missing
+    # neighbour's -1 gathers the padded 0.
+    padded = np.zeros(len(weights) + 1, dtype=np.int64)
+    padded[:-1] = weights
+    sums = per_vertex.astype(np.int64).take(tri)
+    sums -= padded.take(nbr)
+    return sums[:, 0] + sums[:, 1] + sums[:, 2]
 
 
 def _ring_search(field, signs, offsets, seed, prefer):
@@ -154,11 +163,9 @@ def extract_jacobi_set(field: TriField, signs: np.ndarray, effective: np.ndarray
     """Collect interior mesh edges whose two triangles disagree in
     effective sign. Boundary edges are never Jacobi edges."""
     et = field.edge_triangles
-    interior = et[:, 1] >= 0
-    differ = interior.copy()
-    differ[interior] = effective[et[interior, 0]] != effective[et[interior, 1]]
+    differ = (effective.take(et[:, 0]) != effective.take(et[:, 1])) & (et[:, 1] >= 0)
     # field.edges is sorted by (min, max), and so is any subset of it.
-    return JacobiSet(edges=field.edges[differ], signs=signs, effective=effective)
+    return JacobiSet(np.compress(differ, field.edges, axis=0), signs, effective)
 
 
 def compute_jacobi_set(field: TriField, epsilon: float = 0.0) -> JacobiSet:
@@ -171,8 +178,9 @@ def jacobi_length(field: TriField, js: JacobiSet) -> float:
     """Total Euclidean length of the Jacobi edges in the domain."""
     if len(js.edges) == 0:
         return 0.0
-    delta = field.positions[js.edges[:, 0]] - field.positions[js.edges[:, 1]]
-    return float(np.hypot(delta[:, 0], delta[:, 1]).sum())
+    # Rows (x0, y0, x1, y1) of the two ends of each edge.
+    ends = field.positions.take(js.edges, axis=0).reshape(-1, 4)
+    return float(np.hypot(ends[:, 0] - ends[:, 2], ends[:, 1] - ends[:, 3]).sum())
 
 
 def component_count(field: TriField, js: JacobiSet) -> int:
@@ -180,9 +188,10 @@ def component_count(field: TriField, js: JacobiSet) -> int:
     being connected iff they share a vertex."""
     if len(js.edges) == 0:
         return 0
-    verts, ends = np.unique(js.edges, return_inverse=True)
-    ends = ends.reshape(-1, 2)
-    return int(connected_labels(len(verts), ends[:, 0], ends[:, 1]).max()) + 1
+    # Number the vertices the edges touch 0..k-1, in vertex order.
+    number = np.bincount(js.edges.ravel(), minlength=field.n_vertices).astype(bool).cumsum()
+    ends = number.take(js.edges) - 1
+    return int(connected_labels(int(number[-1]), ends[:, 0], ends[:, 1]).max()) + 1
 
 
 def jacobi_measures(field: TriField, js: JacobiSet) -> dict:

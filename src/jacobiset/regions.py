@@ -153,14 +153,12 @@ def build_regions(field: TriField, signs, eff, variant: str = "A"):
 
     m = field.n_triangles
     et = field.edge_triangles
-    et = et[et[:, 1] >= 0]
-    et = et[eff[et[:, 0]] == eff[et[:, 1]]]
-    a, b = et[:, 0], et[:, 1]
+    same = (eff.take(et[:, 0]) == eff.take(et[:, 1])) & (et[:, 1] >= 0)
+    a, b = np.compress(same, et[:, 0]), np.compress(same, et[:, 1])
     if variant != "A":
         sa, sb = _star_links(field, eff, variant)
         a, b = np.concatenate([a, sa]), np.concatenate([b, sb])
         del sa, sb
-    del et
     label = connected_labels(m, a, b)
     del a, b
     count = int(label.max()) + 1 if m else 0
@@ -170,13 +168,13 @@ def build_regions(field: TriField, signs, eff, variant: str = "A"):
 def _star_links(field: TriField, eff: np.ndarray, variant: str):
     """Extra merge links of variants B-D as triangle pairs ``(a, b)``.
 
-    Sorting the vertex-star entries by (vertex, key) puts the triangles of
+    Listing the vertex-star entries by (vertex, key) puts the triangles of
     one star that share a key next to each other; linking neighbours in
     that order connects them as the full pairwise merge would. The key is
-    the wanted sign for B and C, whose other triangles take no part, and
-    (sign, point-neighborhood sum) for D.
+    the wanted sign for B and C, whose other triangles take no part: the
+    kept entries of ``field.stars`` are in that order already. For D it is
+    (sign, point-neighborhood sum), and the entries are sorted by it.
     """
-    vertex = field.triangles.ravel()
     if variant == "D":
         sums = point_neighbor_sums(field, eff)
         sums -= sums.min(initial=0)
@@ -185,23 +183,24 @@ def _star_links(field: TriField, eff: np.ndarray, variant: str):
         # keys would. A sum of at most m - 1 signs gives span <= 2m + 1 and
         # vertex < n, so the key stays below 3n(2m + 1): no overflow below
         # about 1.5e18 for n * m. Built in place, one 3m temporary at a time.
-        key = vertex * 3
+        key = field.triangles.ravel() * 3
         key += np.repeat(eff, 3)
         key += 1
         key *= span
         key += np.repeat(sums, 3)
         del sums
-        slot = None
+        order = np.argsort(key, kind="stable")
+        key = key.take(order)
+        tid = np.floor_divide(order, 3, out=order)
     else:
-        slot = np.flatnonzero(np.repeat(eff == (-1 if variant == "B" else 1), 3))
-        key = vertex[slot]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    tid = (order if slot is None else slot[order]) // 3
-    del order, slot
+        offsets, star_tids = field.stars
+        keep = eff.take(star_tids) == (-1 if variant == "B" else 1)
+        tid = np.compress(keep, star_tids)
+        # The key of a star entry is its vertex.
+        key = np.compress(keep, np.arange(field.n_vertices).repeat(np.diff(offsets)))
     link = key[1:] == key[:-1]
     del key
-    return tid[:-1][link], tid[1:][link]
+    return np.compress(link, tid[:-1]), np.compress(link, tid[1:])
 
 
 def build_graph(field: TriField, regions: RegionDecomposition) -> NeighborhoodGraph:
@@ -214,17 +213,17 @@ def build_graph(field: TriField, regions: RegionDecomposition) -> NeighborhoodGr
     # triangle is where the running maximum of the labels steps up.
     first = np.flatnonzero(np.diff(np.maximum.accumulate(label), prepend=-1))
     et = field.edge_triangles
-    interior = et[:, 1] >= 0
-    la = label[et[interior, 0]]
-    lb = label[et[interior, 1]]
-    differ = la != lb
+    la = label.take(et[:, 0])
+    lb = label.take(et[:, 1])
+    differ = (la != lb) & (et[:, 1] >= 0)
+    la, lb = np.compress(differ, la), np.compress(differ, lb)
     # One sortable key per region pair (lo, hi): ascending keys are the
     # pairs in lexicographic order.
-    keys = np.unique(np.minimum(la, lb)[differ] * n + np.maximum(la, lb)[differ])
+    keys = np.unique(np.minimum(la, lb) * n + np.maximum(la, lb))
     edges = list(zip((keys // n).tolist(), (keys % n).tolist()))
     return NeighborhoodGraph(
         variant=regions.variant,
-        sign=regions.signs[first],
+        sign=regions.signs.take(first),
         domain_area=np.bincount(label, weights=areas, minlength=n),
         range_area=np.bincount(label, weights=range_areas, minlength=n),
         hypervolume=np.bincount(label, weights=areas * range_areas, minlength=n),

@@ -39,7 +39,7 @@ def render_svg(
     js = compute_jacobi_set(field, epsilon)
 
     range_areas = np.abs(field.dets) * field.domain_areas
-    nonzero = range_areas[range_areas > 0]
+    nonzero = np.compress(range_areas > 0, range_areas)
     median = float(np.median(nonzero)) if len(nonzero) else 1.0
     scale_ref = saturation_scale * median
 
@@ -69,9 +69,9 @@ def render_svg(
     faded = np.rint(255 + -255 * sat).astype(np.int64)
     tri = field.triangles
     polygons = np.empty((field.n_triangles, 7), dtype=object)
-    polygons[:, 0:6:2] = x[tri]
-    polygons[:, 1:6:2] = y[tri]
-    polygons[:, 6] = _FILLS[2 * faded + (js.effective > 0)]
+    polygons[:, 0:6:2] = x.take(tri)
+    polygons[:, 1:6:2] = y.take(tri)
+    polygons[:, 6] = _FILLS.take(2 * faded + (js.effective > 0))
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -85,7 +85,7 @@ def render_svg(
         stroke = 0.004 * max(canvas_width, canvas_height)
         parts.append(f'<g stroke="#000000" stroke-width="{stroke:.3f}" stroke-linecap="round">\n')
         a, b = js.edges[:, 0], js.edges[:, 1]
-        parts += format_rows(_LINE, np.column_stack([x[a], y[a], x[b], y[b]]))
+        parts += format_rows(_LINE, np.column_stack([x.take(a), y.take(a), x.take(b), y.take(b)]))
         parts.append("</g>\n")
     parts.append("</svg>\n")
     return "".join(parts)

@@ -52,17 +52,17 @@ def connected_labels(n: int, a, b) -> np.ndarray:
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     while len(a):
-        ra, rb = parent[a], parent[b]
+        ra, rb = parent.take(a), parent.take(b)
         # An edge inside one tree stays inside it: drop it for good.
         split = ra != rb
-        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        a, b, ra, rb = (np.compress(split, x) for x in (a, b, ra, rb))
         if not len(a):
             break
         parent[np.maximum(ra, rb)] = np.minimum(ra, rb)
         while True:
-            grand = parent[parent]
+            grand = parent.take(parent)
             if np.array_equal(grand, parent):
                 break
             parent = grand
     roots = parent == np.arange(n)
-    return (np.cumsum(roots) - 1)[parent]
+    return (np.cumsum(roots) - 1).take(parent)

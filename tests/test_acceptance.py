@@ -115,7 +115,7 @@ def test_c04_collapse_postcondition_50_fields():
             continue
         attempted += 1
         _, _, regs, graph = neighborhood_graph(field, "A")
-        hvs = sorted(n.hypervolume for n in graph.nodes)
+        hvs = sorted(graph.hypervolume.tolist())
         threshold = 0.5 * (hvs[-2] + hvs[-1])
         seeds = find_collapsible_cells(graph, regs, threshold)
         report = simplify(field, "A", threshold)
@@ -261,7 +261,7 @@ def test_c09_cmd_simplify_determinism(tmp_path):
     src = tmp_path / "input.bsf"
     save_bsf(field, src)
     _, _, _, graph = neighborhood_graph(field, "A")
-    hvs = sorted(n.hypervolume for n in graph.nodes)
+    hvs = sorted(graph.hypervolume.tolist())
     threshold = str(0.5 * (hvs[-2] + hvs[-1]))
     blobs = []
     for tag in ("a", "b"):

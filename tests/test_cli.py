@@ -30,7 +30,7 @@ def island_threshold(island_bsf):
     from jacobiset import neighborhood_graph
 
     _, _, _, graph = neighborhood_graph(load_bsf(island_bsf), "A")
-    hvs = sorted(n.hypervolume for n in graph.nodes)
+    hvs = sorted(graph.hypervolume.tolist())
     return str(0.5 * (hvs[-2] + hvs[-1]))
 
 

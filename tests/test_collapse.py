@@ -454,7 +454,7 @@ def test_simplify_median_threshold_pinned():
     field = wave_field(np.random.default_rng(7), 48, 30)
     _, _, _, graph = neighborhood_graph(field, "A")
     threshold = 0.13415684375520825
-    assert np.median([n.hypervolume for n in graph.nodes]) == pytest.approx(threshold, rel=1e-12)
+    assert np.median(graph.hypervolume) == pytest.approx(threshold, rel=1e-12)
     payload = simplify(field, "A", threshold).to_dict()
     assert {k: payload[k] for k in ("status", "collapsed_cells", "flip_repairs", "iterations")} == {
         "status": "completed",
@@ -474,7 +474,7 @@ def test_simplify_median_threshold_pinned():
 
 def _hv_quantile(field, variant, q):
     _, _, _, graph = neighborhood_graph(field, variant)
-    return float(np.quantile([n.hypervolume for n in graph.nodes], q))
+    return float(np.quantile(graph.hypervolume, q))
 
 
 def assert_simplify_matches_oracle(field, variant, threshold, **guards):
@@ -582,7 +582,7 @@ def test_score_cells_of_no_cells_is_empty():
     scores = score_cells(field, [], Worklist(field.n_triangles), VertexGroups(field.n_vertices))
     assert scores.cells == scores.edges == scores.flips == []
     assert scores.cand_start == scores.pair_start == [0]
-    for name in ("target", "tids", "corners", "new_dets", "growth", "flipped", "requeue"):
+    for name in ("target", "tids", "new_dets", "growth", "flipped", "requeue"):
         assert len(getattr(scores, name)) == 0, name
 
 

@@ -15,13 +15,14 @@ from jacobiset import (
     save_bsf,
     triangulate_structured,
 )
-from jacobiset.jacobi import jacobi_set_to_json
+from jacobiset.jacobi import _neighbor_sums, jacobi_set_to_json, point_neighbor_sums
 
 from conftest import (
     affine_map_oracle,
     bfs_edge_components,
     bits,
     grid_field,
+    point_neighbor_sum_oracle,
     quad_field,
     random_sign_field,
     ring_assignment_oracle,
@@ -388,6 +389,35 @@ def test_component_count_disjoint_edges():
     js = compute_jacobi_set(field)
     js.edges = np.array([[0, 1], [2, 3]])
     assert component_count(field, js) == 2
+
+
+def test_component_count_of_few_vertices_of_a_large_mesh(rng):
+    # The edges touch a few scattered vertices, the first and the last
+    # among them, so most vertex numbers go unused.
+    field = grid_field(60, 40, lambda x, y: x, lambda x, y: y)
+    js = compute_jacobi_set(field)
+    assert len(js.edges) == 0 and component_count(field, js) == 0
+    last = len(field.edges) - 1
+    for size in (1, 2, 5, 30):
+        picks = np.unique(np.concatenate([[0, last], rng.choice(last, size, replace=False)]))
+        js.edges = field.edges[picks]
+        assert component_count(field, js) == bfs_edge_components(js.edges), size
+    js.edges = np.empty((0, 2), dtype=np.int64)
+    assert component_count(field, js) == 0
+
+
+@pytest.mark.parametrize("step", [0.5, 0.25])
+def test_ring_one_on_degenerate_rows_matches_full_point_neighbor_sums(rng, step):
+    field = wave_field(rng, 30, 20, step)
+    signs = orientation_signs(field)
+    degenerate = np.flatnonzero(signs == 0)
+    assert len(degenerate) > 20
+    tri = field.triangles.take(degenerate, axis=0)
+    nbr = field.neighbors.take(degenerate, axis=0)
+    for weights in (signs > 0, signs < 0):
+        expected = point_neighbor_sums(field, weights)[degenerate]
+        assert np.array_equal(expected, point_neighbor_sum_oracle(field, weights)[degenerate])
+        assert np.array_equal(_neighbor_sums(field, weights, tri, nbr), expected)
 
 
 def test_measure_json_shapes():

@@ -49,7 +49,7 @@ def test_injective_field_single_region_all_variants():
         _, regs = decompose(field, variant)
         assert len(regs) == 1
         graph = build_graph(field, regs)
-        assert len(graph.nodes) == 1
+        assert len(graph.hypervolume) == 1
         assert graph.edges == []
 
 
@@ -64,9 +64,9 @@ def test_checkerboard_variant_a_vs_b():
     assert len(regs_a) == 4  # two negative and two positive quads, all separate
     _, regs_b = decompose(field, "B")
     assert len(regs_b) == 3  # the vertex-touching negative quads merge
-    neg_regions_b = [r for r in regs_b.regions if r.sign < 0]
+    neg_regions_b = np.unique(regs_b.label[regs_b.signs < 0])
     assert len(neg_regions_b) == 1
-    assert sorted(neg_regions_b[0].triangles.tolist()) == [0, 1, 6, 7]
+    assert np.flatnonzero(regs_b.label == neg_regions_b[0]).tolist() == [0, 1, 6, 7]
     _, regs_c = decompose(field, "C")
     assert len(regs_c) == 3  # mirror: the positive quads merge
 
@@ -88,8 +88,8 @@ def test_regions_uniform_sign_and_edge_rule(rng):
     field = random_sign_field(rng, 6, 5)
     signs, regs = decompose(field, "A")
     eff = regs.signs
-    for r in regs.regions:
-        assert len(set(int(eff[t]) for t in r.triangles)) == 1
+    for r in range(len(regs)):
+        assert len(set(eff[regs.label == r].tolist())) == 1
     # Triangles sharing a non-Jacobi interior edge share a label.
     for (t1, t2) in field.edge_triangles:
         if t2 >= 0 and eff[t1] == eff[t2]:
@@ -124,7 +124,7 @@ def test_two_triangle_graph():
     field = quad_field([0, 1, 1, 0], [0, 1, 0, 1])
     signs, regs = decompose(field, "A")
     graph = build_graph(field, regs)
-    assert len(graph.nodes) == 2
+    assert len(graph.hypervolume) == 2
     assert graph.edges == [(0, 1)]
 
 
@@ -133,7 +133,7 @@ def test_checkerboard_graph_counts_match_regions():
     for variant in "AB":
         signs, regs = decompose(field, variant)
         graph = build_graph(field, regs)
-        assert len(graph.nodes) == len(regs)
+        assert len(graph.hypervolume) == len(regs)
         # Every graph edge is witnessed by a sign-separating mesh edge.
         eff = regs.signs
         witnessed = set()
@@ -195,12 +195,12 @@ def test_find_collapsible_cells_threshold():
     graph = build_graph(field, regs)
     assert len(find_collapsible_cells(graph, regs, 0.0)) == 0  # strict <
     assert len(find_collapsible_cells(graph, regs, np.inf)) == field.n_triangles
-    hvs = sorted(n.hypervolume for n in graph.nodes)
+    hvs = sorted(graph.hypervolume.tolist())
     t = 0.5 * (hvs[0] + hvs[-1])
     picked = find_collapsible_cells(graph, regs, t)
     expected = np.sort(
         np.concatenate(
-            [regs.regions[n.id].triangles for n in graph.nodes if n.hypervolume < t]
+            [np.flatnonzero(regs.label == r) for r, hv in enumerate(graph.hypervolume) if hv < t]
         )
     )
     assert np.array_equal(picked, expected)
@@ -216,10 +216,10 @@ def test_two_region_mesh_selected_by_hv(rng):
     assert has_island
     signs, regs = decompose(field, "A")
     graph = build_graph(field, regs)
-    hvs = sorted((n.hypervolume, n.id) for n in graph.nodes)
+    hvs = sorted(zip(graph.hypervolume.tolist(), range(len(regs))))
     t = 0.5 * (hvs[-1][0] + hvs[-2][0]) if len(hvs) > 1 else 1.0
     picked = set(find_collapsible_cells(graph, regs, t).tolist())
-    sea = regs.regions[hvs[-1][1]].triangles
+    sea = np.flatnonzero(regs.label == hvs[-1][1])
     assert picked
     assert not picked & set(sea.tolist())
 
@@ -236,8 +236,8 @@ def test_graph_exports():
     dot = graph_to_dot(graph)
     assert dot.startswith("graph neighborhood_A {")
     assert dot.count(" -- ") == len(graph.edges)
-    for n in graph.nodes:
-        assert f'{n.id} [label="{n.id}|' in dot
+    for r in range(len(graph.hypervolume)):
+        assert f'{r} [label="{r}|' in dot
 
 
 def test_unknown_variant_rejected():
@@ -328,3 +328,41 @@ def test_variant_d_one_key_order_matches_three_key_lexsort(rng, hub_sign):
     expected_lo, expected_hi = star_links_lexsort_oracle(field, eff)
     assert len(lo) > 0
     assert np.array_equal(lo, expected_lo) and np.array_equal(hi, expected_hi)
+
+
+def star_links_argsort_oracle(field, eff, variant):
+    """Variant B's or C's star links as a stable argsort orders them: the
+    vertex-star slots of the triangles with the wanted sign, sorted by
+    vertex alone, each linked to the next slot at the same vertex."""
+    vertex = field.triangles.ravel()
+    slot = np.flatnonzero(np.repeat(eff == (-1 if variant == "B" else 1), 3))
+    key = vertex[slot]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    tid = slot[order] // 3
+    link = key[1:] == key[:-1]
+    return tid[:-1][link], tid[1:][link]
+
+
+def with_unused_vertices(field):
+    """``field`` with an unused vertex before and after its own, so that
+    the first and the last vertex star are empty."""
+    positions = np.vstack([[-1.0, -1.0], field.positions, [-2.0, -2.0]])
+    return TriField(positions, np.zeros((len(positions), 2)), field.triangles + 1)
+
+
+@pytest.mark.parametrize("variant", ["B", "C"])
+@pytest.mark.parametrize("prefer", [-1, 1])
+def test_variant_b_c_star_links_match_stable_argsort(rng, variant, prefer):
+    field = wave_field(rng, 24, 16, 0.5)
+    signs = orientation_signs(field)
+    assert (signs == 0).sum() > 20
+    fields = [(field, assign_degenerate(field, signs, prefer=prefer))]
+    hub = hub_fan_field()
+    fields.append((hub, np.where(rng.random(hub.n_triangles) < 0.5, 1, -1).astype(np.int8)))
+    fields.append((with_unused_vertices(hub), fields[-1][1]))
+    for f, eff in fields:
+        lo, hi = _star_links(f, eff, variant)
+        expected_lo, expected_hi = star_links_argsort_oracle(f, eff, variant)
+        assert len(lo) > 0
+        assert np.array_equal(lo, expected_lo) and np.array_equal(hi, expected_hi)
