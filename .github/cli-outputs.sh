@@ -3,8 +3,10 @@
 # inputs $1/cli-in/field.bsf, $1/cli-in/field.sgf and $1/cli-in/plateau.bsf.
 # The plateau field is rounded, so it holds degenerate triangles: its runs
 # cover both `prefer` rules of the degenerate assignment and the B and C
-# star links. Every path is relative to $1, so two trees that behave alike
-# write byte-identical files (the manifests aside, which record times).
+# star links. The Loop runs write the whole subdivided field, so any
+# change to the Loop step shows in it. Every path is relative to $1, so
+# two trees that behave alike write byte-identical files (the manifests
+# aside, which record times).
 #
 #   bash .github/cli-outputs.sh TREE
 set -euo pipefail
@@ -22,6 +24,8 @@ jss graph cli-in/field.sgf --variant D --out cli-out/graph-D.dot
 jss render cli-in/field.sgf --out cli-out/field.svg
 jss compare cli-in/field.sgf cli-in/field.bsf --methods original ca-a loop --steps 1 \
   --threshold 0.12 --out cli-out/compare.md
+jss baseline cli-in/field.sgf --method loop --steps 2 --out cli-out/loop-sgf-2.bsf
+jss baseline cli-in/field.bsf --method loop --steps 1 --out cli-out/loop-bsf-1.bsf
 jss stats cli-in/plateau.bsf > cli-out/stats-plateau.txt
 for v in B C; do
   jss graph cli-in/plateau.bsf --variant "$v" --out "cli-out/graph-plateau-$v.json"

@@ -19,6 +19,13 @@ from .mesh import TriField
 # np.pad modes: clamp repeats the edge sample, mirror reflects about it.
 _BOUNDARY_MODES = {"clamp": "edge", "mirror": "reflect"}
 
+# The most triangles :func:`loop_subdivide` makes. A run of `jacobiset
+# compare --methods loop` peaks at 200-220 bytes of resident memory per
+# output triangle (numpy 2.4: 595 MiB for 2.86 million triangles, 618 MiB
+# for 3.06 million, 1,306 MiB for 6.91 million), so an accepted call stays
+# below about 3.5 GB.
+LOOP_MAX_TRIANGLES = 16_000_000
+
 
 @dataclass
 class FilterSpec:
@@ -137,31 +144,59 @@ def loop_subdivide(field: TriField, steps: int) -> TriField:
 
     Each step derives the children's neighbours, edges and edge triangles
     from the parent's instead of sorting the 12m child edge slots: only
-    the 3m edges between midpoints are sorted.
+    the 3m edges between midpoints are sorted. A request for more than
+    ``LOOP_MAX_TRIANGLES`` output triangles raises ``ValueError`` before
+    anything is allocated.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    out = field.copy()
+    m = field.n_triangles
+    # Past 32 steps any triangle is over the limit; the exact count of a
+    # huge step count is not worth forming.
+    if m and (steps > 32 or m * 4**steps > LOOP_MAX_TRIANGLES):
+        count = f"{m * 4**steps:,}" if steps <= 32 else f"{m:,} x 4**{steps}"
+        raise ValueError(
+            f"{steps} Loop steps on {m:,} triangles make {count} triangles, "
+            f"more than the limit of {LOOP_MAX_TRIANGLES:,}"
+        )
+    if steps == 0 or m == 0:
+        # A step changes nothing on a mesh without triangles.
+        return field.copy()
+    out = field
     for _ in range(steps):
         out = _loop_once(out)
     return out
 
 
 def _loop_once(field: TriField) -> TriField:
-    n = field.n_vertices
-    edges = field.edges
-    edge_tris = field.edge_triangles
-    boundary_edge = edge_tris[:, 1] < 0
+    # Each stage writes into the child's arrays, and its temporaries go
+    # when it returns, so the child's adjacency and construction find
+    # little else alive.
+    n, n_edges = field.n_vertices, len(field.edges)
+    positions = np.empty((n + n_edges, 2))
+    values = np.empty((n + n_edges, 2))
+    positions[:n] = field.positions
+    _edge_vertices(field, positions[n:], values[n:])
+    half_order = _old_vertex_values(field, values[:n])
+    # Edge slot e of triangle t is edge eid[t, e] of the sorted `edges`.
+    eid = np.searchsorted(
+        field.edges[:, 0] * n + field.edges[:, 1], _slot_keys(field.triangles, n)
+    )
+    triangles = _split(field.triangles, n + eid)
+    adjacency = _child_adjacency(field, eid, half_order)
+    del eid, half_order  # before the constructor allocates
+    return TriField(positions, values, triangles, _adjacency=adjacency)
 
-    pos = field.positions
-    val = field.values
-    new_pos = 0.5 * (np.take(pos, edges[:, 0], axis=0) + np.take(pos, edges[:, 1], axis=0))
 
-    # Edge-vertex values.
+def _edge_vertices(field: TriField, pos_out, val_out) -> None:
+    """Write the midpoint and the Loop value of every edge's new vertex."""
+    pos, val = field.positions, field.values
+    edges, edge_tris = field.edges, field.edge_triangles
+    pos_out[:] = 0.5 * (np.take(pos, edges[:, 0], axis=0) + np.take(pos, edges[:, 1], axis=0))
     a = np.take(val, edges[:, 0], axis=0)
     b = np.take(val, edges[:, 1], axis=0)
-    new_val = a + 0.5 * (b - a)
-    interior = np.flatnonzero(~boundary_edge)
+    val_out[:] = a + 0.5 * (b - a)
+    interior = np.flatnonzero(edge_tris[:, 1] >= 0)
     if len(interior):
         opp = _opposite_vertices(
             field, np.take(edges, interior, axis=0), np.take(edge_tris, interior, axis=0)
@@ -170,17 +205,22 @@ def _loop_once(field: TriField) -> TriField:
         bi = np.take(b, interior, axis=0)
         c = np.take(val, opp[:, 0], axis=0)
         d = np.take(val, opp[:, 1], axis=0)
-        new_val[interior] = ai + 0.375 * (bi - ai) + 0.125 * (c - ai) + 0.125 * (d - ai)
+        val_out[interior] = ai + 0.375 * (bi - ai) + 0.125 * (c - ai) + 0.125 * (d - ai)
 
-    # Old-vertex values. Boundary vertices with two boundary neighbors
-    # (left = the smaller id) use the boundary mask; pinched boundary
-    # vertices and vertices in no triangle keep their value.
-    old_val = val.copy()
-    b_start, b_deg, b_nbrs, _ = _sorted_neighbors(n, edges[boundary_edge])
+
+def _old_vertex_values(field: TriField, out):
+    """Write the Loop value of every old vertex into ``out``, and return
+    the ``half_order`` of :func:`_sorted_neighbors` over all edges."""
+    n, edges, val = field.n_vertices, field.edges, field.values
+    # Boundary vertices with two boundary neighbors (left = the smaller
+    # id) use the boundary mask; pinched boundary vertices and vertices in
+    # no triangle keep their value.
+    out[:] = val
+    b_start, b_deg, b_nbrs, _ = _sorted_neighbors(n, edges[field.edge_triangles[:, 1] < 0])
     rim = np.flatnonzero(b_deg == 2)
     left = val[b_nbrs[b_start[rim]]]
     right = val[b_nbrs[b_start[rim] + 1]]
-    old_val[rim] = val[rim] + 0.125 * (left - val[rim]) + 0.125 * (right - val[rim])
+    out[rim] = val[rim] + 0.125 * (left - val[rim]) + 0.125 * (right - val[rim])
 
     # Interior vertices: sum the ring differences one neighbor slot at a
     # time in ascending neighbor order, the order of a sequential sum over
@@ -202,30 +242,31 @@ def _loop_once(field: TriField) -> TriField:
         for d in degrees.tolist()
     ]
     beta = np.array(betas, dtype=np.float64)[which]
-    old_val[inner] = val_inner + beta[:, None] * ring_sum
+    out[inner] = val_inner + beta[:, None] * ring_sum
+    return half_order
 
-    # 1-to-4 split; children of a CCW parent are CCW because the new
-    # vertices are geometric midpoints. Midpoint ids come from the sorted
-    # (min, max) keys of `edges`.
-    tri = field.triangles
-    ends = np.stack([tri, np.roll(tri, -1, axis=1)])
-    keys = ends.min(axis=0) * n + ends.max(axis=0)
-    eid = np.searchsorted(edges[:, 0] * n + edges[:, 1], keys)
-    mid = n + eid
-    v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
-    m01, m12, m20 = mid[:, 0], mid[:, 1], mid[:, 2]
-    out_tris = np.empty((4 * len(tri), 3), dtype=np.int64)
-    out_tris[0::4] = np.column_stack([v0, m01, m20])
-    out_tris[1::4] = np.column_stack([v1, m12, m01])
-    out_tris[2::4] = np.column_stack([v2, m20, m12])
-    out_tris[3::4] = np.column_stack([m01, m12, m20])
 
-    return TriField(
-        np.vstack([pos, new_pos]),
-        np.vstack([old_val, new_val]),
-        out_tris,
-        _adjacency=_child_adjacency(field, eid, half_order),
-    )
+def _slot_keys(ids, span) -> np.ndarray:
+    """``min * span + max`` of the ids at edge slot e of each row and at
+    the next slot: one sortable key per edge slot, shape (m, 3)."""
+    nxt = ids[:, [1, 2, 0]]
+    keys = np.minimum(ids, nxt)
+    keys *= span
+    keys += np.maximum(ids, nxt, out=nxt)
+    return keys
+
+
+def _split(tri, mid) -> np.ndarray:
+    """The 1-to-4 split of ``tri``, whose edge slot e has its midpoint
+    vertex at ``mid[t, e]``: corner child 4t+e is (v_e, m_e, m_{e-1}), and
+    the centre child 4t+3 is (m_0, m_1, m_2). Children of a CCW parent are
+    CCW because the new vertices are geometric midpoints."""
+    children = np.empty((len(tri), 4, 3), dtype=np.int64)
+    children[:, :3, 0] = tri
+    children[:, :3, 1] = mid
+    children[:, :3, 2] = mid[:, [2, 0, 1]]
+    children[:, 3] = mid
+    return children.reshape(-1, 3)
 
 
 def _child_adjacency(field: TriField, eid, half_order):
@@ -234,28 +275,57 @@ def _child_adjacency(field: TriField, eid, half_order):
 
     Edge slot e of parent t runs from a = ``tri[t, e]`` to b, and
     ``eid[t, e]`` is its edge id; ``half_order`` lists the half edges,
-    numbered below, in ascending (vertex, edge id) order. The corner
-    child 4t+e holds the half at a and 4t+(e+1)%3 the half at b; the
-    centre child 4t+3 holds the three midpoint edges.
+    numbered as in :func:`_child_neighbors`, in ascending (vertex, edge id)
+    order. The centre child 4t+3 holds the three midpoint edges.
     Returns None when a midpoint edge lies in two parents, which only
     triangles on the same three vertices give: then the child is
     non-manifold, and the constructor's sort rejects it.
     """
-    tri = field.triangles
-    m, n, n_edges = len(tri), field.n_vertices, len(field.edges)
+    m, n, n_edges = field.n_triangles, field.n_vertices, len(field.edges)
+    neighbors, half_tris = _child_neighbors(field, eid)
+
+    # Half edges have an old vertex as their lower end, so they come first.
+    # Midpoint edge e of t joins the midpoints of parent slots e and e+1,
+    # between the centre and the corner child across from it. The sorted
+    # keys alone are kept: they hold both ends.
+    span = n + n_edges
+    keys = _slot_keys(n + eid, span).ravel()
+    order = np.argsort(keys)
+    keys = keys.take(order)
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    n_half = 2 * n_edges
+    edge_tris = np.empty((n_half + 3 * m, 2), dtype=np.int64)
+    edge_tris[:n_half] = np.take(half_tris.reshape(-1, 2), half_order, axis=0)
+    edge_tris[n_half:, 0] = np.take(neighbors[:, 3], order)
+    edge_tris[n_half:, 1] = 4 * (order // 3) + 3
+    edges = np.empty_like(edge_tris)
+    edges[:n_half, 0] = np.repeat(np.arange(n), np.bincount(field.edges.ravel(), minlength=n))
+    edges[:n_half, 1] = n + half_order % n_edges
+    np.floor_divide(keys, span, out=edges[n_half:, 0])
+    np.remainder(keys, span, out=edges[n_half:, 1])
+    return neighbors.reshape(-1, 3), edges, edge_tris
+
+
+def _child_neighbors(field: TriField, eid):
+    """The children's neighbours, shape (m, 4, 3), and ``half_tris``.
+
+    Half edge j = side * E + k is the half of parent edge k at its lower
+    (side 0) or upper end. Entry 2j + p of ``half_tris`` is its child in
+    the lower-id (p = 0) or the higher-id triangle of the parent edge. The
+    corner child 4t+e holds the half at a = ``tri[t, e]`` of parent slot
+    e, and 4t+(e+1)%3 the half at its other end b.
+    """
+    tri, nbr = field.triangles, field.neighbors
+    m, n_edges = len(tri), len(field.edges)
     base = 4 * np.arange(m)[:, None]
-    corner = base + np.arange(3)
     across = base + [1, 2, 0]
-    # Half edge j = side * E + k is the half of parent edge k at its lower
-    # (side 0) or upper end. Entry 2j + p of `half_tris` is its child in
-    # the lower-id (p = 0) or the higher-id triangle of the parent edge.
-    nbr = field.neighbors
     p = (nbr >= 0) & (nbr < np.arange(m)[:, None])
     descending = tri > tri[:, [1, 2, 0]]
     at_a = 2 * (eid + n_edges * descending) + p
     at_b = 2 * (eid + n_edges * ~descending) + p
     half_tris = np.full(4 * n_edges, -1, dtype=np.int64)
-    half_tris[at_a] = corner
+    half_tris[at_a] = base + np.arange(3)
     half_tris[at_b] = across
 
     # A corner child's slot 0 is the half at a of its parent slot, and its
@@ -266,30 +336,7 @@ def _child_adjacency(field: TriField, eid, half_order):
     neighbors[:, :3, 1] = base + 3
     neighbors[:, :3, 2] = half_tris[at_b[:, [2, 0, 1]] ^ 1]
     neighbors[:, 3] = across
-
-    # Half edges have an old vertex as their lower end, so they come first.
-    # Midpoint edge e of t joins the midpoints of parent slots e and e+1,
-    # between the centre and the corner child across from it.
-    mid = n + eid
-    mid_next = mid[:, [1, 2, 0]]
-    lo = np.minimum(mid, mid_next).ravel()
-    hi = np.maximum(mid, mid_next).ravel()
-    keys = lo * (n + n_edges) + hi
-    order = np.argsort(keys)
-    keys = keys[order]
-    if (keys[1:] == keys[:-1]).any():
-        return None
-    n_half = 2 * n_edges
-    edges = np.empty((n_half + 3 * m, 2), dtype=np.int64)
-    edges[:n_half, 0] = np.repeat(np.arange(n), np.bincount(field.edges.ravel(), minlength=n))
-    edges[:n_half, 1] = n + half_order % n_edges
-    edges[n_half:, 0] = lo[order]
-    edges[n_half:, 1] = hi[order]
-    edge_tris = np.empty_like(edges)
-    edge_tris[:n_half] = np.take(half_tris.reshape(-1, 2), half_order, axis=0)
-    edge_tris[n_half:, 0] = across.ravel()[order]
-    edge_tris[n_half:, 1] = 4 * (order // 3) + 3
-    return neighbors.reshape(-1, 3), edges, edge_tris
+    return neighbors, half_tris
 
 
 def _sorted_neighbors(n: int, edges: np.ndarray):

@@ -24,6 +24,15 @@ with ``np.compress``, not fancy or boolean indexing: the arrays are the
 same, and on numpy 2.4 a (47742, 3) row gather from (24200, 2) positions
 takes 0.22 ms against 2.1 ms, a boolean selection 0.12 against 0.64 ms.
 An index of -1 (no neighbour) reads the last element; callers mask it.
+
+A whole-mesh computation holds little more than its inputs and outputs.
+It gathers one coordinate column at a time and works in place
+(:func:`_mesh_cross`) rather than gathering an (m, 3, 2) array and
+forming full-size temporaries; a builder writes into the arrays it hands
+to the constructor, which keeps them; and each stage's temporaries go
+before the next stage allocates. One Loop step of a 220x110 grid and its
+first ``dets`` then peak at 1.34 times the child's array bytes
+(``tracemalloc``), against 2.7 when every temporary lived to the end.
 """
 
 from __future__ import annotations
@@ -84,13 +93,15 @@ class TriField:
     sorting the edges, which also rejects a non-manifold edge, unless a
     builder in this package passes arrays it derived from the mesh's
     structure through the private ``_adjacency`` argument; the constructor
-    then only swaps the neighbour slots of the triangles it flips.
+    then only swaps the neighbour slots of the triangles it flips, and it
+    keeps the builder's fresh arrays as its own without copying them.
     """
 
     def __init__(self, positions, values, triangles, *, _adjacency=None):
-        pos = np.array(positions, dtype=np.float64)
-        val = np.array(values, dtype=np.float64)
-        tri = np.array(triangles, dtype=np.int64)
+        as_array = np.array if _adjacency is None else np.asarray
+        pos = as_array(positions, dtype=np.float64)
+        val = as_array(values, dtype=np.float64)
+        tri = as_array(triangles, dtype=np.int64)
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise MeshError(f"positions must be (n, 2), got {pos.shape}")
         if not np.isfinite(pos).all():
@@ -110,11 +121,11 @@ class TriField:
             )
 
         # Normalize winding so every signed domain area is positive.
-        doubled = _edge_cross(np.take(pos, tri, axis=0))
+        doubled = _mesh_cross(pos, tri)
         flip = doubled < 0
         if flip.any():
             tri[flip] = tri[flip][:, [0, 2, 1]]
-            doubled = np.abs(doubled)
+            np.abs(doubled, out=doubled)
         if (doubled == 0).any():
             raise DegenerateTriangleError(
                 f"degenerate triangle (zero domain area) at id {int(np.flatnonzero(doubled == 0)[0])}"
@@ -175,7 +186,9 @@ class TriField:
     def dets(self) -> np.ndarray:
         """Jacobian determinant of the per-triangle linear map (cached)."""
         if self._dets is None:
-            self._dets = self.compute_dets(np.arange(self.n_triangles))
+            dets = _mesh_cross(self.values, self.triangles)
+            dets /= self._doubled_areas
+            self._dets = dets
         return self._dets
 
     def compute_dets(self, tids, moves=None, target=None, corners=None) -> np.ndarray:
@@ -194,7 +207,7 @@ class TriField:
         w = self.values.take(corners, axis=0)
         if moves is not None:
             w = np.where(moves[..., None], np.asarray(target)[..., None, :], w)
-        return _edge_cross(w) / self._doubled_areas.take(tids)
+        return _edge_cross(lambda i, j: w[:, i, j]) / self._doubled_areas.take(tids)
 
     def incident_triangles(self, vertex_ids) -> np.ndarray:
         """Triangles with at least one vertex in ``vertex_ids`` (ascending)."""
@@ -293,13 +306,37 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _edge_cross(p) -> np.ndarray:
-    """Cross product ``(p1 - p0) x (p2 - p0)`` of point triples ``p`` of
-    shape (m, 3, 2): twice the signed domain area for positions, the
-    determinant numerator for values."""
-    return (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
-        p[:, 2, 0] - p[:, 0, 0]
-    ) * (p[:, 1, 1] - p[:, 0, 1])
+def _edge_cross(corner) -> np.ndarray:
+    """Cross product ``(p1 - p0) x (p2 - p0)`` of point triples: twice the
+    signed domain area for positions, the determinant numerator for values.
+
+    ``corner(i, j)`` gives coordinate ``j`` of point ``i`` of every triple
+    as an array that this function may overwrite. Each is asked for once,
+    when it is needed, and the arithmetic runs in place, so at most four
+    columns are alive at a time.
+    """
+    x0 = corner(0, 0)
+    y0 = corner(0, 1)
+    out = corner(1, 0)
+    out -= x0
+    t = corner(2, 1)
+    t -= y0
+    out *= t  # (x1 - x0) * (y2 - y0)
+    del t
+    t = corner(2, 0)
+    t -= x0
+    del x0
+    u = corner(1, 1)
+    u -= y0
+    t *= u  # (x2 - x0) * (y1 - y0)
+    out -= t
+    return out
+
+
+def _mesh_cross(points, triangles) -> np.ndarray:
+    """:func:`_edge_cross` of every triangle, gathering ``points`` one
+    coordinate of one corner at a time."""
+    return _edge_cross(lambda i, j: points[:, j].take(triangles[:, i]))
 
 
 def triangulate_structured(width, height, spacing, f, g) -> TriField:

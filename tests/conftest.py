@@ -31,7 +31,6 @@ from jacobiset.jacobi import (
     measures,
     orientation_signs,
 )
-from jacobiset.mesh import _edge_cross
 from jacobiset.regions import build_graph, build_regions, find_collapsible_cells
 from jacobiset.unionfind import UnionFind
 
@@ -626,6 +625,14 @@ def save_sgf_oracle(grid: GridField, path) -> None:
 # replaced, kept unchanged as a bitwise oracle for `simplify`.
 
 
+def edge_cross_oracle(p) -> np.ndarray:
+    """``(p1 - p0) x (p2 - p0)`` of point triples ``p`` of shape (m, 3, 2),
+    by whole-array arithmetic on the gathered triples."""
+    return (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
+        p[:, 2, 0] - p[:, 0, 0]
+    ) * (p[:, 1, 1] - p[:, 0, 1])
+
+
 def _compute_dets_oracle(field, tids, moved, target):
     """Determinants of ``tids`` as if the vertices ``moved`` carried
     ``target``."""
@@ -633,7 +640,7 @@ def _compute_dets_oracle(field, tids, moved, target):
     w = field.values[tri]
     if len(moved):
         w[(tri[:, :, None] == np.asarray(moved)).any(axis=2)] = target
-    return _edge_cross(w) / field._doubled_areas[tids]
+    return edge_cross_oracle(w) / field._doubled_areas[tids]
 
 
 @dataclass

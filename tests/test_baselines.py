@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from jacobiset import (
     save_bsf,
     triangulate_structured,
 )
+from jacobiset import baselines
 from jacobiset.baselines import (
+    LOOP_MAX_TRIANGLES,
     _binomial_kernel,
     _correlate1d,
     _gaussian_kernel,
@@ -235,6 +238,56 @@ def test_loop_counts_grow_fourfold():
     assert loop_subdivide(field, 1).n_triangles == 4 * field.n_triangles
     assert loop_subdivide(field, 2).n_triangles == 16 * field.n_triangles
     assert loop_subdivide(field, 4).n_triangles == 256 * field.n_triangles
+
+
+def test_loop_refuses_more_triangles_than_the_limit(monkeypatch):
+    field = TriField([(0, 0), (1, 0), (1, 1), (0, 1)], np.zeros((4, 2)), [(0, 1, 2), (0, 2, 3)])
+    steps = 1
+    while 2 * 4**steps <= LOOP_MAX_TRIANGLES:
+        steps += 1
+    with pytest.raises(ValueError, match=f"make {2 * 4**steps:,} triangles.*{LOOP_MAX_TRIANGLES:,}"):
+        loop_subdivide(field, steps)
+    with pytest.raises(ValueError, match=r"make 2 x 4\*\*1000000 triangles"):
+        loop_subdivide(field, 10**6)
+    # Without triangles a step changes nothing, so any count is done at once.
+    loose = TriField(field.positions, field.values, np.empty((0, 3), dtype=np.int64))
+    assert np.array_equal(loop_subdivide(loose, 10**9).values, loose.values)
+    monkeypatch.setattr(baselines, "LOOP_MAX_TRIANGLES", 32)
+    assert loop_subdivide(field, 2).n_triangles == 32
+    with pytest.raises(ValueError, match="make 128 triangles, more than the limit of 32"):
+        loop_subdivide(field, 3)
+
+
+# The traced peak of one Loop step and the child's first determinant pass,
+# over the bytes of the child's arrays, reads 1.34: each stage's
+# temporaries go before the next stage allocates, and the constructor keeps
+# the arrays it is handed. Holding every temporary to the end of the step
+# and copying the arrays again read 2.7.
+LOOP_PEAK_OVER_CHILD = 1.5
+
+
+def test_loop_step_peak_memory_stays_near_the_child_size(rng):
+    w, h = 80, 50
+    field = triangulate_structured(w, h, (1.0, 1.0), rng.normal(size=w * h), rng.normal(size=w * h))
+    field.dets
+    tracemalloc.start()
+    try:
+        child = loop_subdivide(field, 1)
+        child.dets
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (
+        child.positions,
+        child.values,
+        child.triangles,
+        child.neighbors,
+        child.edges,
+        child.edge_triangles,
+        child.domain_areas,
+        child._doubled_areas,
+    )
+    assert peak < LOOP_PEAK_OVER_CHILD * sum(a.nbytes for a in arrays)
 
 
 def test_loop_constant_field_exact():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from jacobiset import __version__, save_bsf, save_sgf, triangulate_structured
+from jacobiset.baselines import LOOP_MAX_TRIANGLES
 from jacobiset.cli import main
 from jacobiset.fileio import GridField, load_bsf
 
@@ -195,6 +196,29 @@ def test_baseline_loop_grows_triangles(island_bsf, tmp_path, capsys):
     assert main(["stats", str(island_bsf)]) == 0
     original = json.loads(capsys.readouterr().out)
     assert inflated["components"] >= original["components"]
+
+
+def test_baseline_loop_refuses_more_triangles_than_the_limit(island_bsf, tmp_path, capsys):
+    out = tmp_path / "loop.bsf"
+    argv = ["baseline", str(island_bsf), "--method", "loop", "--steps", "12", "--out", str(out)]
+    assert main(argv) == 2
+    m = load_bsf(island_bsf).n_triangles
+    err = capsys.readouterr().err
+    assert err.startswith("jacobiset baseline: error: 12 Loop steps")
+    assert f"make {m * 4**12:,} triangles, more than the limit of {LOOP_MAX_TRIANGLES:,}" in err
+    assert not out.exists()
+
+
+def test_compare_reports_a_refused_loop_in_its_cell(island_bsf, capsys):
+    argv = ["compare", str(island_bsf), "--methods", "original", "loop", "ca-a", "--steps", "12",
+            "--format", "csv"]
+    assert main(argv) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert [row[1] for row in rows] == ["original", "loop", "ca-a"]
+    assert rows[1][2].startswith("error: 12 Loop steps") and rows[1][3] == ""
+    assert f"{LOOP_MAX_TRIANGLES:,}" in rows[1][2]
+    for row in (rows[0], rows[2]):
+        assert float(row[2]) > 0 and int(row[3]) > 0
 
 
 def test_baseline_grid_filter_rejects_bsf(island_bsf, tmp_path, capsys):

@@ -6,13 +6,15 @@ from jacobiset import (
     MeshError,
     NonManifoldError,
     TriField,
+    loop_subdivide,
     triangulate_structured,
 )
-from jacobiset.mesh import _sorted_adjacency
+from jacobiset.mesh import _edge_cross, _mesh_cross, _sorted_adjacency
 
 from conftest import (
     assert_same_topology,
     bits,
+    edge_cross_oracle,
     edge_endpoints,
     grid_triangles,
     quad_field,
@@ -190,6 +192,62 @@ def test_compute_dets_of_moved_vertices_matches_set_vertex_values_bitwise(rng):
     dup.set_vertex_values(moved, target)
     assert np.array_equal(bits(simulated), bits(dup.dets[tids]))
     assert np.array_equal(bits(field.compute_dets(tids)), bits(field.dets[tids]))
+
+
+def _cross_input(kind, rng):
+    """Points and triangles, as given, for the cross-product tests."""
+    w, h = 23, 17
+    tri = grid_triangles(w, h)
+    if kind == "mirrored":
+        # A negative x spacing turns every triangle clockwise.
+        zeros = np.zeros(w * h)
+        return triangulate_structured(w, h, (-0.37, 1.3), zeros, zeros).positions, tri
+    n = w * h
+    x = rng.normal(size=n)
+    if kind == "random":
+        points = np.column_stack([x, rng.normal(size=n)])
+        return points, rng.integers(0, n, size=(3 * len(tri), 3))
+    if kind == "near-collinear":
+        return np.column_stack([x, 0.3 * x + 1e-12 * rng.normal(size=n)]), tri
+    # Coordinates near 1e154: products near 1e308 overflow to inf, and
+    # inf - inf gives NaN.
+    return 1e154 * rng.uniform(-1.0, 1.0, size=(n, 2)), tri
+
+
+@pytest.mark.parametrize("kind", ["random", "near-collinear", "mirrored", "huge"])
+def test_column_cross_product_matches_the_gathered_formula_bitwise(rng, kind):
+    points, tri = _cross_input(kind, rng)
+    gathered = points[tri]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = edge_cross_oracle(gathered)
+        whole_mesh = _mesh_cross(points, tri)
+        # compute_dets' form; it overwrites `gathered`, so it runs last.
+        in_place = _edge_cross(lambda i, j: gathered[:, i, j])
+    assert np.array_equal(bits(whole_mesh), bits(want))
+    assert np.array_equal(bits(in_place), bits(want))
+    if kind == "mirrored":
+        assert (want < 0).all()
+    if kind == "huge":
+        assert np.isinf(want).any() and np.isnan(want).any()
+
+
+@pytest.mark.parametrize("kind", ["irregular", "mirrored", "loop child", "huge"])
+def test_cached_dets_equal_compute_dets_of_every_triangle_bitwise(rng, kind):
+    w, h = 13, 9
+    f, g = rng.normal(size=w * h), rng.normal(size=w * h)
+    if kind == "irregular":
+        field = _irregular_field(rng)
+    elif kind == "mirrored":
+        field = triangulate_structured(w, h, (0.37, -1.3), f, g)
+    elif kind == "loop child":
+        field = loop_subdivide(_irregular_field(rng), 1)
+    else:
+        field = triangulate_structured(w, h, (1.0, 1.0), 1e154 * f, 1e154 * g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        every = field.compute_dets(np.arange(field.n_triangles))
+        assert np.array_equal(bits(field.dets), bits(every))
+    if kind == "huge":
+        assert np.isinf(every).any() and np.isnan(every).any()
 
 
 def _shuffled_mesh(rng, w, h) -> TriField:
