@@ -2,8 +2,9 @@
 # Write the CLI outputs of the source tree in $1 to $1/cli-out, from the
 # inputs $1/cli-in/field.bsf, $1/cli-in/field.sgf and $1/cli-in/plateau.bsf.
 # The plateau field is rounded, so it holds degenerate triangles: its runs
-# cover both `prefer` rules of the degenerate assignment and the B and C
-# star links. The Loop runs write the whole subdivided field, so any
+# read every row of the degenerate assignment (the majority rule through
+# A, D and the render, the preferred-sign rules through B and C) and the
+# B and C star links. The Loop runs write the whole subdivided field, so any
 # change to the Loop step shows in it. Every path is relative to $1, so
 # two trees that behave alike write byte-identical files (the manifests
 # aside, which record times).
@@ -27,9 +28,12 @@ jss compare cli-in/field.sgf cli-in/field.bsf --methods original ca-a loop --ste
 jss baseline cli-in/field.sgf --method loop --steps 2 --out cli-out/loop-sgf-2.bsf
 jss baseline cli-in/field.bsf --method loop --steps 1 --out cli-out/loop-bsf-1.bsf
 jss stats cli-in/plateau.bsf > cli-out/stats-plateau.txt
-for v in B C; do
+for v in A B C D; do
   jss graph cli-in/plateau.bsf --variant "$v" --out "cli-out/graph-plateau-$v.json"
 done
-jss simplify cli-in/plateau.bsf --variant B --threshold 0.3 \
-  --out cli-out/simplified-plateau-B.bsf --report cli-out/report-plateau-B.json \
-  > cli-out/simplify-plateau-B.txt
+jss render cli-in/plateau.bsf --out cli-out/plateau.svg
+for v in B C; do
+  jss simplify cli-in/plateau.bsf --variant "$v" --threshold 0.3 \
+    --out "cli-out/simplified-plateau-$v.bsf" --report "cli-out/report-plateau-$v.json" \
+    > "cli-out/simplify-plateau-$v.txt"
+done

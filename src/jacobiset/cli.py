@@ -164,9 +164,7 @@ def cmd_stats(args):
     field = load_field(args.input)
     js = compute_jacobi_set(field, args.epsilon)
     stats = jacobi_measures(field, js)
-    regions_per_variant = {
-        v: len(build_regions(field, js.signs, js.effective, v)) for v in VARIANTS
-    }
+    regions_per_variant = {v: len(build_regions(field, js.assigned, variant=v)) for v in VARIANTS}
     payload = {
         "length": stats["length"],
         "components": stats["components"],

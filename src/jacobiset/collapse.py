@@ -60,9 +60,10 @@ from .jacobi import compute_jacobi_set, jacobi_measures, measures
 from .mesh import TriField
 from .regions import build_graph, build_regions, find_collapsible_cells
 
-DEFAULT_MAX_ENTRIES = 16
-DEFAULT_SNAPSHOT_WINDOW = 64
-DEFAULT_SWEEP_CAP_FACTOR = 10
+# Oscillation guards of the module docstring, read at each call.
+MAX_ENTRIES = 16
+SNAPSHOT_WINDOW = 64
+SWEEP_CAP_FACTOR = 10
 # Cells of a sweep's order scored per `score_cells` call. Measured on the
 # 330x165 benchmark field, chunks of 64 to 1,024 cells ran equally fast;
 # scoring a whole sweep at once raised the peak memory by about 15 MB.
@@ -191,21 +192,16 @@ class Worklist(set):
 class CollapseHistory:
     """Worklist history used by the oscillation guard."""
 
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        snapshot_window: int = DEFAULT_SNAPSHOT_WINDOW,
-    ):
-        self.max_entries = max_entries
+    def __init__(self):
         self.entry_counts: dict[int, int] = {}
-        self.snapshots = deque(maxlen=snapshot_window)
+        self.snapshots = deque(maxlen=SNAPSHOT_WINDOW)
         self.over_entered = False
         self.snapshot_repeated = False
 
     def record_entry(self, cell: int) -> None:
         count = self.entry_counts.get(cell, 0) + 1
         self.entry_counts[cell] = count
-        if count > self.max_entries:
+        if count > MAX_ENTRIES:
             self.over_entered = True
 
     def record_sweep(self, cl) -> None:
@@ -395,9 +391,6 @@ def simplify(
     variant: str = "A",
     threshold: float = 0.0,
     epsilon: float = 0.0,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
-    snapshot_window: int = DEFAULT_SNAPSHOT_WINDOW,
-    sweep_cap_factor: int = DEFAULT_SWEEP_CAP_FACTOR,
 ) -> CollapseReport:
     """Run the full collapse loop on ``field`` (mutating it).
 
@@ -410,11 +403,11 @@ def simplify(
     t0 = perf_counter()
     js = compute_jacobi_set(field, epsilon)
     before = jacobi_measures(field, js)
-    regions = build_regions(field, js.signs, js.effective, variant)
+    regions = build_regions(field, js.assigned, variant=variant)
     graph = build_graph(field, regions)
     seeds = find_collapsible_cells(graph, regions, threshold)
 
-    history = CollapseHistory(max_entries=max_entries, snapshot_window=snapshot_window)
+    history = CollapseHistory()
     groups = VertexGroups(field.n_vertices)
     cl = Worklist(field.n_triangles)
     ever: set[int] = set()
@@ -423,7 +416,7 @@ def simplify(
         ever.add(c)
         history.record_entry(c)
 
-    sweep_cap = sweep_cap_factor * len(seeds)
+    sweep_cap = SWEEP_CAP_FACTOR * len(seeds)
     status = CollapseStatus.COMPLETED
     collapsed = 0
     flip_repairs = 0

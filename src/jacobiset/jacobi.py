@@ -26,27 +26,30 @@ def orientation_signs(field: TriField, epsilon: float = 0.0) -> np.ndarray:
     return np.where(d > epsilon, 1, np.where(d < -epsilon, -1, 0)).astype(np.int8)
 
 
-def assign_degenerate(field: TriField, signs: np.ndarray, prefer: int | None = None):
-    """Effective orientation signs: a new int8 array equal to ``signs``,
-    except that each degenerate triangle (sign 0) borrows +1 or -1 from
-    its neighborhood.
+# Rows of the array that :func:`assign_degenerate` returns, one per rule.
+MAJORITY, PREFER_NEGATIVE, PREFER_POSITIVE = range(3)
 
-    The default rule sums the signs over the point neighborhood (all
+
+def assign_degenerate(field: TriField, signs: np.ndarray) -> np.ndarray:
+    """Effective orientation signs: a new (3, m) int8 array, one row per
+    rule, each equal to ``signs`` except that each degenerate triangle
+    (sign 0) borrows +1 or -1 from its neighborhood.
+
+    The ``MAJORITY`` rule sums the signs over the point neighborhood (all
     triangles sharing a vertex, degenerate ones counting 0) and takes the
     majority; ties and all-degenerate neighborhoods grow the neighborhood
     ring by ring until a strict majority appears. A degenerate triangle
-    that no ring decides takes +1.
-
-    With ``prefer`` set (+1 or -1), the first ring that contains any signed
-    triangle decides: the preferred sign wins if present there at all,
-    otherwise the other sign is taken.
+    that no ring decides takes +1. Under ``PREFER_NEGATIVE`` and
+    ``PREFER_POSITIVE`` the first ring that contains any signed triangle
+    decides: the preferred sign wins if present there at all, otherwise
+    the other sign is taken.
 
     Ring 1 is decided for all degenerate triangles at once from
     :func:`point_neighbor_sums` of the positive and negative triangles;
-    only triangles it leaves undecided grow further rings.
+    the triangles whose majority it leaves undecided grow further rings.
     """
     signs = np.asarray(signs)
-    eff = signs.astype(np.int8)
+    eff = np.tile(signs.astype(np.int8), (3, 1))
     degenerate = np.flatnonzero(signs == 0)
     if len(degenerate) == 0:
         return eff
@@ -54,16 +57,16 @@ def assign_degenerate(field: TriField, signs: np.ndarray, prefer: int | None = N
     nbr = field.neighbors.take(degenerate, axis=0)
     pos = _neighbor_sums(field, signs > 0, tri, nbr)
     neg = _neighbor_sums(field, signs < 0, tri, nbr)
-    if prefer is None:
-        out = np.sign(pos - neg)
-    else:
-        preferred, other = (pos, neg) if prefer > 0 else (neg, pos)
-        out = np.where(preferred > 0, prefer, np.where(other > 0, -prefer, 0))
+    out = np.empty((3, len(degenerate)), dtype=np.int64)
+    out[MAJORITY] = np.sign(pos - neg)
+    out[PREFER_NEGATIVE] = np.where(neg > 0, -1, np.sign(pos))
+    out[PREFER_POSITIVE] = np.where(pos > 0, 1, -np.sign(neg))
     # Ring 1 from vertex counts needs distinct edge neighbours; a triangle
-    # whose twin (same three vertices) borders all its edges, or one that
-    # ring 1 leaves undecided, takes the ring search.
-    out[(nbr[:, 0] == nbr[:, 1]) & (nbr[:, 0] >= 0)] = 0
-    undecided = np.flatnonzero(out == 0)
+    # whose twin (same three vertices) borders all its edges, or one whose
+    # majority ring 1 leaves undecided, takes the ring search. A ring that
+    # decides the majority holds a sign, and so decides the other rules.
+    out[:, (nbr[:, 0] == nbr[:, 1]) & (nbr[:, 0] >= 0)] = 0
+    undecided = np.flatnonzero(out[MAJORITY] == 0)
     if len(undecided):
         # A plateau (degenerate triangles joined at shared vertices) that
         # touches no signed triangle takes +1 at once: no ring reaches a sign.
@@ -71,15 +74,15 @@ def assign_degenerate(field: TriField, signs: np.ndarray, prefer: int | None = N
         signed = np.zeros(field.n_vertices, dtype=bool)
         signed[plateau.take(np.compress(signs != 0, field.triangles, axis=0))] = True
         lone = ~signed.take(plateau.take(tri[undecided, 0]))
-        out[undecided[lone]] = 1
+        out[:, undecided[lone]] = 1
         undecided = undecided[~lone]
     if len(undecided):
         # The ring search reads the star offsets once per vertex it
         # reaches, and a list is faster to index than an array.
         offsets = field.stars[0].tolist()
-        for i in undecided:
-            out[i] = _ring_search(field, signs, offsets, int(degenerate[i]), prefer)
-    eff[degenerate] = out
+        found = [_ring_search(field, signs, offsets, t) for t in degenerate[undecided].tolist()]
+        out[:, undecided] = np.array(found).T
+    eff[:, degenerate] = out
     return eff
 
 
@@ -107,18 +110,19 @@ def _neighbor_sums(field: TriField, weights: np.ndarray, tri, nbr) -> np.ndarray
     return sums[:, 0] + sums[:, 1] + sums[:, 2]
 
 
-def _ring_search(field, signs, offsets, seed, prefer):
-    """Grow point-neighborhood rings around ``seed`` until one decides.
+def _ring_search(field, signs, offsets, seed):
+    """Grow point-neighborhood rings around ``seed`` until one decides the
+    majority, and return the three rules' signs in row order.
 
     Ring k+1 is the stars of the vertices first reached by ring k, less
-    the triangles already seen. ``offsets`` is ``field.stars[0]`` as a
-    list.
+    the triangles already seen. ``offsets`` is ``field.stars[0]`` as a list.
     """
     star_tids = field.stars[1]
     seen_t = {seed}
     seen_v = set()
     fresh = field.triangles[seed].tolist()
     total = 0
+    first = None  # the preferred rules' signs, set by the first signed ring
     while True:
         seen_v.update(fresh)
         ring = []
@@ -128,16 +132,13 @@ def _ring_search(field, signs, offsets, seed, prefer):
                     seen_t.add(t)
                     ring.append(t)
         if not ring:
-            return 1  # fully degenerate component
+            return (1, *(first or (1, 1)))  # no ring decides the majority
         ring_signs = signs[ring]
-        if prefer is None:
-            total += int(ring_signs.sum(dtype=np.int64))
-            if total:
-                return 1 if total > 0 else -1
-        elif (ring_signs == prefer).any():
-            return prefer
-        elif (ring_signs == -prefer).any():
-            return -prefer
+        if first is None and ring_signs.any():
+            first = (-1 if (ring_signs < 0).any() else 1, 1 if (ring_signs > 0).any() else -1)
+        total += int(ring_signs.sum(dtype=np.int64))
+        if total:
+            return (1 if total > 0 else -1, *first)
         fresh = {v for v in field.triangles[ring].ravel().tolist() if v not in seen_v}
 
 
@@ -147,25 +148,33 @@ class JacobiSet:
 
     ``edges`` is an (E, 2) array of vertex-id pairs sorted by (min, max).
     ``signs`` holds the orientation signs (+1 / 0 / -1) of the triangles
-    and ``effective`` the same signs after :func:`assign_degenerate`,
-    where each degenerate triangle carries its borrowed sign.
+    and ``assigned`` the rows of :func:`assign_degenerate`, where each
+    degenerate triangle carries its borrowed sign; ``effective`` is the
+    ``MAJORITY`` row, which the edges separate.
     """
 
     edges: np.ndarray
     signs: np.ndarray
-    effective: np.ndarray
+    assigned: np.ndarray
 
     def __len__(self):
         return len(self.edges)
 
+    @property
+    def effective(self) -> np.ndarray:
+        return self.assigned[MAJORITY]
 
-def extract_jacobi_set(field: TriField, signs: np.ndarray, effective: np.ndarray) -> JacobiSet:
-    """Collect interior mesh edges whose two triangles disagree in
-    effective sign. Boundary edges are never Jacobi edges."""
+
+def extract_jacobi_set(field: TriField, signs: np.ndarray, assigned: np.ndarray) -> JacobiSet:
+    """Collect interior mesh edges whose two triangles disagree in the
+    ``MAJORITY`` row of ``assigned``. Boundary edges are never Jacobi edges."""
+    if np.shape(assigned) != (3, field.n_triangles):
+        raise ValueError(f"assigned signs must have shape (3, {field.n_triangles})")
+    effective = assigned[MAJORITY]
     et = field.edge_triangles
     differ = (effective.take(et[:, 0]) != effective.take(et[:, 1])) & (et[:, 1] >= 0)
     # field.edges is sorted by (min, max), and so is any subset of it.
-    return JacobiSet(np.compress(differ, field.edges, axis=0), signs, effective)
+    return JacobiSet(np.compress(differ, field.edges, axis=0), signs, assigned)
 
 
 def compute_jacobi_set(field: TriField, epsilon: float = 0.0) -> JacobiSet:

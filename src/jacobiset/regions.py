@@ -3,7 +3,8 @@
 Triangles not separated by a Jacobi edge are merged into regions; the
 neighborhood graph has one node per region and one edge per pair of
 regions that touch across at least one mesh edge. Four variants control
-extra merges across shared vertices:
+extra merges across shared vertices, each reading its row of
+:func:`~jacobiset.jacobi.assign_degenerate` (the majority rule for A and D):
 
 * ``A`` - edge merges only.
 * ``B`` - also merge vertex-connected pairs that are both negative;
@@ -32,11 +33,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .jacobi import assign_degenerate, orientation_signs, point_neighbor_sums
+from .jacobi import MAJORITY, PREFER_NEGATIVE, PREFER_POSITIVE
+from .jacobi import compute_jacobi_set, point_neighbor_sums
 from .mesh import TriField
 from .unionfind import connected_labels
 
-VARIANTS = ("A", "B", "C", "D")
+# Each variant and the row of the degenerate assignment it merges by.
+VARIANTS = {"A": MAJORITY, "B": PREFER_NEGATIVE, "C": PREFER_POSITIVE, "D": MAJORITY}
 
 
 @dataclass
@@ -134,22 +137,19 @@ class NeighborhoodGraph:
         )
 
 
-def build_regions(field: TriField, signs, eff, variant: str = "A"):
+def build_regions(field: TriField, assigned, *, variant: str):
     """Decompose the triangles into orientation regions: the connected
     components of the variant's merge links, labelled by first occurrence.
 
-    ``signs`` are the orientation signs and ``eff`` the effective signs
-    that :func:`assign_degenerate` gives them. Variants A and D merge by
-    ``eff``; variants B and C re-derive the effective signs from ``signs``
-    with their stated preference (negative for B, positive for C). The
-    result's ``signs`` is the array the variant merged by.
+    ``assigned`` is the (3, m) array of effective signs that
+    :func:`~jacobiset.jacobi.assign_degenerate` returns; the variant merges
+    by its row, which is the result's ``signs``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if variant == "B":
-        eff = assign_degenerate(field, signs, prefer=-1)
-    elif variant == "C":
-        eff = assign_degenerate(field, signs, prefer=1)
+    if np.shape(assigned) != (3, field.n_triangles):
+        raise ValueError(f"assigned signs must have shape (3, {field.n_triangles})")
+    eff = assigned[VARIANTS[variant]]
 
     m = field.n_triangles
     et = field.edge_triangles
@@ -244,10 +244,9 @@ def neighborhood_graph(field: TriField, variant: str = "A", epsilon: float = 0.0
     """Convenience pipeline: ``(signs, effective, regions, graph)``, the
     orientation and effective signs as in :class:`~jacobiset.jacobi.JacobiSet`,
     then the variant's regions and graph."""
-    signs = orientation_signs(field, epsilon)
-    effective = assign_degenerate(field, signs)
-    regions = build_regions(field, signs, effective, variant)
-    return signs, effective, regions, build_graph(field, regions)
+    js = compute_jacobi_set(field, epsilon)
+    regions = build_regions(field, js.assigned, variant=variant)
+    return js.signs, js.effective, regions, build_graph(field, regions)
 
 
 def _sign_char(sign: int) -> str:

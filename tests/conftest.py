@@ -11,10 +11,8 @@ import pytest
 
 from jacobiset import TriField, triangulate_structured
 from jacobiset.fileio import GridField, ParseError
+from jacobiset import collapse
 from jacobiset.collapse import (
-    DEFAULT_MAX_ENTRIES,
-    DEFAULT_SNAPSHOT_WINDOW,
-    DEFAULT_SWEEP_CAP_FACTOR,
     CollapseHistory,
     CollapseReport,
     CollapseStatus,
@@ -25,6 +23,9 @@ from jacobiset.collapse import (
     score_cells,
 )
 from jacobiset.jacobi import (
+    MAJORITY,
+    PREFER_NEGATIVE,
+    PREFER_POSITIVE,
     assign_degenerate,
     extract_jacobi_set,
     jacobi_measures,
@@ -293,6 +294,11 @@ def point_neighbor_sum_oracle(field, eff) -> np.ndarray:
     return out
 
 
+# The row of the array that assign_degenerate returns for each rule, keyed
+# by the sign the rule prefers as ring_assignment_oracle takes it.
+RULE_ROW = {None: MAJORITY, -1: PREFER_NEGATIVE, 1: PREFER_POSITIVE}
+
+
 def ring_assignment_oracle(field, signs, prefer=None) -> dict:
     """Degenerate-sign assignment by a per-triangle search: grow the point
     neighborhood one ring at a time, triangle by triangle, until a ring
@@ -471,7 +477,7 @@ def render_svg_oracle(
     for t in range(field.n_triangles):
         s = int(signs[t])
         if s == 0:
-            color = eff_color[assignment[t]]
+            color = eff_color[assignment[MAJORITY, t]]
             sat = _MIN_SATURATION
         else:
             color = eff_color[s]
@@ -784,9 +790,6 @@ def simplify_oracle(
     variant: str = "A",
     threshold: float = 0.0,
     epsilon: float = 0.0,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
-    snapshot_window: int = DEFAULT_SNAPSHOT_WINDOW,
-    sweep_cap_factor: int = DEFAULT_SWEEP_CAP_FACTOR,
 ) -> CollapseReport:
     """Run the full collapse loop on ``field`` (mutating it).
 
@@ -800,11 +803,11 @@ def simplify_oracle(
     signs = orientation_signs(field, epsilon)
     assignment = assign_degenerate(field, signs)
     before = jacobi_measures(field, extract_jacobi_set(field, signs, assignment))
-    regions = build_regions(field, signs, assignment, variant)
+    regions = build_regions(field, assignment, variant=variant)
     graph = build_graph(field, regions)
     seeds = find_collapsible_cells(graph, regions, threshold)
 
-    history = CollapseHistory(max_entries=max_entries, snapshot_window=snapshot_window)
+    history = CollapseHistory()
     groups = VertexGroupsOracle(field.n_vertices)
     cl: set[int] = set()
     ever: set[int] = set()
@@ -814,7 +817,7 @@ def simplify_oracle(
         ever.add(c)
         history.record_entry(c)
 
-    sweep_cap = sweep_cap_factor * len(seeds)
+    sweep_cap = collapse.SWEEP_CAP_FACTOR * len(seeds)
     status = CollapseStatus.COMPLETED
     collapsed = 0
     flip_repairs = 0

@@ -167,7 +167,7 @@ def test_c06_graph_coarsening_and_label_oracle():
         assignment = assign_degenerate(field, signs)
         counts = {}
         for variant in "ABCD":
-            regs = build_regions(field, signs, assignment, variant)
+            regs = build_regions(field, assignment, variant=variant)
             counts[variant] = len(regs)
             nbr = point_neighbor_sums(field, regs.signs) if variant == "D" else None
             oracle = bfs_region_labels(field, regs.signs, variant, nbr)
@@ -199,7 +199,7 @@ def test_c07_measure_oracles():
             comp_ok = False
         signs = orientation_signs(field)
         assignment = assign_degenerate(field, signs)
-        regs = build_regions(field, signs, assignment, "A")
+        regs = build_regions(field, assignment, variant="A")
         graph = build_graph(field, regs)
         for r in range(len(regs)):
             tris = np.flatnonzero(regs.label == r)

@@ -14,7 +14,7 @@ from jacobiset.baselines import LOOP_MAX_TRIANGLES
 from jacobiset.cli import main
 from jacobiset.fileio import GridField, load_bsf
 
-from conftest import noisy_island_field
+from conftest import noisy_island_field, wave_field
 
 
 @pytest.fixture
@@ -612,6 +612,39 @@ def test_cli_builds_no_per_region_objects(island_bsf, island_threshold, tmp_path
         ["compare", src, "--methods", "original", "ca-a", "ca-d", "--format", "csv"],
     ):
         assert main(argv) == 0, argv
+
+
+def test_one_degenerate_assignment_per_field(tmp_path, rng, monkeypatch):
+    # Every variant reads its row of the one assignment of a field: stats,
+    # graph and render assign their input once, simplify its input and its
+    # output.
+    from jacobiset import jacobi
+
+    field = wave_field(rng, 20, 14, step=0.5)
+    assert (field.dets == 0).any()
+    src = str(tmp_path / "plateau.bsf")
+    save_bsf(field, src)
+    calls = []
+    assign = jacobi.assign_degenerate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return assign(*args, **kwargs)
+
+    # Every binding site, so a call from any module counts.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("jacobiset") and getattr(module, "assign_degenerate", None) is assign:
+            monkeypatch.setattr(module, "assign_degenerate", counted)
+    simplify = ["simplify", src, "--variant", "B", "--threshold", "0.1"]
+    for argv, expected in (
+        (["stats", src], 1),
+        (["graph", src, "--variant", "C", "--out", str(tmp_path / "g.json")], 1),
+        (["render", src, "--out", str(tmp_path / "f.svg")], 1),
+        ([*simplify, "--out", str(tmp_path / "s.bsf")], 2),
+    ):
+        calls.clear()
+        assert main(argv) == 0, argv
+        assert len(calls) == expected, argv
 
 
 def test_compare_filters_share_the_input_topology(identity_sgf, monkeypatch, capsys):

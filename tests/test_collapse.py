@@ -318,12 +318,13 @@ def test_oscillation_snapshot_repeat():
     assert cells_oscillated(history)
 
 
-def test_oscillation_entry_count():
-    history = CollapseHistory(max_entries=16)
+def test_oscillation_entry_count(monkeypatch):
+    monkeypatch.setattr(collapse, "MAX_ENTRIES", 16)
+    history = CollapseHistory()
     for _ in range(17):
         history.record_entry(9)
     assert cells_oscillated(history)
-    history2 = CollapseHistory(max_entries=16)
+    history2 = CollapseHistory()
     for _ in range(16):
         history2.record_entry(9)
     assert not cells_oscillated(history2)
@@ -393,12 +394,16 @@ def test_simplify_all_selected_stalls_oscillated(rng):
     assert report.collapsed_cells == 0
 
 
-def test_simplify_exhausted_with_tiny_sweep_cap(rng):
+# Guard constants that switch off the entry and snapshot guards and cap
+# the sweeps below what any stall needs.
+EXHAUSTING_GUARDS = {"MAX_ENTRIES": 10**9, "SNAPSHOT_WINDOW": 0, "SWEEP_CAP_FACTOR": 0}
+
+
+def test_simplify_exhausted_with_tiny_sweep_cap(rng, monkeypatch):
     field, _ = noisy_island_field(rng, 8, 8, 1)
-    # Disable the snapshot guard and cap sweeps below what the stall needs.
-    report = simplify(
-        field, "A", np.inf, max_entries=10**9, snapshot_window=0, sweep_cap_factor=0
-    )
+    for name, value in EXHAUSTING_GUARDS.items():
+        monkeypatch.setattr(collapse, name, value)
+    report = simplify(field, "A", np.inf)
     assert report.status is CollapseStatus.EXHAUSTED
 
 
@@ -477,10 +482,10 @@ def _hv_quantile(field, variant, q):
     return float(np.quantile(graph.hypervolume, q))
 
 
-def assert_simplify_matches_oracle(field, variant, threshold, **guards):
+def assert_simplify_matches_oracle(field, variant, threshold):
     ours, ref = field.copy(), field.copy()
-    report = simplify(ours, variant, threshold, **guards)
-    expected = simplify_oracle(ref, variant, threshold, **guards)
+    report = simplify(ours, variant, threshold)
+    expected = simplify_oracle(ref, variant, threshold)
     assert np.array_equal(bits(ours.values), bits(ref.values))
     assert report.to_dict() == expected.to_dict()
     return report
@@ -530,19 +535,17 @@ def test_group_budget_ends_chunks_early(monkeypatch):
     "seed, size, islands, guards, status",
     [
         (20240817, 8, 1, {}, CollapseStatus.OSCILLATED),
-        (
-            20240817,
-            8,
-            1,
-            {"max_entries": 10**9, "snapshot_window": 0, "sweep_cap_factor": 0},
-            CollapseStatus.EXHAUSTED,
-        ),
+        (20240817, 8, 1, EXHAUSTING_GUARDS, CollapseStatus.EXHAUSTED),
         (11, 12, 3, {}, CollapseStatus.OSCILLATED),
     ],
 )
-def test_simplify_matches_oracle_on_guard_paths(seed, size, islands, guards, status):
+def test_simplify_matches_oracle_on_guard_paths(
+    seed, size, islands, guards, status, monkeypatch
+):
+    for name, value in guards.items():
+        monkeypatch.setattr(collapse, name, value)
     field, _ = noisy_island_field(np.random.default_rng(seed), size, size, islands)
-    report = assert_simplify_matches_oracle(field, "A", np.inf, **guards)
+    report = assert_simplify_matches_oracle(field, "A", np.inf)
     assert report.status is status
 
 

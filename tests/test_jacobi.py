@@ -15,13 +15,21 @@ from jacobiset import (
     save_bsf,
     triangulate_structured,
 )
-from jacobiset.jacobi import _neighbor_sums, jacobi_set_to_json, point_neighbor_sums
+from jacobiset.jacobi import (
+    MAJORITY,
+    PREFER_NEGATIVE,
+    PREFER_POSITIVE,
+    _neighbor_sums,
+    jacobi_set_to_json,
+    point_neighbor_sums,
+)
 
 from conftest import (
     affine_map_oracle,
     bfs_edge_components,
     bits,
     grid_field,
+    RULE_ROW,
     point_neighbor_sum_oracle,
     quad_field,
     random_sign_field,
@@ -145,14 +153,14 @@ def test_assign_unanimous_neighbors():
     triangles = [(0, 1, 2), (0, 3, 1), (1, 4, 2), (0, 2, 5)]
     field = TriField(positions, np.zeros((6, 2)), triangles)
     signs = np.array([0, 1, 1, 1], dtype=np.int8)
-    assert assign_degenerate(field, signs).tolist() == [1, 1, 1, 1]
+    assert assign_degenerate(field, signs).tolist() == [[1, 1, 1, 1]] * 3
 
 
 def test_assign_majority_in_fan():
     field = _fan_field(6)
     # Point neighborhood of triangle 0 is the 5 others: 2 positive, 3 negative.
     signs = np.array([0, 1, 1, -1, -1, -1], dtype=np.int8)
-    assert assign_degenerate(field, signs)[0] == -1
+    assert assign_degenerate(field, signs)[MAJORITY, 0] == -1
 
 
 def test_assign_recursive_chain_on_strip():
@@ -162,7 +170,7 @@ def test_assign_recursive_chain_on_strip():
     signs = np.zeros(4, dtype=np.int8)
     signs[[1, 2]] = -1  # the two ends of the path
     out = assign_degenerate(field, signs)
-    assert out.tolist() == [-1, -1, -1, -1]
+    assert out.tolist() == [[-1, -1, -1, -1]] * 3
 
 
 def test_assign_expands_rings_until_majority():
@@ -182,26 +190,27 @@ def test_assign_expands_rings_until_majority():
     ]
     assert center_tris, "construction should leave fully degenerate-ringed triangles"
     out = assign_degenerate(field, signs)
-    assert all(out[t] == -1 for t in np.flatnonzero(signs == 0))
+    assert (out[:, signs == 0] == -1).all()
 
 
 def test_assign_all_degenerate_falls_back_positive():
     field = triangulate_structured(3, 3, (1.0, 1.0), np.zeros(9), np.zeros(9))
     signs = np.zeros(field.n_triangles, dtype=np.int8)
     out = assign_degenerate(field, signs)
-    assert set(out.tolist()) == {1}
+    assert set(out.ravel().tolist()) == {1}
 
 
 def test_assign_with_preference():
     field = _fan_field(6)
     signs = np.array([0, 1, 1, -1, 1, 1], dtype=np.int8)
     # Majority is positive, but a negative neighbor exists.
-    assert assign_degenerate(field, signs)[0] == 1
-    assert assign_degenerate(field, signs, prefer=-1)[0] == -1
-    assert assign_degenerate(field, signs, prefer=1)[0] == 1
+    out = assign_degenerate(field, signs)
+    assert out[MAJORITY, 0] == 1
+    assert out[PREFER_NEGATIVE, 0] == -1
+    assert out[PREFER_POSITIVE, 0] == 1
     # Preference falls through to the other sign if absent.
     signs = np.array([0, 1, 1, 1, 1, 1], dtype=np.int8)
-    assert assign_degenerate(field, signs, prefer=-1)[0] == 1
+    assert assign_degenerate(field, signs)[PREFER_NEGATIVE, 0] == 1
 
 
 @pytest.mark.parametrize("prefer", [None, 1, -1])
@@ -213,7 +222,7 @@ def test_assign_matches_ring_oracle_on_plateaus(rng, prefer):
             field = wave_field(rng, w, h, step=0.5)
             signs = orientation_signs(field)
             assert (signs == 0).mean() >= 0.15
-            out = assign_degenerate(field, signs, prefer)
+            out = assign_degenerate(field, signs)[RULE_ROW[prefer]]
             assert _assigned(signs, out) == ring_assignment_oracle(field, signs, prefer)
 
 
@@ -224,18 +233,43 @@ def test_assign_matches_ring_oracle_past_first_ring(rng, prefer):
     field = triangulate_structured(11, 11, (1.0, 1.0), np.zeros(121), np.zeros(121))
     centers = field.positions[field.triangles].mean(axis=1)
     border = ((centers < 1) | (centers > 9)).any(axis=1)
+    inputs = []
     for _ in range(5):
         signs = np.zeros(field.n_triangles, dtype=np.int8)
         signs[border] = rng.choice([-1, 1], size=int(border.sum()))
-        out = assign_degenerate(field, signs, prefer)
+        inputs.append(signs)
+    # Around the central triangle, the first signed ring (ring 1 or 2)
+    # holds one +1 and one -1 and the next ring one +1: the majority ties
+    # and is decided a ring later, past where the preferred rules decide.
+    seed = int(np.argmin(np.abs(centers - 5.0).sum(axis=1)))
+    rings = _rings(field, seed, 3)
+    for k in (0, 1):
+        signs = np.zeros(field.n_triangles, dtype=np.int8)
+        signs[[rings[k][0], rings[k][-1], rings[k + 1][0]]] = (1, -1, 1)
+        assert ring_assignment_oracle(field, signs)[seed] == 1
+        assert ring_assignment_oracle(field, signs, -1)[seed] == -1
+        inputs.append(signs)
+    for signs in inputs:
+        out = assign_degenerate(field, signs)[RULE_ROW[prefer]]
         assert _assigned(signs, out) == ring_assignment_oracle(field, signs, prefer)
+
+
+def _rings(field, seed, count):
+    """The first ``count`` point-neighborhood rings around triangle
+    ``seed``, each as a sorted list of triangle ids."""
+    seen, ring, rings = {seed}, [seed], []
+    for _ in range(count):
+        ring = sorted({int(v) for u in ring for v in field.point_neighbors(u)} - seen)
+        seen.update(ring)
+        rings.append(ring)
+    return rings
 
 
 @pytest.mark.parametrize("prefer", [None, 1, -1])
 def test_assign_matches_ring_oracle_all_degenerate(prefer):
     field = triangulate_structured(6, 5, (1.0, 1.0), np.zeros(30), np.zeros(30))
     signs = orientation_signs(field)
-    out = assign_degenerate(field, signs, prefer)
+    out = assign_degenerate(field, signs)[RULE_ROW[prefer]]
     assert _assigned(signs, out) == ring_assignment_oracle(field, signs, prefer)
     assert set(out.tolist()) == {1}
 
@@ -247,9 +281,10 @@ def test_assign_twin_triangle_matches_ring_oracle():
     triangles = [(0, 1, 2), (0, 1, 2), (1, 3, 4)]
     field = TriField(positions, np.zeros((5, 2)), triangles)
     signs = np.array([0, 1, -1], dtype=np.int8)
+    out = assign_degenerate(field, signs)
     for prefer in (None, 1, -1):
-        out = assign_degenerate(field, signs, prefer)
-        assert _assigned(signs, out) == ring_assignment_oracle(field, signs, prefer)
+        expected = ring_assignment_oracle(field, signs, prefer)
+        assert _assigned(signs, out[RULE_ROW[prefer]]) == expected
 
 
 @pytest.mark.parametrize("prefer", [None, 1, -1])
@@ -259,7 +294,7 @@ def test_assign_constant_field_all_positive(prefer):
     field = triangulate_structured(60, 30, (1.0, 1.0), np.zeros(1800), np.zeros(1800))
     signs = orientation_signs(field)
     assert not signs.any()
-    out = assign_degenerate(field, signs, prefer)
+    out = assign_degenerate(field, signs)[RULE_ROW[prefer]]
     assert out.dtype == np.int8
     assert (out == 1).all()
 
@@ -279,8 +314,9 @@ def test_assign_two_islands_matches_ring_oracle(rng, tmp_path):
     signs = orientation_signs(field)
     assert not signs[: flat.n_triangles].any()
     assert (signs[flat.n_triangles :] == 0).any() and signs[flat.n_triangles :].any()
+    assigned = assign_degenerate(field, signs)
     for prefer in (None, 1, -1):
-        out = assign_degenerate(field, signs, prefer)
+        out = assigned[RULE_ROW[prefer]]
         assert _assigned(signs, out) == ring_assignment_oracle(field, signs, prefer)
         assert (out[: flat.n_triangles] == 1).all()
 
@@ -292,7 +328,9 @@ def test_assign_returns_effective_sign_array(rng, prefer):
     for field in fields:
         signs = orientation_signs(field)
         before = signs.copy()
-        out = assign_degenerate(field, signs, prefer)
+        assigned = assign_degenerate(field, signs)
+        assert assigned.shape == (3, field.n_triangles)
+        out = assigned[RULE_ROW[prefer]]
         assert out.dtype == np.int8
         assert np.isin(out, (-1, 1)).all()
         assert np.array_equal(out[signs != 0], signs[signs != 0])
@@ -366,8 +404,9 @@ def test_extraction_separates_signs_full_scan(rng):
     for _ in range(20):
         field = random_sign_field(rng, 5, 5)
         signs = orientation_signs(field)
-        eff = assign_degenerate(field, signs)
-        js = extract_jacobi_set(field, signs, eff)
+        assigned = assign_degenerate(field, signs)
+        js = extract_jacobi_set(field, signs, assigned)
+        eff = assigned[MAJORITY]
         jacobi = {tuple(e) for e in js.edges.tolist()}
         for (a, b), (t1, t2) in zip(field.edges, field.edge_triangles):
             if t2 < 0:

@@ -6,14 +6,17 @@ from jacobiset import (
     assign_degenerate,
     build_graph,
     build_regions,
+    extract_jacobi_set,
     find_collapsible_cells,
     neighborhood_graph,
     orientation_signs,
     triangulate_structured,
 )
+from jacobiset.jacobi import MAJORITY
 from jacobiset.regions import _star_links, graph_to_dot, graph_to_json, point_neighbor_sums
 
 from conftest import (
+    RULE_ROW,
     bfs_region_labels,
     collapsible_cells_oracle,
     graph_nodes_oracle,
@@ -40,7 +43,7 @@ def checkerboard():
 def decompose(field, variant):
     signs = orientation_signs(field)
     assignment = assign_degenerate(field, signs)
-    return signs, build_regions(field, signs, assignment, variant)
+    return signs, build_regions(field, assignment, variant=variant)
 
 
 def test_injective_field_single_region_all_variants():
@@ -77,7 +80,7 @@ def test_labels_match_bfs_oracle_all_variants(rng):
         signs = orientation_signs(field)
         assignment = assign_degenerate(field, signs)
         for variant in "ABCD":
-            regs = build_regions(field, signs, assignment, variant)
+            regs = build_regions(field, assignment, variant=variant)
             eff = regs.signs
             nbr_sums = point_neighbor_sums(field, eff) if variant == "D" else None
             oracle = bfs_region_labels(field, eff, variant, nbr_sums)
@@ -113,7 +116,7 @@ def test_point_neighbor_sums_vectorized_vs_oracle(rng):
         field = random_sign_field(rng, 5, 4)
         signs = orientation_signs(field)
         assignment = assign_degenerate(field, signs)
-        regs = build_regions(field, signs, assignment, "A")
+        regs = build_regions(field, assignment, variant="A")
         eff = regs.signs
         assert np.array_equal(
             point_neighbor_sums(field, eff), point_neighbor_sum_oracle(field, eff)
@@ -242,9 +245,31 @@ def test_graph_exports():
 
 def test_unknown_variant_rejected():
     field = checkerboard()
-    signs = orientation_signs(field)
     with pytest.raises(ValueError, match="variant"):
-        build_regions(field, signs, {}, "X")
+        build_regions(field, {}, variant="X")
+
+
+def test_mis_shaped_assignment_rejected(rng):
+    # A 40-triangle mesh: one row of signs, a row too many or too few
+    # triangles, or the rows transposed are all refused, never read.
+    field = random_sign_field(rng, 6, 5)
+    assert field.n_triangles == 40
+    signs = orientation_signs(field)
+    assigned = assign_degenerate(field, signs)
+    bad = [
+        np.ones(41, dtype=np.int8),
+        assigned[MAJORITY],
+        assigned[:2],
+        np.ones((3, 41), dtype=np.int8),
+        assigned[:, :-1],
+        assigned.T,
+    ]
+    for wrong in bad:
+        for variant in "ABCD":
+            with pytest.raises(ValueError, match=r"shape \(3, 40\)"):
+                build_regions(field, wrong, variant=variant)
+        with pytest.raises(ValueError, match=r"shape \(3, 40\)"):
+            extract_jacobi_set(field, signs, wrong)
 
 
 def test_region_and_node_views_match_split_oracle_all_variants(rng):
@@ -254,7 +279,7 @@ def test_region_and_node_views_match_split_oracle_all_variants(rng):
         signs = orientation_signs(field)
         assignment = assign_degenerate(field, signs)
         for variant in "ABCD":
-            regs = build_regions(field, signs, assignment, variant)
+            regs = build_regions(field, assignment, variant=variant)
             graph = build_graph(field, regs)
             oracle = split_regions_oracle(regs.label, regs.signs)
             assert len(regs) == len(regs.regions) == len(oracle) == regs.label.max() + 1
@@ -279,7 +304,7 @@ def test_empty_mesh_regions_graph_and_exports():
     signs = orientation_signs(field)
     assignment = assign_degenerate(field, signs)
     for variant in "ABCD":
-        regs = build_regions(field, signs, assignment, variant)
+        regs = build_regions(field, assignment, variant=variant)
         assert len(regs) == 0
         assert list(regs.regions) == []
         graph = build_graph(field, regs)
@@ -357,7 +382,7 @@ def test_variant_b_c_star_links_match_stable_argsort(rng, variant, prefer):
     field = wave_field(rng, 24, 16, 0.5)
     signs = orientation_signs(field)
     assert (signs == 0).sum() > 20
-    fields = [(field, assign_degenerate(field, signs, prefer=prefer))]
+    fields = [(field, assign_degenerate(field, signs)[RULE_ROW[prefer]])]
     hub = hub_fan_field()
     fields.append((hub, np.where(rng.random(hub.n_triangles) < 0.5, 1, -1).astype(np.int8)))
     fields.append((with_unused_vertices(hub), fields[-1][1]))

@@ -76,11 +76,11 @@ def test_vertex_order_does_not_change_signs_jacobi_set_or_regions(w, h, dx, dy, 
 
     assert np.array_equal(orientation_signs(shuffled), orientation_signs(grid))
     js, js_grid = compute_jacobi_set(shuffled), compute_jacobi_set(grid)
-    assert np.array_equal(js.effective, js_grid.effective)
+    assert np.array_equal(js.assigned, js_grid.assigned)
     assert np.array_equal(js.edges, js_grid.edges)
     for variant in "ABCD":
-        regs = build_regions(shuffled, js.signs, js.effective, variant)
-        regs_grid = build_regions(grid, js_grid.signs, js_grid.effective, variant)
+        regs = build_regions(shuffled, js.assigned, variant=variant)
+        regs_grid = build_regions(grid, js_grid.assigned, variant=variant)
         assert np.array_equal(regs.label, regs_grid.label), variant
         graph, graph_grid = build_graph(shuffled, regs), build_graph(grid, regs_grid)
         assert np.array_equal(graph.sign, graph_grid.sign), variant
