@@ -4,7 +4,9 @@
 # The plateau field is rounded, so it holds degenerate triangles: its runs
 # read every row of the degenerate assignment (the majority rule through
 # A, D and the render, the preferred-sign rules through B and C) and the
-# B and C star links. The Loop runs write the whole subdivided field, so any
+# B and C star links. The simplify run at `--threshold inf` selects every
+# cell, so it ends on an oscillation guard; the variant D run reads D's
+# star links. The Loop runs write the whole subdivided field, so any
 # change to the Loop step shows in it. Every path is relative to $1, so
 # two trees that behave alike write byte-identical files (the manifests
 # aside, which record times).
@@ -17,10 +19,12 @@ mkdir cli-out
 jss() { PYTHONPATH=src python -W error::RuntimeWarning -m jacobiset "$@"; }
 jss stats cli-in/field.sgf > cli-out/stats-sgf.txt
 jss stats cli-in/field.bsf > cli-out/stats-bsf.txt
-for v in A B; do
+for v in A B D; do
   jss simplify cli-in/field.bsf --variant "$v" --threshold 0.12 \
     --out "cli-out/simplified-$v.bsf" --report "cli-out/report-$v.json" > "cli-out/simplify-$v.txt"
 done
+jss simplify cli-in/field.bsf --threshold inf \
+  --out cli-out/simplified-inf.bsf --report cli-out/report-inf.json > cli-out/simplify-inf.txt
 jss graph cli-in/field.sgf --variant D --out cli-out/graph-D.dot
 jss render cli-in/field.sgf --out cli-out/field.svg
 jss compare cli-in/field.sgf cli-in/field.bsf --methods original ca-a loop --steps 1 \

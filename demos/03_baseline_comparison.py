@@ -35,10 +35,10 @@ base = grid.to_tri_field()
 
 rows = [("original", measures(base))]
 
-smoothed = binomial_filter(grid, FilterSpec("binomial", radius=1))
+smoothed = binomial_filter(grid, FilterSpec(radius=1))
 rows.append(("binomial r=1", measures(smoothed.to_tri_field())))
 
-blurred = gaussian_filter(grid, FilterSpec("gaussian", sigma=2.0))
+blurred = gaussian_filter(grid, FilterSpec(sigma=2.0))
 rows.append(("gaussian sigma=2", measures(blurred.to_tri_field())))
 
 subdivided = loop_subdivide(base, 2)

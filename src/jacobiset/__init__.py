@@ -30,13 +30,7 @@ from .regions import (
     find_collapsible_cells,
     neighborhood_graph,
 )
-from .collapse import (
-    CollapseStatus,
-    apply_collapse_variant,
-    cell_neighborhood,
-    cells_oscillated,
-    simplify,
-)
+from .collapse import CollapseStatus, simplify
 from .baselines import FilterSpec, binomial_filter, gaussian_filter, loop_subdivide
 from .render import render_svg
 
@@ -49,13 +43,10 @@ __all__ = [
     "NonManifoldError",
     "ParseError",
     "TriField",
-    "apply_collapse_variant",
     "assign_degenerate",
     "binomial_filter",
     "build_graph",
     "build_regions",
-    "cell_neighborhood",
-    "cells_oscillated",
     "component_count",
     "compute_jacobi_set",
     "extract_jacobi_set",

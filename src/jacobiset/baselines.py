@@ -29,15 +29,12 @@ LOOP_MAX_TRIANGLES = 16_000_000
 
 @dataclass
 class FilterSpec:
-    kind: str = "binomial"
     radius: int = 1
     sigma: float = 1.0
     truncation: float = 3.0
     boundary: str = "clamp"
 
     def __post_init__(self):
-        if self.kind not in ("binomial", "gaussian"):
-            raise ValueError(f"unknown filter kind {self.kind!r}")
         if self.radius < 1:
             raise ValueError("radius must be >= 1")
         if not self.sigma > 0:

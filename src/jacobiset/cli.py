@@ -187,7 +187,7 @@ def cmd_simplify(args):
     if args.report:
         # The report file stays byte-reproducible across runs; wall time
         # lives in the manifest instead.
-        _write_json(args.report, report.to_dict(include_elapsed=False))
+        _write_json(args.report, report.to_dict())
         outputs.append(args.report)
     print(
         f"simplify: {report.status.value}, collapsed {report.collapsed_cells} cells "
@@ -201,7 +201,7 @@ def cmd_simplify(args):
 def _filtered(grid, method: str, args):
     """``grid`` smoothed by the ``binomial`` or ``gaussian`` filter that the
     ``--radius``/``--sigma``/``--truncation``/``--boundary`` options describe."""
-    spec = FilterSpec(method, **_params(args, *_FILTER_OPTIONS))
+    spec = FilterSpec(**_params(args, *_FILTER_OPTIONS))
     fn = gaussian_filter if method == "gaussian" else binomial_filter
     return fn(grid, spec)
 

@@ -13,8 +13,12 @@ lowest edge ids.
 Vertices merged by a collapse stay merged: later collapses that touch a
 merged vertex move its whole equal-value group together, so cells
 collapsed earlier keep a determinant of exactly zero. Oscillation guards
-(re-entry counts, repeated worklist snapshots, and a sweep cap) bound the
-repair loop that re-queues flipped neighbors.
+bound the repair loop that re-queues flipped neighbors: the
+:class:`Worklist` counts each cell's entries and keeps the recent
+snapshots of itself at the end of a sweep, and trips once a cell enters
+more than ``MAX_ENTRIES`` times or a snapshot repeats within
+``SNAPSHOT_WINDOW`` sweeps; the sweeps are capped at ``SWEEP_CAP_FACTOR``
+times the seed count.
 
 Candidates are scored in chunks. At the first cell of each run of at most
 ``CHUNK_CELLS`` cells of a sweep's order, :func:`score_cells` scores every
@@ -27,11 +31,13 @@ affected triangles, or one of those triangles entered or left the
 worklist. Both are stamps on the worklist's one clock: a commit stamps
 the triangles with a moved vertex, which are the stars of the group it
 moves. The affected triangles include the cell and its edge neighbors,
-whose membership picks the candidates. A stale cell is scored again,
-alone, by the same kernel. A run also ends early once the groups at the
-corners of its cells hold ``CHUNK_GROUP_VERTICES`` vertices: a
-candidate's working set is the stars of its merged group, so this bounds
-a chunk's memory when groups grow large.
+whose membership picks the candidates, so fresh scores also mean the
+cell still has an open side. A missing or stale cell is checked for one
+(:func:`_open_sides`) and scored again, alone, by the same kernel. A run
+also ends early once the groups at the corners of its cells hold
+``CHUNK_GROUP_VERTICES`` vertices: a candidate's working set is the stars
+of its merged group, so this bounds a chunk's memory when groups grow
+large.
 
 This gives the result of scoring each cell when the walk reaches it, bit
 for bit. The scores of a cell read only the worklist membership of its
@@ -40,10 +46,11 @@ vertices, and the checks above see every change to those. The arithmetic
 is the per-cell arithmetic: one ``_edge_cross`` per triangle on the same
 values, and, for the candidates of a cell that tie on fewest flips (the
 only ones growth can order), the range-area growth of each summed by its
-own ``.sum()`` over its triangles in ascending order. A commit stores the
-scored determinants of the winner, which equal a recomputation after the
-move, through :func:`apply_collapse_variant`. The flip repairs and
-re-queues it triggers are filtered against the live worklist.
+own ``.sum()`` over its triangles in ascending order. A commit
+(:meth:`CellScores.commit`) stores the scored determinants of the winner,
+which equal a recomputation after the move, and returns the triangles it
+flips and those it moves off zero; the sweep re-queues them against the
+live worklist.
 """
 
 from __future__ import annotations
@@ -52,7 +59,6 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from time import perf_counter
 
 import numpy as np
 
@@ -82,19 +88,6 @@ class CollapseStatus(Enum):
 
 
 @dataclass
-class CollapseVariant:
-    """One scored way to collapse a cell: assign ``target_value`` to the
-    merged group of ``edge``, degenerating the cell's image to a line.
-    ``tids`` are the triangles with a moved vertex, ascending, and
-    ``dets`` their determinants after the move."""
-
-    edge: tuple
-    target_value: np.ndarray
-    tids: np.ndarray
-    dets: np.ndarray
-
-
-@dataclass
 class CollapseReport:
     status: CollapseStatus
     collapsed_cells: int
@@ -105,10 +98,9 @@ class CollapseReport:
     after: dict
     variant: str
     threshold: float
-    elapsed_ms: float | None = None
 
-    def to_dict(self, include_elapsed: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "status": self.status.value,
             "variant": self.variant,
             "threshold": self.threshold,
@@ -119,9 +111,6 @@ class CollapseReport:
             "before": self.before,
             "after": self.after,
         }
-        if include_elapsed and self.elapsed_ms is not None:
-            out["elapsed_ms"] = self.elapsed_ms
-        return out
 
 
 class VertexGroups:
@@ -155,76 +144,71 @@ class VertexGroups:
         return ids
 
 
-class Worklist(set):
-    """The cells selected for collapse.
+class Worklist:
+    """The cells selected for collapse, and the history the oscillation
+    guards read.
 
-    A set of triangle ids, mirrored in the boolean ``mask``; ``stamp[t]``
-    is the count of changes at which ``t`` last entered or left, or had a
-    vertex moved by a commit (`moved`). Change it only through `add` and
-    `discard`, which keep the set and the mask in step.
+    ``mask[t]`` is whether triangle ``t`` is selected and ``len()`` counts
+    the selected cells; ``stamp[t]`` is the count of ``changes`` at which
+    ``t`` last entered or left, or had a vertex moved by a commit
+    (`moved`). ``entries[t]`` counts the times ``t`` entered, and
+    ``oscillated`` turns true once a cell enters more than ``MAX_ENTRIES``
+    times or `end_sweep` finds the cells of one of the last
+    ``SNAPSHOT_WINDOW`` sweeps again.
     """
 
     def __init__(self, n_triangles: int):
-        super().__init__()
         self.mask = np.zeros(n_triangles, dtype=bool)
         self.stamp = np.zeros(n_triangles, dtype=np.int64)
+        self.entries = np.zeros(n_triangles, dtype=np.int64)
         self.changes = 0
+        self.oscillated = False
+        self._size = 0
+        self._snapshots = deque(maxlen=SNAPSHOT_WINDOW)
 
-    def add(self, t: int) -> None:
-        super().add(t)
+    def __len__(self) -> int:
+        return self._size
+
+    def cells(self) -> np.ndarray:
+        """The selected cells, ascending."""
+        return np.flatnonzero(self.mask)
+
+    def add(self, t: int) -> bool:
+        """Select ``t`` unless it is selected; True if it entered."""
+        if self.mask[t]:
+            return False
         self._stamp(t, True)
+        self.entries[t] += 1
+        if self.entries[t] > MAX_ENTRIES:
+            self.oscillated = True
+        return True
 
     def discard(self, t: int) -> None:
-        super().discard(t)
-        self._stamp(t, False)
+        if self.mask[t]:
+            self._stamp(t, False)
 
     def moved(self, tids: np.ndarray) -> None:
         """Stamp the triangles ``tids``, whose vertices a commit moved."""
         self.changes += 1
         self.stamp[tids] = self.changes
 
+    def end_sweep(self) -> None:
+        """Record the selected cells as one snapshot of the guard's window."""
+        snapshot = hash(self.cells().tobytes())
+        if snapshot in self._snapshots:
+            self.oscillated = True
+        self._snapshots.append(snapshot)
+
     def _stamp(self, t: int, member: bool) -> None:
         self.mask[t] = member
+        self._size += 1 if member else -1
         self.changes += 1
         self.stamp[t] = self.changes
 
 
-class CollapseHistory:
-    """Worklist history used by the oscillation guard."""
-
-    def __init__(self):
-        self.entry_counts: dict[int, int] = {}
-        self.snapshots = deque(maxlen=SNAPSHOT_WINDOW)
-        self.over_entered = False
-        self.snapshot_repeated = False
-
-    def record_entry(self, cell: int) -> None:
-        count = self.entry_counts.get(cell, 0) + 1
-        self.entry_counts[cell] = count
-        if count > MAX_ENTRIES:
-            self.over_entered = True
-
-    def record_sweep(self, cl) -> None:
-        snapshot = hash(frozenset(cl))
-        if snapshot in self.snapshots:
-            self.snapshot_repeated = True
-        self.snapshots.append(snapshot)
-
-
-def cells_oscillated(history: CollapseHistory) -> bool:
-    """True once any cell re-entered the worklist too often or a worklist
-    snapshot repeated within the recent window."""
-    return history.over_entered or history.snapshot_repeated
-
-
-def cell_neighborhood(cl, field: TriField, c: int) -> int:
-    """Number of edge-adjacent triangles of ``c`` that exist and are not
-    selected for collapse; 0 means the cell is interior and is skipped."""
-    return sum(1 for n in field.neighbors[c].tolist() if n >= 0 and n not in cl)
-
-
-def _open_sides(field: TriField, cells: np.ndarray, cl: Worklist) -> np.ndarray:
-    """`cell_neighborhood` of every cell in ``cells`` at once."""
+def _open_sides(field: TriField, cells, cl: Worklist) -> np.ndarray:
+    """Number of edge neighbors of each cell in ``cells`` that exist and
+    are not selected; 0 means the cell is interior and is skipped."""
     nbr = field.neighbors[cells]
     return ((nbr >= 0) & ~cl.mask[nbr]).sum(axis=1)
 
@@ -294,14 +278,18 @@ class CellScores:
         p1 = self.pair_start[self.cand_start[k + 1]]
         return bool(np.maximum.reduce(cl.stamp.take(self.tids[p0:p1])) <= self.scored_at)
 
-    def variant(self, j: int) -> CollapseVariant:
-        p = self._run(j)
-        return CollapseVariant(self.edges[j], self.target[j], self.tids[p], self.new_dets[p])
-
-    def repairs(self, j: int) -> tuple[list, list]:
-        """Triangles that candidate ``j`` flips, and those it moves off zero."""
+    def commit(
+        self, j: int, field: TriField, groups: VertexGroups, cl: Worklist
+    ) -> tuple[list, list]:
+        """Apply candidate ``j``: merge the groups of its edge, assign the
+        target value to every member, store the scored determinants and
+        stamp the moved triangles in ``cl``. The scores must have been
+        made against the current field and ``groups``. Returns the
+        triangles the move flips, and those it moves off zero."""
         p = self._run(j)
         tids = self.tids[p]
+        field.set_vertex_values(groups.merge(*self.edges[j]), self.target[j], tids, self.new_dets[p])
+        cl.moved(tids)
         return tids[self.flipped[p]].tolist(), tids[self.requeue[p]].tolist()
 
     def _run(self, j: int) -> slice:
@@ -320,13 +308,14 @@ def score_cells(field: TriField, cells, cl: Worklist, groups: VertexGroups) -> C
     """
     cells = np.asarray(cells, dtype=np.int64)
     corner_rows = field.triangles.take(cells, axis=0)
+    nbrs = field.neighbors.take(cells, axis=0)
     edges, moved, cand_start = [], [], [0]
-    for corner, labels, nbr in zip(
+    for corner, labels, nbr, selected in zip(
         corner_rows.tolist(),
         groups.label.take(corner_rows).tolist(),
-        field.neighbors.take(cells, axis=0).tolist(),
+        nbrs.tolist(),
+        ((nbrs >= 0) & cl.mask.take(nbrs)).tolist(),
     ):
-        selected = [n in cl for n in nbr]  # -1, no neighbor, is never in cl
         n_selected = sum(selected)
         for e, f in ((0, 1), (1, 2), (2, 0)):
             if selected[e] or not n_selected or (n_selected == 1 and nbr[e] < 0):
@@ -377,15 +366,6 @@ def score_cells(field: TriField, cells, cl: Worklist, groups: VertexGroups) -> C
     )
 
 
-def apply_collapse_variant(field: TriField, variant: CollapseVariant, groups: VertexGroups) -> None:
-    """Merge the groups of the variant's endpoints, assign the target value
-    to every member, and store the scored determinants. ``variant`` must
-    have been scored against the current field and ``groups``."""
-    field.set_vertex_values(
-        groups.merge(*variant.edge), variant.target_value, variant.tids, variant.dets
-    )
-
-
 def simplify(
     field: TriField,
     variant: str = "A",
@@ -400,21 +380,16 @@ def simplify(
     the worklist. Terminates with COMPLETED (worklist empty), OSCILLATED
     (guard tripped), or EXHAUSTED (sweep cap hit).
     """
-    t0 = perf_counter()
     js = compute_jacobi_set(field, epsilon)
     before = jacobi_measures(field, js)
     regions = build_regions(field, js.assigned, variant=variant)
     graph = build_graph(field, regions)
     seeds = find_collapsible_cells(graph, regions, threshold)
 
-    history = CollapseHistory()
     groups = VertexGroups(field.n_vertices)
     cl = Worklist(field.n_triangles)
-    ever: set[int] = set()
     for c in seeds.tolist():
         cl.add(c)
-        ever.add(c)
-        history.record_entry(c)
 
     sweep_cap = SWEEP_CAP_FACTOR * len(seeds)
     status = CollapseStatus.COMPLETED
@@ -423,8 +398,8 @@ def simplify(
     sweeps = 0
     while cl:
         sweeps += 1
-        cells = np.fromiter(cl, np.int64, len(cl))
-        order = cells[np.lexsort((cells, -_open_sides(field, cells, cl)))].tolist()
+        cells = cl.cells()
+        order = cells[np.argsort(-_open_sides(field, cells, cl), kind="stable")].tolist()
         chunk_end = 0
         for i, c in enumerate(order):
             if i == chunk_end:
@@ -437,57 +412,44 @@ def simplify(
                 chunk_end = i + n
                 chunk_scores = score_cells(field, chunk[:n][live[:n]], cl, groups)
                 index = {t: k for k, t in enumerate(chunk_scores.cells)}
-            if c not in cl:
+            if not cl.mask[c]:
                 continue
             if field.dets[c] == 0.0:
                 cl.discard(c)  # already collapsed, nothing to apply
                 continue
-            if cell_neighborhood(cl, field, c) == 0:
-                continue
             scores, k = chunk_scores, index.get(c)
             if k is None or not scores.fresh(k, cl):
+                if not _open_sides(field, [c], cl)[0]:
+                    continue
                 scores, k = score_cells(field, [c], cl, groups), 0
-            j = scores.best(k)
-            move = scores.variant(j)
-            apply_collapse_variant(field, move, groups)
-            cl.moved(move.tids)
+            flipped, requeue = scores.commit(scores.best(k), field, groups, cl)
             collapsed += 1
             cl.discard(c)
-
-            flipped, requeue = scores.repairs(j)
             for t in flipped:
-                if t not in cl:
-                    cl.add(t)
-                    ever.add(t)
-                    history.record_entry(t)
-                    flip_repairs += 1
+                flip_repairs += cl.add(t)
             # A touched cell that was collapsed before must stay collapsed;
             # re-queue it if a value move broke its zero determinant.
             for t in requeue:
-                if t in ever and t not in cl:
+                if cl.entries[t]:
                     cl.add(t)
-                    history.record_entry(t)
         if not cl:
             break
-        history.record_sweep(cl)
-        if cells_oscillated(history):
+        cl.end_sweep()
+        if cl.oscillated:
             status = CollapseStatus.OSCILLATED
             break
         if sweeps >= sweep_cap:
             status = CollapseStatus.EXHAUSTED
             break
 
-    after = measures(field, epsilon)
-    elapsed_ms = (perf_counter() - t0) * 1000.0
     return CollapseReport(
         status=status,
         collapsed_cells=collapsed,
         flip_repairs=flip_repairs,
         iterations=sweeps,
-        residual_cl=sorted(cl),
+        residual_cl=cl.cells().tolist(),
         before=before,
-        after=after,
+        after=measures(field, epsilon),
         variant=variant,
         threshold=float(threshold),
-        elapsed_ms=elapsed_ms,
     )

@@ -168,36 +168,36 @@ def build_regions(field: TriField, assigned, *, variant: str):
 def _star_links(field: TriField, eff: np.ndarray, variant: str):
     """Extra merge links of variants B-D as triangle pairs ``(a, b)``.
 
-    Listing the vertex-star entries by (vertex, key) puts the triangles of
-    one star that share a key next to each other; linking neighbours in
-    that order connects them as the full pairwise merge would. The key is
-    the wanted sign for B and C, whose other triangles take no part: the
-    kept entries of ``field.stars`` are in that order already. For D it is
-    (sign, point-neighborhood sum), and the entries are sorted by it.
+    Listing the vertex-star entries of ``field.stars`` by (vertex, key)
+    puts the triangles of one star that share a key next to each other;
+    linking neighbours in that order connects them as the full pairwise
+    merge would. The key is the wanted sign for B and C, whose other
+    triangles take no part: the kept entries are in that order already.
+    For D it is (sign, point-neighborhood sum), and the entries are sorted
+    by it.
     """
+    offsets, star_tids = field.stars
+    vertex = np.arange(field.n_vertices).repeat(np.diff(offsets))
     if variant == "D":
         sums = point_neighbor_sums(field, eff)
         sums -= sums.min(initial=0)
         span = sums.max(initial=0) + 1
         # (vertex, sign, sum) packed into one int64 that sorts as the three
-        # keys would. A sum of at most m - 1 signs gives span <= 2m + 1 and
-        # vertex < n, so the key stays below 3n(2m + 1): no overflow below
-        # about 1.5e18 for n * m. Built in place, one 3m temporary at a time.
-        key = field.triangles.ravel() * 3
-        key += np.repeat(eff, 3)
+        # keys would, built in place.
+        key = vertex * 3
+        del vertex
+        key += eff.take(star_tids)
         key += 1
         key *= span
-        key += np.repeat(sums, 3)
+        key += sums.take(star_tids)
         del sums
         order = np.argsort(key, kind="stable")
         key = key.take(order)
-        tid = np.floor_divide(order, 3, out=order)
+        tid = star_tids.take(order)
     else:
-        offsets, star_tids = field.stars
         keep = eff.take(star_tids) == (-1 if variant == "B" else 1)
         tid = np.compress(keep, star_tids)
-        # The key of a star entry is its vertex.
-        key = np.compress(keep, np.arange(field.n_vertices).repeat(np.diff(offsets)))
+        key = np.compress(keep, vertex)
     link = key[1:] == key[:-1]
     del key
     return np.compress(link, tid[:-1]), np.compress(link, tid[1:])

@@ -16,6 +16,8 @@ from .jacobi import compute_jacobi_set
 from .mesh import TriField
 
 MIN_SATURATION = 0.08
+# Width of the SVG canvas in pixels; the height follows the domain's aspect.
+CANVAS_WIDTH = 800.0
 _POLYGON = '<polygon points="%s,%s %s,%s %s,%s" fill="#%s"/>'
 _LINE = '<line x1="%s" y1="%s" x2="%s" y2="%s"/>'
 # Fill colour by ``2 * faded + (sign > 0)``: the sign's own channel stays
@@ -31,7 +33,6 @@ def render_svg(
     show_jacobi: bool = True,
     saturation_scale: float = 1.0,
     epsilon: float = 0.0,
-    canvas_width: float = 800.0,
 ) -> str:
     """Render the field to an SVG string (no external references)."""
     if not saturation_scale > 0:
@@ -48,7 +49,7 @@ def render_svg(
     xmax, ymax = pos.max(axis=0)
     w = max(xmax - xmin, 1e-30)
     h = max(ymax - ymin, 1e-30)
-    px = canvas_width / w
+    px = CANVAS_WIDTH / w
     canvas_height = h * px
     # Pixel coordinates, y growing downward in SVG, as text: formatted once
     # per vertex and shared by every triangle and Jacobi edge at it.
@@ -75,14 +76,14 @@ def render_svg(
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas_width:.0f}" '
-        f'height="{canvas_height:.2f}" viewBox="0 0 {canvas_width:.2f} {canvas_height:.2f}">\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS_WIDTH:.0f}" '
+        f'height="{canvas_height:.2f}" viewBox="0 0 {CANVAS_WIDTH:.2f} {canvas_height:.2f}">\n'
         '<g stroke="none">\n',
         *format_rows(_POLYGON, polygons),
         "</g>\n",
     ]
     if show_jacobi and len(js.edges):
-        stroke = 0.004 * max(canvas_width, canvas_height)
+        stroke = 0.004 * max(CANVAS_WIDTH, canvas_height)
         parts.append(f'<g stroke="#000000" stroke-width="{stroke:.3f}" stroke-linecap="round">\n')
         a, b = js.edges[:, 0], js.edges[:, 1]
         parts += format_rows(_LINE, np.column_stack([x.take(a), y.take(a), x.take(b), y.take(b)]))

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 import pytest
@@ -13,13 +13,10 @@ from jacobiset import TriField, triangulate_structured
 from jacobiset.fileio import GridField, ParseError
 from jacobiset import collapse
 from jacobiset.collapse import (
-    CollapseHistory,
     CollapseReport,
     CollapseStatus,
     VertexGroups,
     Worklist,
-    cell_neighborhood,
-    cells_oscillated,
     score_cells,
 )
 from jacobiset.jacobi import (
@@ -687,6 +684,39 @@ class VertexGroupsOracle:
         return mu
 
 
+def open_sides_oracle(field: TriField, cl, c: int) -> int:
+    """Number of edge neighbors of ``c`` that exist and are not in ``cl``;
+    0 means the cell is interior and is skipped."""
+    return sum(1 for n in field.neighbors[c].tolist() if n >= 0 and n not in cl)
+
+
+class CollapseHistoryOracle:
+    """The oscillation guards over a set worklist: trips once a cell
+    entered more than ``collapse.MAX_ENTRIES`` times, or the worklist at
+    the end of a sweep equals one of the last ``collapse.SNAPSHOT_WINDOW``."""
+
+    def __init__(self):
+        self.entry_counts: dict[int, int] = {}
+        self.snapshots = deque(maxlen=collapse.SNAPSHOT_WINDOW)
+        self.over_entered = False
+        self.snapshot_repeated = False
+
+    def record_entry(self, cell: int) -> None:
+        self.entry_counts[cell] = self.entry_counts.get(cell, 0) + 1
+        if self.entry_counts[cell] > collapse.MAX_ENTRIES:
+            self.over_entered = True
+
+    def record_sweep(self, cl) -> None:
+        snapshot = frozenset(cl)
+        if snapshot in self.snapshots:
+            self.snapshot_repeated = True
+        self.snapshots.append(snapshot)
+
+    @property
+    def oscillated(self) -> bool:
+        return self.over_entered or self.snapshot_repeated
+
+
 def possible_collapse_variants_oracle(field: TriField, cl, c: int) -> list:
     """Candidate edges of ``c``, by the number of selected edge neighbors.
 
@@ -799,7 +829,6 @@ def simplify_oracle(
     the worklist. Terminates with COMPLETED (worklist empty), OSCILLATED
     (guard tripped), or EXHAUSTED (sweep cap hit).
     """
-    t0 = perf_counter()
     signs = orientation_signs(field, epsilon)
     assignment = assign_degenerate(field, signs)
     before = jacobi_measures(field, extract_jacobi_set(field, signs, assignment))
@@ -807,14 +836,12 @@ def simplify_oracle(
     graph = build_graph(field, regions)
     seeds = find_collapsible_cells(graph, regions, threshold)
 
-    history = CollapseHistory()
+    history = CollapseHistoryOracle()
     groups = VertexGroupsOracle(field.n_vertices)
     cl: set[int] = set()
-    ever: set[int] = set()
     for c in seeds:
         c = int(c)
         cl.add(c)
-        ever.add(c)
         history.record_entry(c)
 
     sweep_cap = collapse.SWEEP_CAP_FACTOR * len(seeds)
@@ -824,14 +851,14 @@ def simplify_oracle(
     sweeps = 0
     while cl:
         sweeps += 1
-        order = sorted(cl, key=lambda t: (-cell_neighborhood(cl, field, t), t))
+        order = sorted(cl, key=lambda t: (-open_sides_oracle(field, cl, t), t))
         for c in order:
             if c not in cl:
                 continue
             if field.dets[c] == 0.0:
                 cl.discard(c)  # already collapsed, nothing to apply
                 continue
-            if cell_neighborhood(cl, field, c) == 0:
+            if open_sides_oracle(field, cl, c) == 0:
                 continue
             candidates = possible_collapse_variants_oracle(field, cl, c)
             best = find_best_collapse_variant_oracle(field, candidates, c, cl, groups)
@@ -850,20 +877,19 @@ def simplify_oracle(
             for t in flipped_cell_neighbors_oracle(field, before_signs, c):
                 if t not in cl:
                     cl.add(t)
-                    ever.add(t)
                     history.record_entry(t)
                     flip_repairs += 1
             # A touched cell that was collapsed before must stay collapsed;
             # re-queue it if a value move broke its zero determinant.
             for t in sorted(before_signs):
-                if before_signs[t] == 0 and t in ever and t not in cl:
+                if before_signs[t] == 0 and t in history.entry_counts and t not in cl:
                     if field.dets[t] != 0.0:
                         cl.add(t)
                         history.record_entry(t)
         if not cl:
             break
         history.record_sweep(cl)
-        if cells_oscillated(history):
+        if history.oscillated:
             status = CollapseStatus.OSCILLATED
             break
         if sweeps >= sweep_cap:
@@ -871,7 +897,6 @@ def simplify_oracle(
             break
 
     after = measures(field, epsilon)
-    elapsed_ms = (perf_counter() - t0) * 1000.0
     return CollapseReport(
         status=status,
         collapsed_cells=collapsed,
@@ -882,7 +907,6 @@ def simplify_oracle(
         after=after,
         variant=variant,
         threshold=float(threshold),
-        elapsed_ms=elapsed_ms,
     )
 
 

@@ -658,7 +658,7 @@ def test_compare_filters_share_the_input_topology(identity_sgf, monkeypatch, cap
     grid.g = grid.g * np.cos(grid.f)  # det = cos x: Jacobi edges to measure
     save_sgf(grid, identity_sgf)
     fresh = {
-        name: measures(fn(grid, FilterSpec(name, 1, 1.5, 3.0, "mirror")).to_tri_field())
+        name: measures(fn(grid, FilterSpec(1, 1.5, 3.0, "mirror")).to_tri_field())
         for name, fn in (("binomial", binomial_filter), ("gaussian", gaussian_filter))
     }
     built = []

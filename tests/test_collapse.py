@@ -4,9 +4,6 @@ import pytest
 from jacobiset import (
     CollapseStatus,
     TriField,
-    apply_collapse_variant,
-    cell_neighborhood,
-    cells_oscillated,
     find_collapsible_cells,
     measures,
     neighborhood_graph,
@@ -18,9 +15,9 @@ from jacobiset import collapse
 from jacobiset.collapse import (
     CHUNK_CELLS,
     CellScores,
-    CollapseHistory,
     VertexGroups,
     Worklist,
+    _open_sides,
     score_cells,
 )
 
@@ -30,6 +27,7 @@ from conftest import (
     edge_endpoints,
     evaluate_variant_oracle,
     noisy_island_field,
+    open_sides_oracle,
     possible_collapse_variants_oracle,
     quad_field,
     score_cell,
@@ -55,6 +53,28 @@ def fan_field():
     return TriField(FAN_POSITIONS, FAN_VALUES, FAN_TRIANGLES)
 
 
+def worklist(field, cells=()):
+    cl = Worklist(field.n_triangles)
+    for t in cells:
+        cl.add(t)
+    return cl
+
+
+def commit(scores, j, field, groups=None):
+    """``scores.commit`` of candidate ``j`` with an empty worklist, and
+    unmerged groups unless ``groups`` is given."""
+    groups = groups or VertexGroups(field.n_vertices)
+    return scores.commit(j, field, groups, worklist(field))
+
+
+def run(scores, j):
+    """Candidate ``j``'s moved triangles, their determinants after the
+    move, and the triangles it flips and moves off zero."""
+    p = slice(scores.pair_start[j], scores.pair_start[j + 1])
+    tids = scores.tids[p]
+    return tids, scores.new_dets[p], tids[scores.flipped[p]], tids[scores.requeue[p]]
+
+
 def island_threshold(field):
     """Threshold between the largest region's hypervolume and the rest."""
     _, _, _, graph = neighborhood_graph(field, "A")
@@ -72,13 +92,35 @@ def test_cell_neighborhood_cases():
         t for t in range(field.n_triangles) if (field.neighbors[t] >= 0).all()
     )
     nbrs = [int(n) for n in field.neighbors[interior]]
-    assert cell_neighborhood(set(nbrs), field, interior) == 0  # case 4, skipped
-    assert cell_neighborhood(set(), field, interior) == 3  # case 1
+    assert _open_sides(field, [interior], worklist(field, nbrs))[0] == 0  # case 4, skipped
+    assert _open_sides(field, [interior], worklist(field))[0] == 3  # case 1
     boundary = next(
         t for t in range(field.n_triangles) if (field.neighbors[t] < 0).sum() == 1
     )
     bn = [int(n) for n in field.neighbors[boundary] if n >= 0]
-    assert cell_neighborhood({bn[0]}, field, boundary) == 1
+    assert _open_sides(field, [boundary], worklist(field, bn[:1]))[0] == 1
+    selected = list(range(0, field.n_triangles, 3))
+    assert _open_sides(field, np.arange(field.n_triangles), worklist(field, selected)).tolist() == [
+        open_sides_oracle(field, set(selected), t) for t in range(field.n_triangles)
+    ]
+
+
+def test_boundary_cell_ignores_the_last_triangle_selected():
+    # A missing neighbour is -1, which indexes the last triangle; with that
+    # triangle selected, a boundary cell away from it still has all three
+    # candidate edges and its open sides count only real neighbours.
+    field = triangulate_structured(4, 4, (1.0, 1.0), np.zeros(16), np.arange(16.0))
+    last = field.n_triangles - 1
+    boundary = next(
+        t
+        for t in range(field.n_triangles)
+        if (field.neighbors[t] < 0).any() and last not in field.neighbors[t]
+    )
+    cl = worklist(field, [last])
+    scores = score_cells(field, [boundary], cl, VertexGroups(field.n_vertices))
+    assert sorted(scores.edges) == possible_collapse_variants_oracle(field, {last}, boundary)
+    assert len(scores.edges) == 3
+    assert _open_sides(field, [boundary], cl)[0] == open_sides_oracle(field, {last}, boundary)
 
 
 def test_possible_collapse_variants_cases():
@@ -139,7 +181,7 @@ def test_evaluate_idempotent_collapse():
     assert scores.flips[j] == 0
     assert scores.delta(j) == 0.0
     before = field.values.copy()
-    apply_collapse_variant(field, scores.variant(j), VertexGroups(field.n_vertices))
+    commit(scores, j, field)
     assert np.array_equal(field.values, before)
 
 
@@ -151,7 +193,7 @@ def test_evaluate_flip_counts_against_recompute_oracle():
     for j, edge in enumerate(scores.edges):
         # Oracle: apply to a copy and compare signs recomputed from scratch.
         probe = field.copy()
-        apply_collapse_variant(probe, scores.variant(j), VertexGroups(field.n_vertices))
+        commit(scores, j, probe)
         fresh = TriField(probe.positions, probe.values, probe.triangles)
         s0 = np.sign(field.dets)
         s1 = np.sign(fresh.dets)
@@ -170,10 +212,11 @@ def test_evaluate_simulated_self_det_zero():
     field = fan_field()
     assert field.dets[0] != 0.0
     scores = score_cell(field, 0)
-    variant = scores.variant(scores.edges.index((0, 1)))
-    assert variant.dets[variant.tids == 0].tolist() == [0.0]
+    j = scores.edges.index((0, 1))
+    tids, dets, _, _ = run(scores, j)
+    assert dets[tids == 0].tolist() == [0.0]
     probe = field.copy()
-    apply_collapse_variant(probe, variant, VertexGroups(field.n_vertices))
+    commit(scores, j, probe)
     assert probe.dets[0] == 0.0
 
 
@@ -218,26 +261,27 @@ def test_find_best_full_tie_lowest_edge():
 def test_apply_sets_exact_zero_and_idempotent():
     field = fan_field()
     scores = score_cell(field, 0)
-    variant = scores.variant(scores.edges.index((0, 1)))
+    j = scores.edges.index((0, 1))
     groups = VertexGroups(field.n_vertices)
-    apply_collapse_variant(field, variant, groups)
+    commit(scores, j, field, groups)
     assert field.dets[0] == 0.0
     assert np.array_equal(field.values[0], field.values[1])
     snapshot = field.values.copy()
-    apply_collapse_variant(field, variant, groups)  # second application is a no-op
+    commit(scores, j, field, groups)  # second application is a no-op
     assert np.array_equal(field.values, snapshot)
 
 
 def test_apply_neighbor_dets_match_fresh_recompute():
     field = fan_field()
     scores = score_cell(field, 0)
-    variant = scores.variant(scores.edges.index((1, 2)))
-    apply_collapse_variant(field, variant, VertexGroups(field.n_vertices))
+    j = scores.edges.index((1, 2))
+    tids, dets, _, _ = run(scores, j)
+    commit(scores, j, field)
     fresh = TriField(field.positions, field.values, field.triangles)
     assert np.array_equal(field.dets, fresh.dets)
     # The kernel's simulated determinants are the ones a commit stores.
-    assert np.array_equal(bits(variant.dets), bits(fresh.dets[variant.tids]))
-    assert np.array_equal(variant.tids, field.incident_triangles(variant.edge))
+    assert np.array_equal(bits(dets), bits(fresh.dets[tids]))
+    assert np.array_equal(tids, field.incident_triangles((1, 2)))
 
 
 def test_flipped_cell_neighbors_zero_and_one_flip():
@@ -247,8 +291,7 @@ def test_flipped_cell_neighbors_zero_and_one_flip():
     for edge, expected_flips in [((0, 1), 0), ((1, 2), 1)]:
         j = scores.edges.index(edge)
         probe = field.copy()
-        apply_collapse_variant(probe, scores.variant(j), VertexGroups(field.n_vertices))
-        flipped = scores.repairs(j)[0]
+        flipped, _ = commit(scores, j, probe)
         assert len(flipped) == expected_flips
         # Oracle: set difference of sign maps recomputed from scratch.
         fresh = TriField(probe.positions, probe.values, probe.triangles)
@@ -274,9 +317,9 @@ def test_groups_keep_earlier_collapses_glued():
     def collapse_edge(edge):
         c = next(t for t in range(field.n_triangles) if set(edge) <= set(field.triangles[t]))
         scores = score_cells(field, [c], cl, groups)
-        variant = scores.variant(scores.edges.index(edge))
-        apply_collapse_variant(field, variant, groups)
-        return variant.target_value
+        j = scores.edges.index(edge)
+        scores.commit(j, field, groups, cl)
+        return scores.target[j]
 
     target1 = collapse_edge((v_a, v_b))
     assert np.array_equal(field.values[v_a], field.values[v_b])
@@ -303,31 +346,88 @@ def test_groups_keep_earlier_collapses_glued():
 
 
 def test_oscillation_first_sweep_false():
-    history = CollapseHistory()
-    history.record_entry(3)
-    history.record_sweep({3, 4})
-    assert not cells_oscillated(history)
+    cl = Worklist(10)
+    cl.add(3)
+    cl.add(4)
+    cl.end_sweep()
+    assert not cl.oscillated
 
 
 def test_oscillation_snapshot_repeat():
-    history = CollapseHistory()
-    history.record_sweep({1, 2})
-    history.record_sweep({2, 3})
-    assert not cells_oscillated(history)
-    history.record_sweep({1, 2})
-    assert cells_oscillated(history)
+    cl = Worklist(10)
+    cl.add(1)
+    cl.add(2)
+    cl.end_sweep()
+    cl.discard(1)
+    cl.add(3)
+    cl.end_sweep()
+    assert not cl.oscillated
+    cl.discard(3)
+    cl.add(1)
+    cl.end_sweep()
+    assert cl.oscillated
 
 
 def test_oscillation_entry_count(monkeypatch):
     monkeypatch.setattr(collapse, "MAX_ENTRIES", 16)
-    history = CollapseHistory()
-    for _ in range(17):
-        history.record_entry(9)
-    assert cells_oscillated(history)
-    history2 = CollapseHistory()
-    for _ in range(16):
-        history2.record_entry(9)
-    assert not cells_oscillated(history2)
+    for entries, oscillated in ((17, True), (16, False)):
+        cl = Worklist(10)
+        for _ in range(entries):
+            assert cl.add(9)
+            cl.discard(9)
+        assert cl.entries[9] == entries
+        assert cl.oscillated is oscillated
+
+
+@pytest.mark.parametrize("max_entries, window", [(3, 0), (10**9, 4), (4, 3)])
+def test_worklist_matches_set_and_dict_model(max_entries, window, monkeypatch):
+    # Random add/discard/moved/end_sweep sequences on 6 triangles, against
+    # a set, a dict of entry counts and stamps, and a list of snapshots.
+    monkeypatch.setattr(collapse, "MAX_ENTRIES", max_entries)
+    monkeypatch.setattr(collapse, "SNAPSHOT_WINDOW", window)
+    rng = np.random.default_rng(max_entries + window)
+    fired = set()
+    for _ in range(30):
+        cl, n = Worklist(6), 6
+        members, entries, stamp, snapshots = set(), {}, {}, []
+        changes, over_entered, repeated = 0, False, False
+        for _ in range(80):
+            op, t = rng.integers(4), int(rng.integers(n))
+            if op == 0:
+                entered = t not in members
+                assert cl.add(t) is entered
+                if entered:
+                    members.add(t)
+                    entries[t] = entries.get(t, 0) + 1
+                    over_entered |= entries[t] > max_entries
+                    changes += 1
+                    stamp[t] = changes
+            elif op == 1:
+                cl.discard(t)
+                if t in members:
+                    members.discard(t)
+                    changes += 1
+                    stamp[t] = changes
+            elif op == 2:
+                tids = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+                cl.moved(tids)
+                changes += 1
+                stamp.update((int(u), changes) for u in tids)
+            else:
+                cl.end_sweep()
+                snapshot = frozenset(members)
+                repeated |= window > 0 and snapshot in snapshots[-window:]
+                snapshots.append(snapshot)
+            assert len(cl) == len(members)
+            assert cl.cells().tolist() == sorted(members)
+            assert cl.entries.tolist() == [entries.get(u, 0) for u in range(n)]
+            assert cl.stamp.tolist() == [stamp.get(u, 0) for u in range(n)]
+            assert cl.changes == changes
+            assert cl.oscillated is (over_entered or repeated)
+        fired.add((over_entered, repeated))
+    # Each guard that the constants leave on trips in some sequence.
+    assert any(over for over, _ in fired) or max_entries > 80
+    assert any(repeated for _, repeated in fired) or window == 0
 
 
 # -- simplify ----------------------------------------------------------------
@@ -449,8 +549,6 @@ def test_report_serialization(rng):
     assert payload["status"] == "completed"
     assert set(payload["before"]) == {"length", "components"}
     assert "elapsed_ms" not in payload
-    assert report.elapsed_ms is not None
-    assert "elapsed_ms" in report.to_dict(include_elapsed=True)
 
 
 def test_simplify_median_threshold_pinned():
@@ -565,18 +663,20 @@ def test_batch_scores_equal_scores_of_each_cell_alone(rng):
     batch = score_cells(field, cells, cl, groups)
     for k, c in enumerate(cells.tolist()):
         alone = score_cells(field, [c], cl, groups)
-        run = range(batch.cand_start[k], batch.cand_start[k + 1])
-        assert [batch.edges[j] for j in run] == alone.edges
-        assert [batch.flips[j] for j in run] == alone.flips
+        candidates = range(batch.cand_start[k], batch.cand_start[k + 1])
+        assert [batch.edges[j] for j in candidates] == alone.edges
+        assert [batch.flips[j] for j in candidates] == alone.flips
         assert np.array_equal(
-            bits([batch.delta(j) for j in run]),
+            bits([batch.delta(j) for j in candidates]),
             bits([alone.delta(i) for i in range(len(alone.edges))]),
         )
         assert batch.edges[batch.best(k)] == alone.edges[alone.best(0)]
-        for i, j in enumerate(run):
-            assert np.array_equal(batch.variant(j).tids, alone.variant(i).tids)
-            assert np.array_equal(bits(batch.variant(j).dets), bits(alone.variant(i).dets))
-            assert batch.repairs(j) == alone.repairs(i)
+        for i, j in enumerate(candidates):
+            (tids, dets, flipped, requeue), expected = run(batch, j), run(alone, i)
+            assert np.array_equal(tids, expected[0])
+            assert np.array_equal(bits(dets), bits(expected[1]))
+            assert np.array_equal(flipped, expected[2])
+            assert np.array_equal(requeue, expected[3])
 
 
 def test_score_cells_of_no_cells_is_empty():
@@ -596,9 +696,8 @@ def test_best_is_the_eager_minimum_of_the_per_candidate_oracle(rng, monkeypatch,
     # same edge on a batch of cells whose fewest flips tie, and on a batch
     # whose fewest flips never tie, without summing any growth there.
     field = wave_field(rng, 30, 20, step)
-    cl = Worklist(field.n_triangles)
-    for t in rng.choice(field.n_triangles, size=300, replace=False).tolist():
-        cl.add(t)
+    selected = set(rng.choice(field.n_triangles, size=300, replace=False).tolist())
+    cl = worklist(field, selected)
     groups = VertexGroups(field.n_vertices)
     oracle_groups = VertexGroupsOracle(field.n_vertices)
     for u, v in rng.integers(field.n_vertices, size=(40, 2)).tolist():
@@ -608,8 +707,8 @@ def test_best_is_the_eager_minimum_of_the_per_candidate_oracle(rng, monkeypatch,
     eager, tie, n_candidates = {}, {}, {}
     for c in rng.choice(field.n_triangles, size=200, replace=False).tolist():
         keys = [
-            (*evaluate_variant_oracle(field, c, edge, cl, oracle_groups)[:2], edge)
-            for edge in possible_collapse_variants_oracle(field, cl, c)
+            (*evaluate_variant_oracle(field, c, edge, selected, oracle_groups)[:2], edge)
+            for edge in possible_collapse_variants_oracle(field, selected, c)
         ]
         eager[c] = min(keys)[2]
         fewest = min(flips for flips, _, _ in keys)
