@@ -6,10 +6,10 @@
 # A, D and the render, the preferred-sign rules through B and C) and the
 # B and C star links. The simplify run at `--threshold inf` selects every
 # cell, so it ends on an oscillation guard; the variant D run reads D's
-# star links. The Loop runs write the whole subdivided field, so any
-# change to the Loop step shows in it. Every path is relative to $1, so
-# two trees that behave alike write byte-identical files (the manifests
-# aside, which record times).
+# star links. The Loop runs write the whole subdivided field and the
+# filter runs the whole smoothed grid, so any change to either shows in
+# it. Every path is relative to $1, so two trees that behave alike write
+# byte-identical files (the manifests aside, which record times).
 #
 #   bash .github/cli-outputs.sh TREE
 set -euo pipefail
@@ -31,6 +31,12 @@ jss compare cli-in/field.sgf cli-in/field.bsf --methods original ca-a loop --ste
   --threshold 0.12 --out cli-out/compare.md
 jss baseline cli-in/field.sgf --method loop --steps 2 --out cli-out/loop-sgf-2.bsf
 jss baseline cli-in/field.bsf --method loop --steps 1 --out cli-out/loop-bsf-1.bsf
+jss baseline cli-in/field.sgf --method binomial --radius 2 --boundary mirror \
+  --out cli-out/binomial-2-mirror.sgf
+jss baseline cli-in/field.sgf --method gaussian --sigma 2 --truncation 2 \
+  --out cli-out/gaussian-2-2.sgf
+jss compare cli-in/field.sgf --methods binomial gaussian --sigma 2 --boundary mirror \
+  --out cli-out/compare-filters.md
 jss stats cli-in/plateau.bsf > cli-out/stats-plateau.txt
 for v in A B C D; do
   jss graph cli-in/plateau.bsf --variant "$v" --out "cli-out/graph-plateau-$v.json"

@@ -11,7 +11,6 @@ the noise regions.
 import numpy as np
 
 from jacobiset import (
-    FilterSpec,
     GridField,
     binomial_filter,
     gaussian_filter,
@@ -35,10 +34,10 @@ base = grid.to_tri_field()
 
 rows = [("original", measures(base))]
 
-smoothed = binomial_filter(grid, FilterSpec(radius=1))
+smoothed = binomial_filter(grid, radius=1)
 rows.append(("binomial r=1", measures(smoothed.to_tri_field())))
 
-blurred = gaussian_filter(grid, FilterSpec(sigma=2.0))
+blurred = gaussian_filter(grid, sigma=2.0)
 rows.append(("gaussian sigma=2", measures(blurred.to_tri_field())))
 
 subdivided = loop_subdivide(base, 2)

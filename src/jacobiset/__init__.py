@@ -31,13 +31,12 @@ from .regions import (
     neighborhood_graph,
 )
 from .collapse import CollapseStatus, simplify
-from .baselines import FilterSpec, binomial_filter, gaussian_filter, loop_subdivide
+from .baselines import binomial_filter, gaussian_filter, loop_subdivide
 from .render import render_svg
 
 __all__ = [
     "CollapseStatus",
     "DegenerateTriangleError",
-    "FilterSpec",
     "GridField",
     "MeshError",
     "NonManifoldError",

@@ -1,15 +1,15 @@
 """Comparison methods: grid smoothing filters and Loop subdivision.
 
-The binomial and Gaussian filters run separably on structured grids only.
-Loop subdivision refines a triangle mesh 1-to-4 per step; the field values
-get the classic subdivision weights while vertex positions use plain
-midpoint refinement, which keeps the planar domain outline fixed.
+The binomial filter (``radius``, ``boundary``) and the Gaussian filter
+(``sigma``, ``truncation``, ``boundary``) run separably on structured
+grids only. Loop subdivision refines a triangle mesh 1-to-4 per step; the
+field values get the classic subdivision weights while vertex positions
+use plain midpoint refinement, which keeps the planar domain outline fixed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,24 +25,6 @@ _BOUNDARY_MODES = {"clamp": "edge", "mirror": "reflect"}
 # for 3.06 million, 1,306 MiB for 6.91 million), so an accepted call stays
 # below about 3.5 GB.
 LOOP_MAX_TRIANGLES = 16_000_000
-
-
-@dataclass
-class FilterSpec:
-    radius: int = 1
-    sigma: float = 1.0
-    truncation: float = 3.0
-    boundary: str = "clamp"
-
-    def __post_init__(self):
-        if self.radius < 1:
-            raise ValueError("radius must be >= 1")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be > 0")
-        if not self.truncation >= 1:
-            raise ValueError("truncation must be >= 1")
-        if self.boundary not in _BOUNDARY_MODES:
-            raise ValueError(f"boundary must be one of {sorted(_BOUNDARY_MODES)}")
 
 
 def _binomial_kernel(radius: int) -> np.ndarray:
@@ -95,38 +77,39 @@ def _correlate1d(x: np.ndarray, k: np.ndarray, axis: int, mode: str) -> np.ndarr
     return out
 
 
-def binomial_filter(grid: GridField, spec: FilterSpec) -> GridField:
-    """Separable binomial smoothing; r=1 is the [1, 2, 1]/4 kernel."""
-    if not isinstance(grid, GridField):
-        raise TypeError("binomial filter requires a structured grid")
-    k = _binomial_kernel(spec.radius)
-    mode = _BOUNDARY_MODES[spec.boundary]
-    return GridField(
-        grid.width,
-        grid.height,
-        grid.dx,
-        grid.dy,
-        _separable(grid.f, k, k, mode),
-        _separable(grid.g, k, k, mode),
-    )
+def binomial_filter(grid: GridField, radius: int = 1, boundary: str = "clamp") -> GridField:
+    """Separable binomial smoothing; radius 1 is the [1, 2, 1]/4 kernel."""
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    k = _binomial_kernel(radius)
+    return _smooth(grid, "binomial", boundary, lambda cap: k)
 
 
-def gaussian_filter(grid: GridField, spec: FilterSpec) -> GridField:
+def gaussian_filter(
+    grid: GridField, sigma: float, truncation: float = 3.0, boundary: str = "clamp"
+) -> GridField:
     """Separable sampled-Gaussian smoothing, truncated at
     ``truncation * sigma`` and capped at the grid size."""
-    if not isinstance(grid, GridField):
-        raise TypeError("gaussian filter requires a structured grid")
-    mode = _BOUNDARY_MODES[spec.boundary]
-    kx = _gaussian_kernel(spec.sigma, spec.truncation, grid.width - 1)
-    ky = _gaussian_kernel(spec.sigma, spec.truncation, grid.height - 1)
-    return GridField(
-        grid.width,
-        grid.height,
-        grid.dx,
-        grid.dy,
-        _separable(grid.f, kx, ky, mode),
-        _separable(grid.g, kx, ky, mode),
+    if not sigma > 0:
+        raise ValueError("sigma must be > 0")
+    if not truncation >= 1:
+        raise ValueError("truncation must be >= 1")
+    return _smooth(
+        grid, "gaussian", boundary, lambda cap: _gaussian_kernel(sigma, truncation, cap)
     )
+
+
+def _smooth(grid: GridField, method: str, boundary: str, kernel) -> GridField:
+    """``grid`` with both components filtered separably: an axis of ``n``
+    samples by the kernel ``kernel(n - 1)``."""
+    if not isinstance(grid, GridField):
+        raise TypeError(f"{method} filter requires a structured grid")
+    if boundary not in _BOUNDARY_MODES:
+        raise ValueError(f"boundary must be one of {sorted(_BOUNDARY_MODES)}")
+    mode = _BOUNDARY_MODES[boundary]
+    kx, ky = kernel(grid.width - 1), kernel(grid.height - 1)
+    f, g = (_separable(c, kx, ky, mode) for c in (grid.f, grid.g))
+    return GridField(grid.width, grid.height, grid.dx, grid.dy, f, g)
 
 
 def loop_subdivide(field: TriField, steps: int) -> TriField:

@@ -25,7 +25,7 @@ from time import perf_counter
 import numpy as np
 
 from . import __version__
-from .baselines import FilterSpec, binomial_filter, gaussian_filter, loop_subdivide
+from .baselines import binomial_filter, gaussian_filter, loop_subdivide
 from .collapse import simplify
 from .fileio import (
     ParseError,
@@ -39,6 +39,7 @@ from .fileio import (
 from .jacobi import compute_jacobi_set, jacobi_measures, measures
 from .mesh import MeshError
 from .regions import VARIANTS, build_regions, graph_to_dot, graph_to_json, neighborhood_graph
+from .render import render_svg
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -62,6 +63,15 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _add_baseline_options(p) -> None:
+    """The smoothing and subdivision options of ``baseline`` and ``compare``."""
+    p.add_argument("--radius", type=int, default=1)
+    p.add_argument("--sigma", type=float, default=1000.0)
+    p.add_argument("--truncation", type=float, default=3.0)
+    p.add_argument("--boundary", choices=("clamp", "mirror"), default="clamp")
+    p.add_argument("--steps", type=int, default=4)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="jacobiset", description=__doc__)
     parser.add_argument("--version", action="version", version=f"jacobiset {__version__}")
@@ -83,11 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="smoothing filters / Loop subdivision")
     p.add_argument("input")
     p.add_argument("--method", choices=("binomial", "gaussian", "loop"), required=True)
-    p.add_argument("--radius", type=int, default=1)
-    p.add_argument("--sigma", type=float, default=1000.0)
-    p.add_argument("--truncation", type=float, default=3.0)
-    p.add_argument("--boundary", choices=("clamp", "mirror"), default="clamp")
-    p.add_argument("--steps", type=int, default=4)
+    _add_baseline_options(p)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("render", help="render the field to SVG")
@@ -109,11 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "markdown"), default="markdown")
     p.add_argument("--out", help="write the table to a file instead of stdout")
     p.add_argument("--threshold", type=float, default=0.0001)
-    p.add_argument("--radius", type=int, default=1)
-    p.add_argument("--sigma", type=float, default=1000.0)
-    p.add_argument("--truncation", type=float, default=3.0)
-    p.add_argument("--boundary", choices=("clamp", "mirror"), default="clamp")
-    p.add_argument("--steps", type=int, default=4)
+    _add_baseline_options(p)
     p.add_argument("--epsilon", type=float, default=0.0)
     return parser
 
@@ -199,11 +201,11 @@ def cmd_simplify(args):
 
 
 def _filtered(grid, method: str, args):
-    """``grid`` smoothed by the ``binomial`` or ``gaussian`` filter that the
-    ``--radius``/``--sigma``/``--truncation``/``--boundary`` options describe."""
-    spec = FilterSpec(**_params(args, *_FILTER_OPTIONS))
-    fn = gaussian_filter if method == "gaussian" else binomial_filter
-    return fn(grid, spec)
+    """``grid`` smoothed by the ``binomial`` or ``gaussian`` filter, which
+    reads only its own options."""
+    if method == "gaussian":
+        return gaussian_filter(grid, args.sigma, args.truncation, args.boundary)
+    return binomial_filter(grid, args.radius, args.boundary)
 
 
 def cmd_baseline(args):
@@ -227,8 +229,6 @@ def cmd_baseline(args):
 
 
 def cmd_render(args):
-    from .render import render_svg
-
     field = load_field(args.input)
     svg = render_svg(
         field,
@@ -262,8 +262,8 @@ def cmd_graph(args):
 def _load_compare_input(path):
     """Parse one ``compare`` input once: ``(grid, field)``, where ``grid`` is
     the SGF grid (None for BSF input) and ``field`` the triangle field.
-    Either may instead be the error that loading it raised, which every
-    cell needing it then reports."""
+    A load that fails leaves its error in ``field``, and in ``grid`` too
+    if the file did not load at all; every cell reports it."""
     try:
         grid = load_sgf(path) if sniff_format(path) == "sgf" else None
     except _INPUT_ERRORS as exc:
@@ -276,20 +276,17 @@ def _load_compare_input(path):
 
 
 def _compare_cell(method: str, grid, field, args) -> dict:
+    filters = method in ("binomial", "gaussian")
+    if filters and grid is None:
+        raise ValueError(f"{method} requires structured grid (SGF) input")
+    if isinstance(field, Exception):
+        raise field
     eps = args.epsilon
-    if method in ("binomial", "gaussian"):
-        if grid is None:
-            raise ValueError(f"{method} requires structured grid (SGF) input")
-        if isinstance(grid, Exception):
-            raise grid
+    if filters:
         smooth = _filtered(grid, method, args)
-        if isinstance(field, Exception):
-            return measures(smooth.to_tri_field(), eps)
         # The filters keep the grid's size and spacing: only values change.
         values = np.column_stack([smooth.f.ravel(), smooth.g.ravel()])
         return measures(field.with_values(values), eps)
-    if isinstance(field, Exception):
-        raise field
     if method == "original":
         return measures(field, eps)
     if method.startswith("ca-"):

@@ -61,11 +61,9 @@ def assign_degenerate(field: TriField, signs: np.ndarray) -> np.ndarray:
     out[MAJORITY] = np.sign(pos - neg)
     out[PREFER_NEGATIVE] = np.where(neg > 0, -1, np.sign(pos))
     out[PREFER_POSITIVE] = np.where(pos > 0, 1, -np.sign(neg))
-    # Ring 1 from vertex counts needs distinct edge neighbours; a triangle
-    # whose twin (same three vertices) borders all its edges, or one whose
-    # majority ring 1 leaves undecided, takes the ring search. A ring that
-    # decides the majority holds a sign, and so decides the other rules.
-    out[:, (nbr[:, 0] == nbr[:, 1]) & (nbr[:, 0] >= 0)] = 0
+    # A triangle whose majority ring 1 leaves undecided takes the ring
+    # search. A ring that decides the majority holds a sign, and so decides
+    # the other rules.
     undecided = np.flatnonzero(out[MAJORITY] == 0)
     if len(undecided):
         # A plateau (degenerate triangles joined at shared vertices) that
@@ -107,7 +105,12 @@ def _neighbor_sums(field: TriField, weights: np.ndarray, tri, nbr) -> np.ndarray
     padded[:-1] = weights
     sums = per_vertex.astype(np.int64).take(tri)
     sums -= padded.take(nbr)
-    return sums[:, 0] + sums[:, 1] + sums[:, 2]
+    out = sums[:, 0] + sums[:, 1] + sums[:, 2]
+    # A twin (the same three vertices) borders all three edges: counted
+    # three times and taken off three times, it is added back once.
+    twin = np.flatnonzero(nbr[:, 0] == nbr[:, 1])
+    out[twin] += padded.take(nbr[twin, 0])
+    return out
 
 
 def _ring_search(field, signs, offsets, seed):

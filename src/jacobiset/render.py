@@ -45,8 +45,9 @@ def render_svg(
     scale_ref = saturation_scale * median
 
     pos = field.positions
-    xmin, ymin = pos.min(axis=0)
-    xmax, ymax = pos.max(axis=0)
+    # A field without vertices spans one point: the empty square canvas.
+    box = (pos.min(axis=0), pos.max(axis=0)) if len(pos) else np.zeros((2, 2))
+    (xmin, ymin), (xmax, ymax) = box
     w = max(xmax - xmin, 1e-30)
     h = max(ymax - ymin, 1e-30)
     px = CANVAS_WIDTH / w

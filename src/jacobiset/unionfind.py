@@ -12,8 +12,7 @@ class UnionFind:
 
     The program no longer uses it: `collapse.VertexGroups` keeps a label
     array. It stays for the benchmark's tracer, which wraps ``find`` and
-    ``union`` by name (``perfbench/tracing.py``), and for the collapse
-    test oracle.
+    ``union`` by name (``perfbench/tracing.py``).
     """
 
     def __init__(self, n: int):

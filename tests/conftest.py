@@ -30,7 +30,6 @@ from jacobiset.jacobi import (
     orientation_signs,
 )
 from jacobiset.regions import build_graph, build_regions, find_collapsible_cells
-from jacobiset.unionfind import UnionFind
 
 
 def make_field(positions, values, triangles) -> TriField:
@@ -59,6 +58,15 @@ def grid_field(w, h, fn_f, fn_g, spacing=(1.0, 1.0)) -> TriField:
     xx = np.tile(xs, h)
     yy = np.repeat(ys, w)
     return triangulate_structured(w, h, spacing, fn_f(xx, yy), fn_g(xx, yy))
+
+
+def twin_pair_field() -> TriField:
+    """Triangles 0 and 1 on the same three vertices, so each borders the
+    other across all three edges, and one more triangle at each of their
+    vertices: (0,1,2), (0,1,2), (0,3,4), (1,5,6), (2,7,8). Values are 0."""
+    positions = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (2, 0), (1, -1), (0, 2), (-1, 1)]
+    triangles = [(0, 1, 2), (0, 1, 2), (0, 3, 4), (1, 5, 6), (2, 7, 8)]
+    return TriField(positions, np.zeros((9, 2)), triangles)
 
 
 def random_sign_field(rng, w=6, h=6) -> TriField:
@@ -118,10 +126,13 @@ def score_cell(field, c, selected=()):
 
 
 def vertex_stars(field) -> list:
-    """Per-vertex incident triangle ids (ascending), split from the CSR
-    `TriField.stars`."""
-    offsets, tids = field.stars
-    return np.split(tids, offsets[1:-1])
+    """Per-vertex incident triangle ids (ascending), collected by a loop
+    over the triangles."""
+    stars = [[] for _ in range(field.n_vertices)]
+    for t, corners in enumerate(field.triangles.tolist()):
+        for v in corners:
+            stars[v].append(t)
+    return [np.array(star, dtype=np.int64) for star in stars]
 
 
 def vertex_neighbors(field, v: int) -> np.ndarray:
@@ -301,6 +312,7 @@ def ring_assignment_oracle(field, signs, prefer=None) -> dict:
     neighborhood one ring at a time, triangle by triangle, until a ring
     decides (strict majority of the running sum, or with ``prefer`` the
     first ring holding a signed triangle)."""
+    stars = vertex_stars(field)
     out = {}
     for seed in np.flatnonzero(signs == 0):
         seed = int(seed)
@@ -311,11 +323,11 @@ def ring_assignment_oracle(field, signs, prefer=None) -> dict:
         while frontier:
             ring = []
             for u in frontier:
-                for v in field.point_neighbors(u):
-                    v = int(v)
-                    if v not in visited:
-                        visited.add(v)
-                        ring.append(v)
+                for corner in field.triangles[u].tolist():
+                    for v in stars[corner].tolist():
+                        if v not in visited:
+                            visited.add(v)
+                            ring.append(v)
             if not ring:
                 break
             if prefer is None:
@@ -663,24 +675,34 @@ class VertexGroupsOracle:
     earlier collapses never drift apart.
     """
 
-    def __init__(self, n_vertices: int):
-        self._uf = UnionFind(n_vertices)
+    def __init__(self):
+        # A union-find in dicts: a vertex without a parent is a root, and
+        # a root keys the members of its group once it has merged.
+        self._parent: dict[int, int] = {}
         self._members: dict[int, list] = {}
 
+    def _root(self, v: int) -> int:
+        while v in self._parent:
+            v = self._parent[v]
+        return v
+
     def members(self, v: int) -> list:
-        return self._members.get(self._uf.find(v), [v])
+        return self._members.get(self._root(v), [v])
 
     def merged_members(self, u: int, v: int) -> list:
         """Members of the union of both groups, without merging."""
         mu = self.members(u)
-        if self._uf.find(u) == self._uf.find(v):
+        if self._root(u) == self._root(v):
             return mu
         return mu + self.members(v)
 
     def merge(self, u: int, v: int) -> list:
         mu = self.merged_members(u, v)
-        root = self._uf.union(u, v)
-        self._members[root] = mu
+        ru, rv = self._root(u), self._root(v)
+        if ru != rv:
+            self._parent[rv] = ru
+            self._members.pop(rv, None)
+        self._members[ru] = mu
         return mu
 
 
@@ -837,7 +859,7 @@ def simplify_oracle(
     seeds = find_collapsible_cells(graph, regions, threshold)
 
     history = CollapseHistoryOracle()
-    groups = VertexGroupsOracle(field.n_vertices)
+    groups = VertexGroupsOracle()
     cl: set[int] = set()
     for c in seeds:
         c = int(c)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from jacobiset import (
-    FilterSpec,
     NonManifoldError,
     TriField,
     binomial_filter,
@@ -69,26 +68,31 @@ def dense_convolve(img, kernel2d, mode):
     return out
 
 
-# -- filter specs ------------------------------------------------------------
+# -- filter parameters -------------------------------------------------------
 
 
-def test_filter_spec_validation():
-    with pytest.raises(ValueError):
-        FilterSpec(radius=0)
-    with pytest.raises(ValueError):
-        FilterSpec(sigma=0.0)
-    with pytest.raises(ValueError):
-        FilterSpec(truncation=0.5)
-    with pytest.raises(ValueError):
-        FilterSpec(boundary="wrap")
+def test_filter_parameter_validation():
+    grid = constant_grid()
+    with pytest.raises(ValueError, match="radius must be >= 1"):
+        binomial_filter(grid, radius=0)
+    with pytest.raises(ValueError, match="sigma must be > 0"):
+        gaussian_filter(grid, 0.0)
+    with pytest.raises(ValueError, match="sigma must be > 0"):
+        gaussian_filter(grid, float("nan"))
+    with pytest.raises(ValueError, match="truncation must be >= 1"):
+        gaussian_filter(grid, 1.0, truncation=0.5)
+    with pytest.raises(ValueError, match="boundary must be one of"):
+        binomial_filter(grid, boundary="wrap")
+    with pytest.raises(ValueError, match="boundary must be one of"):
+        gaussian_filter(grid, 1.0, boundary="wrap")
 
 
 def test_filters_require_grid_input():
     field = triangulate_structured(3, 3, (1, 1), np.zeros(9), np.zeros(9))
-    with pytest.raises(TypeError):
-        binomial_filter(field, FilterSpec())
-    with pytest.raises(TypeError):
-        gaussian_filter(field, FilterSpec())
+    with pytest.raises(TypeError, match="binomial filter requires a structured grid"):
+        binomial_filter(field)
+    with pytest.raises(TypeError, match="gaussian filter requires a structured grid"):
+        gaussian_filter(field, 1.0)
 
 
 # -- binomial ----------------------------------------------------------------
@@ -96,7 +100,7 @@ def test_filters_require_grid_input():
 
 def test_binomial_constant_bit_identical():
     grid = constant_grid(cf=0.12345678901234567, cg=-9.87654321e-5)
-    out = binomial_filter(grid, FilterSpec())
+    out = binomial_filter(grid)
     assert np.array_equal(out.f, grid.f)
     assert np.array_equal(out.g, grid.g)
 
@@ -105,7 +109,7 @@ def test_binomial_impulse_footprint():
     f = np.zeros((5, 5))
     f[2, 2] = 1.0
     grid = GridField(5, 5, 1.0, 1.0, f, np.zeros((5, 5)))
-    out = binomial_filter(grid, FilterSpec(radius=1))
+    out = binomial_filter(grid, radius=1)
     k = np.array([1.0, 2.0, 1.0]) / 4.0
     expected = np.outer(k, k)
     assert np.allclose(out.f[1:4, 1:4], expected, atol=1e-15)
@@ -115,7 +119,7 @@ def test_binomial_impulse_footprint():
 def test_binomial_radius_two_matches_dense_oracle(rng):
     data = rng.normal(size=(6, 8))
     grid = GridField(8, 6, 1.0, 1.0, data, np.zeros((6, 8)))
-    out = binomial_filter(grid, FilterSpec(radius=2, boundary="clamp"))
+    out = binomial_filter(grid, radius=2, boundary="clamp")
     k = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
     expected = dense_convolve(data, np.outer(k, k), "clamp")
     assert np.allclose(out.f, expected, atol=1e-12)
@@ -124,7 +128,7 @@ def test_binomial_radius_two_matches_dense_oracle(rng):
 def test_binomial_ramp_interior_unchanged_mirror():
     xs = np.tile(np.arange(9.0), 6)
     grid = GridField(9, 6, 1.0, 1.0, xs, np.zeros(54))
-    out = binomial_filter(grid, FilterSpec(boundary="mirror"))
+    out = binomial_filter(grid, boundary="mirror")
     # A symmetric kernel preserves affine data wherever the stencil sees
     # the true ramp, i.e. away from the boundary columns.
     assert np.allclose(out.f[:, 1:-1], grid.f[:, 1:-1], atol=1e-14)
@@ -133,10 +137,9 @@ def test_binomial_ramp_interior_unchanged_mirror():
 def test_binomial_commutes_with_constant_shift(rng):
     data = rng.normal(size=(5, 7))
     grid = GridField(7, 5, 1.0, 1.0, data, data * 2)
-    spec = FilterSpec()
-    base = binomial_filter(grid, spec)
+    base = binomial_filter(grid)
     shifted = GridField(7, 5, 1.0, 1.0, data + 10.0, data * 2 - 3.0)
-    out = binomial_filter(shifted, spec)
+    out = binomial_filter(shifted)
     assert np.allclose(out.f, base.f + 10.0, atol=1e-12)
     assert np.allclose(out.g, base.g - 3.0, atol=1e-12)
 
@@ -146,7 +149,7 @@ def test_binomial_commutes_with_constant_shift(rng):
 
 def test_gaussian_constant_bit_identical():
     grid = constant_grid()
-    out = gaussian_filter(grid, FilterSpec(sigma=1.5))
+    out = gaussian_filter(grid, 1.5)
     assert np.array_equal(out.f, grid.f)
     assert np.array_equal(out.g, grid.g)
 
@@ -155,7 +158,7 @@ def test_gaussian_impulse_matches_dense_oracle():
     f = np.zeros((9, 9))
     f[4, 4] = 2.5
     grid = GridField(9, 9, 1.0, 1.0, f, np.zeros((9, 9)))
-    out = gaussian_filter(grid, FilterSpec(sigma=1.0, truncation=3.0))
+    out = gaussian_filter(grid, 1.0, truncation=3.0)
     x = np.arange(-3, 4, dtype=float)
     k = np.exp(-0.5 * x**2)
     k /= k.sum()
@@ -165,14 +168,14 @@ def test_gaussian_impulse_matches_dense_oracle():
 
 def test_gaussian_kernel_capped_at_grid_size():
     grid = constant_grid(6, 4)
-    out = gaussian_filter(grid, FilterSpec(sigma=1000.0, truncation=3.0))
+    out = gaussian_filter(grid, 1000.0, truncation=3.0)
     assert out.f.shape == grid.f.shape  # huge sigma still runs after capping
 
 
 def test_gaussian_variance_reduction(rng):
     noise = rng.normal(size=(20, 20))
     grid = GridField(20, 20, 1.0, 1.0, noise, noise[::-1])
-    out = gaussian_filter(grid, FilterSpec(sigma=2.0))
+    out = gaussian_filter(grid, 2.0)
     assert out.f.var() < noise.var()
 
 
@@ -199,7 +202,7 @@ def test_filters_match_scipy_correlate1d_bit_for_bit(rng):
                     ours = _correlate1d(grid.f, k, axis, numpy_mode[boundary])
                     theirs = ndimage.correlate1d(grid.f, k, axis=axis, mode=mode)
                     assert np.array_equal(ours, theirs), (h, w, boundary, radius, axis)
-                out = binomial_filter(grid, FilterSpec(radius=radius, boundary=boundary))
+                out = binomial_filter(grid, radius, boundary)
                 assert np.array_equal(out.f, reference(grid.f, k, k, mode))
                 assert np.array_equal(out.g, reference(grid.g, k, k, mode))
             # sigma 0.7 reaches radius 3 where the grid allows; sigma 50 is capped
@@ -207,7 +210,7 @@ def test_filters_match_scipy_correlate1d_bit_for_bit(rng):
             for sigma in (0.7, 50.0):
                 kx = _gaussian_kernel(sigma, 3.0, w - 1)
                 ky = _gaussian_kernel(sigma, 3.0, h - 1)
-                out = gaussian_filter(grid, FilterSpec(sigma=sigma, boundary=boundary))
+                out = gaussian_filter(grid, sigma, boundary=boundary)
                 assert np.array_equal(out.f, reference(grid.f, kx, ky, mode))
                 assert np.array_equal(out.g, reference(grid.g, kx, ky, mode))
 

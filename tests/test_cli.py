@@ -544,6 +544,53 @@ def test_compare_error_rows_pinned(identity_sgf, tmp_path, capsys):
     assert f"{identity_sgf},loop,0,0" in rows
 
 
+def test_filters_check_only_the_options_they_read(identity_sgf, tmp_path, capsys):
+    # binomial reads --radius and --boundary, gaussian --sigma, --truncation
+    # and --boundary: an option a filter does not read is not checked for it.
+    src = str(identity_sgf)
+    table = ["compare", src, "--methods", "binomial", "gaussian", "--format", "csv"]
+    assert main(table) == 0
+    plain = capsys.readouterr().out.strip().split("\n")
+    assert not any("error" in row for row in plain)
+    assert main([*table, "--sigma", "0"]) == 0
+    assert capsys.readouterr().out.strip().split("\n") == [
+        *plain[:2], f"{src},gaussian,error: sigma must be > 0,"
+    ]
+    assert main([*table, "--radius", "0"]) == 0
+    assert capsys.readouterr().out.strip().split("\n") == [
+        plain[0], f"{src},binomial,error: radius must be >= 1,", plain[2]
+    ]
+
+    binomial = ["baseline", src, "--method", "binomial"]
+    assert main([*binomial, "--out", str(tmp_path / "plain.sgf")]) == 0
+    unread = ["--sigma", "0", "--truncation", "0", "--out", str(tmp_path / "unread.sgf")]
+    assert main([*binomial, *unread]) == 0
+    assert (tmp_path / "unread.sgf").read_bytes() == (tmp_path / "plain.sgf").read_bytes()
+    gaussian = ["baseline", src, "--method", "gaussian"]
+    for argv, message in (
+        ([*binomial, "--radius", "0"], "radius must be >= 1"),
+        ([*gaussian, "--sigma", "0"], "sigma must be > 0"),
+        ([*gaussian, "--truncation", "0.5"], "truncation must be >= 1"),
+    ):
+        assert main([*argv, "--out", str(tmp_path / "bad.sgf")]) == 2
+        assert capsys.readouterr().err == f"jacobiset baseline: error: {message}\n"
+    assert main([*binomial, "--boundary", "wrap", "--out", str(tmp_path / "bad.sgf")]) == 64
+    assert "argument --boundary: invalid choice: 'wrap'" in capsys.readouterr().err
+    assert not (tmp_path / "bad.sgf").exists()
+
+
+def test_compare_reports_an_sgf_that_does_not_triangulate_in_every_cell(tmp_path, capsys):
+    # The grid loads, but its inf sample fails the triangulation. The filter
+    # cells report that error too, without smoothing the grid: inf - inf
+    # would raise a RuntimeWarning.
+    path = tmp_path / "inf.sgf"
+    path.write_text("sgf 1\ngrid 3 2 1 1\ninf 0\n1 0\n2 1\n0 1\n1 1\n2 0\n")
+    methods = ["original", "ca-a", "binomial", "gaussian", "loop"]
+    assert main(["compare", str(path), "--methods", *methods, "--format", "csv"]) == 2
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert rows == [f"{path},{m},error: non-finite vertex value," for m in methods]
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "jacobiset", "--version"],
@@ -590,6 +637,20 @@ def test_empty_mesh_stats_and_simplify_exit_0(tmp_path, capsys):
     assert out.read_text() == (
         "bsf 1\nvertices 3 triangles 0\n0.0 0.0 0.0 0.0\n1.0 0.0 1.0 1.0\n0.0 1.0 2.0 2.0\n"
     )
+
+
+def test_render_field_without_vertices(tmp_path, capsys):
+    # Drawn as the empty square canvas of a field whose vertices make no
+    # triangle.
+    empty = tmp_path / "empty.bsf"
+    empty.write_text("bsf 1\nvertices 0 triangles 0\n")
+    bare = tmp_path / "bare.bsf"
+    bare.write_text("bsf 1\nvertices 3 triangles 0\n0 0 0 0\n1 0 1 1\n0 1 2 2\n")
+    for path in (empty, bare):
+        assert main(["render", str(path), "--out", str(path.with_suffix(".svg"))]) == 0
+    svg = empty.with_suffix(".svg").read_text()
+    assert svg == bare.with_suffix(".svg").read_text()
+    assert 'width="800" height="800.00"' in svg and "<polygon" not in svg
 
 
 def test_cli_builds_no_per_region_objects(island_bsf, island_threshold, tmp_path, monkeypatch):
@@ -651,16 +712,17 @@ def test_compare_filters_share_the_input_topology(identity_sgf, monkeypatch, cap
     # binomial and gaussian reuse the original field's mesh, and give the
     # measures of a freshly triangulated filtered grid.
     from jacobiset import measures, mesh
-    from jacobiset.baselines import FilterSpec, binomial_filter, gaussian_filter
+    from jacobiset.baselines import binomial_filter, gaussian_filter
     from jacobiset.fileio import load_sgf
 
     grid = load_sgf(identity_sgf)
     grid.g = grid.g * np.cos(grid.f)  # det = cos x: Jacobi edges to measure
     save_sgf(grid, identity_sgf)
-    fresh = {
-        name: measures(fn(grid, FilterSpec(1, 1.5, 3.0, "mirror")).to_tri_field())
-        for name, fn in (("binomial", binomial_filter), ("gaussian", gaussian_filter))
+    smoothed = {
+        "binomial": binomial_filter(grid, boundary="mirror"),
+        "gaussian": gaussian_filter(grid, 1.5, boundary="mirror"),
     }
+    fresh = {name: measures(out.to_tri_field()) for name, out in smoothed.items()}
     built = []
     init = mesh.TriField.__init__
 

@@ -699,7 +699,7 @@ def test_best_is_the_eager_minimum_of_the_per_candidate_oracle(rng, monkeypatch,
     selected = set(rng.choice(field.n_triangles, size=300, replace=False).tolist())
     cl = worklist(field, selected)
     groups = VertexGroups(field.n_vertices)
-    oracle_groups = VertexGroupsOracle(field.n_vertices)
+    oracle_groups = VertexGroupsOracle()
     for u, v in rng.integers(field.n_vertices, size=(40, 2)).tolist():
         if u != v:
             groups.merge(u, v)

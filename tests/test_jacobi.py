@@ -35,6 +35,7 @@ from conftest import (
     random_sign_field,
     ring_assignment_oracle,
     shoelace,
+    twin_pair_field,
     unit_triangle,
     wave_field,
 )
@@ -274,17 +275,19 @@ def test_assign_matches_ring_oracle_all_degenerate(prefer):
     assert set(out.tolist()) == {1}
 
 
-def test_assign_twin_triangle_matches_ring_oracle():
+def test_assign_twin_triangle_matches_ring_oracle(rng):
     # Triangle 1 repeats the vertices of triangle 0, so each borders the
     # other across all three edges; triangle 2 touches them at vertex 1.
     positions = [(0, 0), (1, 0), (0, 1), (2, 0), (2, 1)]
     triangles = [(0, 1, 2), (0, 1, 2), (1, 3, 4)]
-    field = TriField(positions, np.zeros((5, 2)), triangles)
-    signs = np.array([0, 1, -1], dtype=np.int8)
-    out = assign_degenerate(field, signs)
-    for prefer in (None, 1, -1):
-        expected = ring_assignment_oracle(field, signs, prefer)
-        assert _assigned(signs, out[RULE_ROW[prefer]]) == expected
+    cases = [(TriField(positions, np.zeros((5, 2)), triangles), np.array([0, 1, -1], np.int8))]
+    twins = twin_pair_field()
+    cases += [(twins, rng.integers(-1, 2, size=5).astype(np.int8)) for _ in range(100)]
+    for field, signs in cases:
+        out = assign_degenerate(field, signs)
+        for prefer in (None, 1, -1):
+            expected = ring_assignment_oracle(field, signs, prefer)
+            assert _assigned(signs, out[RULE_ROW[prefer]]) == expected
 
 
 @pytest.mark.parametrize("prefer", [None, 1, -1])

@@ -128,6 +128,7 @@ def test_point_neighbors_and_stars():
     assert sum(len(s) for s in stars) == 3 * field.n_triangles
     assert all((np.diff(s) > 0).all() for s in stars)
     offsets, tids = field.stars
+    assert [s.tolist() for s in np.split(tids, offsets[1:-1])] == [s.tolist() for s in stars]
     assert not offsets.flags.writeable and not tids.flags.writeable
     assert field.copy().stars is field.stars
     # Point neighbors exclude the triangle itself and share >= 1 vertex.

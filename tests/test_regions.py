@@ -26,6 +26,7 @@ from conftest import (
     quad_field,
     random_sign_field,
     split_regions_oracle,
+    twin_pair_field,
     unit_triangle,
     wave_field,
 )
@@ -75,14 +76,21 @@ def test_checkerboard_variant_a_vs_b():
 
 
 def test_labels_match_bfs_oracle_all_variants(rng):
+    cases = []
     for _ in range(25):
         field = random_sign_field(rng, 5, 5)
-        signs = orientation_signs(field)
+        cases.append((field, orientation_signs(field)))
+    # Each twin is a point neighbour of the other once: D's sums and merge
+    # key count it once, so the first sign set below gives D 2 regions, not 4.
+    twins = twin_pair_field()
+    cases.append((twins, np.array([-1, -1, -1, -1, 1], dtype=np.int8)))
+    cases += [(twins, rng.integers(-1, 2, size=5).astype(np.int8)) for _ in range(100)]
+    for field, signs in cases:
         assignment = assign_degenerate(field, signs)
         for variant in "ABCD":
             regs = build_regions(field, assignment, variant=variant)
             eff = regs.signs
-            nbr_sums = point_neighbor_sums(field, eff) if variant == "D" else None
+            nbr_sums = point_neighbor_sum_oracle(field, eff) if variant == "D" else None
             oracle = bfs_region_labels(field, eff, variant, nbr_sums)
             assert np.array_equal(regs.label, oracle), variant
 
@@ -120,6 +128,11 @@ def test_point_neighbor_sums_vectorized_vs_oracle(rng):
         eff = regs.signs
         assert np.array_equal(
             point_neighbor_sums(field, eff), point_neighbor_sum_oracle(field, eff)
+        )
+    twins = twin_pair_field()
+    for weights in ([-1, -1, -1, -1, 1], [1, 2, 4, 8, 16], rng.integers(-3, 4, size=5)):
+        assert np.array_equal(
+            point_neighbor_sums(twins, weights), point_neighbor_sum_oracle(twins, weights)
         )
 
 
