@@ -2,7 +2,12 @@
 
 The binomial filter (``radius``, ``boundary``) and the Gaussian filter
 (``sigma``, ``truncation``, ``boundary``) run separably on structured
-grids only. Loop subdivision refines a triangle mesh 1-to-4 per step; the
+grids only. The Gaussian kernel's radius is ``ceil(truncation * sigma)``,
+at least 1, but an axis of ``n`` samples takes at most radius ``n - 1``,
+its grid extent: where ``truncation * sigma`` exceeds it, the kernel is
+cut there and the filter warns with a :class:`KernelCutWarning`. An
+infinite sigma gives the cut uniform kernel. The binomial radius runs from
+1 to ``BINOMIAL_MAX_RADIUS``, and its kernel is never cut. Loop subdivision refines a triangle mesh 1-to-4 per step; the
 field values get the classic subdivision weights while vertex positions
 use plain midpoint refinement, which keeps the planar domain outline fixed.
 """
@@ -10,11 +15,12 @@ use plain midpoint refinement, which keeps the planar domain outline fixed.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
 from .fileio import GridField
-from .mesh import TriField
+from .mesh import TriField, _non_manifold, _slot_keys
 
 # np.pad modes: clamp repeats the edge sample, mirror reflects about it.
 _BOUNDARY_MODES = {"clamp": "edge", "mirror": "reflect"}
@@ -27,16 +33,43 @@ _BOUNDARY_MODES = {"clamp": "edge", "mirror": "reflect"}
 LOOP_MAX_TRIANGLES = 16_000_000
 
 
+# The widest binomial kernel. Its build and its 2r + 1 taps per sample grow
+# with the radius, so one option value must not start unbounded work: at
+# radius 4096 (standard deviation 45 samples) a 220x110 grid takes about
+# a second.
+BINOMIAL_MAX_RADIUS = 4096
+
+
+class KernelCutWarning(UserWarning):
+    """A Gaussian kernel was cut at the grid extent of an axis."""
+
+
 def _binomial_kernel(radius: int) -> np.ndarray:
-    k = np.array([math.comb(2 * radius, i) for i in range(2 * radius + 1)], dtype=np.float64)
-    return k / 4.0**radius
+    # Exact coefficients over the exact 4**radius: every tap is correctly
+    # rounded and none overflows.
+    row = [1]
+    for i in range(2 * radius):
+        row.append(row[-1] * (2 * radius - i) // (i + 1))
+    scale = 4**radius
+    return np.array([c / scale for c in row], dtype=np.float64)
 
 
 def _gaussian_kernel(sigma: float, truncation: float, max_radius: int) -> np.ndarray:
-    radius = min(int(math.ceil(truncation * sigma)), max_radius)
-    radius = max(radius, 1)
+    """The sampled Gaussian of radius ``ceil(truncation * sigma)``, cut at
+    ``max_radius`` with a :class:`KernelCutWarning`."""
+    reach = truncation * sigma
+    if reach > max_radius >= 1:  # an axis of one sample has no extent to cut
+        warnings.warn(
+            f"truncation*sigma = {reach:g} exceeds the grid extent {max_radius}; "
+            f"the gaussian kernel is cut at radius {max_radius}",
+            KernelCutWarning,
+        )
+    radius = max(math.ceil(min(reach, max_radius)), 1)
     x = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (x / sigma) ** 2)
+    # A tiny sigma overflows x / sigma to inf off the centre, where the
+    # tap is then exactly 0.
+    with np.errstate(over="ignore"):
+        k = np.exp(-0.5 * (x / sigma) ** 2)
     return k / k.sum()
 
 
@@ -78,9 +111,12 @@ def _correlate1d(x: np.ndarray, k: np.ndarray, axis: int, mode: str) -> np.ndarr
 
 
 def binomial_filter(grid: GridField, radius: int = 1, boundary: str = "clamp") -> GridField:
-    """Separable binomial smoothing; radius 1 is the [1, 2, 1]/4 kernel."""
+    """Separable binomial smoothing; radius 1 is the [1, 2, 1]/4 kernel,
+    and ``radius`` may be at most ``BINOMIAL_MAX_RADIUS``."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
+    if radius > BINOMIAL_MAX_RADIUS:
+        raise ValueError(f"radius must be <= {BINOMIAL_MAX_RADIUS}")
     k = _binomial_kernel(radius)
     return _smooth(grid, "binomial", boundary, lambda cap: k)
 
@@ -89,7 +125,8 @@ def gaussian_filter(
     grid: GridField, sigma: float, truncation: float = 3.0, boundary: str = "clamp"
 ) -> GridField:
     """Separable sampled-Gaussian smoothing, truncated at
-    ``truncation * sigma`` and capped at the grid size."""
+    ``truncation * sigma`` and cut, with a :class:`KernelCutWarning`, at
+    the grid extent of each axis."""
     if not sigma > 0:
         raise ValueError("sigma must be > 0")
     if not truncation >= 1:
@@ -159,9 +196,7 @@ def _loop_once(field: TriField) -> TriField:
     _edge_vertices(field, positions[n:], values[n:])
     half_order = _old_vertex_values(field, values[:n])
     # Edge slot e of triangle t is edge eid[t, e] of the sorted `edges`.
-    eid = np.searchsorted(
-        field.edges[:, 0] * n + field.edges[:, 1], _slot_keys(field.triangles, n)
-    )
+    eid = np.searchsorted(_slot_keys(field.edges, n)[:, 0], _slot_keys(field.triangles, n))
     triangles = _split(field.triangles, n + eid)
     adjacency = _child_adjacency(field, eid, half_order)
     del eid, half_order  # before the constructor allocates
@@ -226,16 +261,6 @@ def _old_vertex_values(field: TriField, out):
     return half_order
 
 
-def _slot_keys(ids, span) -> np.ndarray:
-    """``min * span + max`` of the ids at edge slot e of each row and at
-    the next slot: one sortable key per edge slot, shape (m, 3)."""
-    nxt = ids[:, [1, 2, 0]]
-    keys = np.minimum(ids, nxt)
-    keys *= span
-    keys += np.maximum(ids, nxt, out=nxt)
-    return keys
-
-
 def _split(tri, mid) -> np.ndarray:
     """The 1-to-4 split of ``tri``, whose edge slot e has its midpoint
     vertex at ``mid[t, e]``: corner child 4t+e is (v_e, m_e, m_{e-1}), and
@@ -257,9 +282,9 @@ def _child_adjacency(field: TriField, eid, half_order):
     ``eid[t, e]`` is its edge id; ``half_order`` lists the half edges,
     numbered as in :func:`_child_neighbors`, in ascending (vertex, edge id)
     order. The centre child 4t+3 holds the three midpoint edges.
-    Returns None when a midpoint edge lies in two parents, which only
-    triangles on the same three vertices give: then the child is
-    non-manifold, and the constructor's sort rejects it.
+    Raises :class:`~jacobiset.mesh.NonManifoldError` when a midpoint edge
+    lies in two parents, which only triangles on the same three vertices
+    give: the lowest such edge, which a sort of the child's slots reports.
     """
     m, n, n_edges = field.n_triangles, field.n_vertices, len(field.edges)
     neighbors, half_tris = _child_neighbors(field, eid)
@@ -272,8 +297,11 @@ def _child_adjacency(field: TriField, eid, half_order):
     keys = _slot_keys(n + eid, span).ravel()
     order = np.argsort(keys)
     keys = keys.take(order)
-    if (keys[1:] == keys[:-1]).any():
-        return None
+    repeated = np.flatnonzero(keys[1:] == keys[:-1])
+    if len(repeated):
+        # No half edge lies in more than two children, so a sort of the
+        # child's slots reports this edge first.
+        raise _non_manifold(keys[repeated[0]], span)
     n_half = 2 * n_edges
     edge_tris = np.empty((n_half + 3 * m, 2), dtype=np.int64)
     edge_tris[:n_half] = np.take(half_tris.reshape(-1, 2), half_order, axis=0)

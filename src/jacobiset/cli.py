@@ -20,12 +20,13 @@ import csv
 import io
 import json
 import sys
+import warnings
 from time import perf_counter
 
 import numpy as np
 
 from . import __version__
-from .baselines import binomial_filter, gaussian_filter, loop_subdivide
+from .baselines import KernelCutWarning, binomial_filter, gaussian_filter, loop_subdivide
 from .collapse import simplify
 from .fileio import (
     ParseError,
@@ -202,10 +203,20 @@ def cmd_simplify(args):
 
 def _filtered(grid, method: str, args):
     """``grid`` smoothed by the ``binomial`` or ``gaussian`` filter, which
-    reads only its own options."""
-    if method == "gaussian":
-        return gaussian_filter(grid, args.sigma, args.truncation, args.boundary)
-    return binomial_filter(grid, args.radius, args.boundary)
+    reads only its own options. A kernel cut at the grid extent is reported
+    on stderr; other warnings pass through as they came."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", KernelCutWarning)
+        if method == "gaussian":
+            smooth = gaussian_filter(grid, args.sigma, args.truncation, args.boundary)
+        else:
+            smooth = binomial_filter(grid, args.radius, args.boundary)
+    for w in caught:
+        if issubclass(w.category, KernelCutWarning):
+            print(f"warning: {w.message}", file=sys.stderr)
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return smooth
 
 
 def cmd_baseline(args):
@@ -214,17 +225,7 @@ def cmd_baseline(args):
         return EXIT_OK, _params(args, "method", "steps"), [args.out]
     if sniff_format(args.input) != "sgf":
         raise ValueError(f"--method {args.method} requires structured grid (SGF) input")
-    grid = load_sgf(args.input)
-    save_sgf(_filtered(grid, args.method, args), args.out)
-    if args.method == "gaussian":
-        extent = max(grid.width, grid.height)
-        if args.truncation * args.sigma > extent:
-            print(
-                f"warning: truncation*sigma = {args.truncation * args.sigma:g} "
-                f"exceeds the grid extent {extent}; the kernel degenerates to "
-                "a near-uniform average",
-                file=sys.stderr,
-            )
+    save_sgf(_filtered(load_sgf(args.input), args.method, args), args.out)
     return EXIT_OK, _params(args, "method", *_FILTER_OPTIONS), [args.out]
 
 

@@ -24,7 +24,10 @@ count, a blank line, a short file, a hex float, ``1_0`` or a non-ASCII
 digit, an index beyond int64 - re-reads the file through the exact
 parser. It parses each block that numpy's reader does not take whole line
 by line with ``float``/``int`` (and ``float.fromhex``), and raises
-:class:`ParseError` with the first bad line's number. numpy's reader
+:class:`ParseError` with the first bad line's number. It decodes the
+file's bytes itself, as :func:`sniff_format` does the first line's, so a
+byte that is not UTF-8 is the error of the line that holds it; ``\\r\\n``
+and ``\\r`` end a line, as in text mode. numpy's reader
 accepts only tokens that ``float``/``int`` read to the same bits, and
 splits a line on the same whitespace as ``str.split``, so both paths give
 the same arrays. The writers format a chunk of rows with one ``%`` call.
@@ -175,9 +178,24 @@ def _spacing_ok(dx, dy) -> bool:
     return bool(np.isfinite(dx) and np.isfinite(dy) and dx and dy)
 
 
+def _decode(path, data: bytes) -> str:
+    """``data`` as UTF-8 text with text mode's newlines (``\\r\\n`` and
+    ``\\r`` read as ``\\n``), or the :class:`ParseError` of the line that
+    holds its first byte that is not UTF-8."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(
+            path, line, f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _read_lines(path) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().split("\n")
+    with open(path, "rb") as fh:
+        return _decode(path, fh.read()).split("\n")
 
 
 def _check_declared(path, lines, count: int, what: str) -> None:
@@ -291,8 +309,8 @@ def save_sgf(grid: GridField, path) -> None:
 
 def sniff_format(path) -> str:
     """Return 'bsf' or 'sgf' from the file header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
+    with open(path, "rb") as fh:
+        first = _decode(path, fh.readline()).split("\n")[0].strip()
     if first == "bsf 1":
         return "bsf"
     if first == "sgf 1":

@@ -263,18 +263,10 @@ def _check_values(val: np.ndarray, shape) -> None:
 
 def _sorted_adjacency(tri: np.ndarray, n: int):
     """``(neighbors, edges, edge_triangles)`` of any triangle list, found by
-    sorting the packed keys of all 3m directed edges."""
+    sorting the keys of all 3m edge slots."""
     m = len(tri)
-    # Directed edge e of triangle t runs tri[t, e] -> tri[t, (e+1) % 3];
-    # slot t*3 + e holds it, packed into one sortable key per edge.
-    lo = np.empty(3 * m, dtype=np.int64)
-    hi = np.empty(3 * m, dtype=np.int64)
-    for e in range(3):
-        a = tri[:, e]
-        b = tri[:, (e + 1) % 3]
-        np.minimum(a, b, out=lo[e::3])
-        np.maximum(a, b, out=hi[e::3])
-    packed = lo * n + hi
+    # Slot t*3 + e holds edge e of triangle t.
+    packed = _slot_keys(tri, n).ravel()
     order = np.argsort(packed, kind="stable")
     spacked = packed[order]
     new_group = np.ones(len(spacked), dtype=bool)
@@ -283,10 +275,7 @@ def _sorted_adjacency(tri: np.ndarray, n: int):
     starts = np.flatnonzero(new_group)
     counts = np.diff(np.append(starts, len(spacked)))
     if (counts > 2).any():
-        bad = spacked[starts[counts > 2][0]]
-        raise NonManifoldError(
-            f"edge ({bad // n}, {bad % n}) shared by more than two triangles"
-        )
+        raise _non_manifold(spacked[starts[counts > 2][0]], n)
     neighbors = np.full((m, 3), -1, dtype=np.int64)
     paired = starts[counts == 2]
     a = order[paired]
@@ -299,6 +288,25 @@ def _sorted_adjacency(tri: np.ndarray, n: int):
     edge_tris[:, 0] = order[starts] // 3
     edge_tris[counts == 2, 1] = b // 3
     return neighbors, edges, edge_tris
+
+
+def _slot_keys(ids, span) -> np.ndarray:
+    """``min * span + max`` of the ids at slot e of each row and at the
+    next slot, cyclically: one sortable key per edge slot, in the shape of
+    ``ids``. Slot e of a triangle's row is its edge e; column 0 of an
+    edge list's rows is the edge's key."""
+    nxt = np.roll(ids, -1, axis=1)
+    keys = np.minimum(ids, nxt)
+    keys *= span
+    keys += np.maximum(ids, nxt, out=nxt)
+    return keys
+
+
+def _non_manifold(key, span) -> NonManifoldError:
+    """The error for the edge whose :func:`_slot_keys` key is ``key``."""
+    return NonManifoldError(
+        f"edge ({key // span}, {key % span}) shared by more than two triangles"
+    )
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

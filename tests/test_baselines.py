@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from jacobiset import (
     save_bsf,
     triangulate_structured,
 )
-from jacobiset import baselines
+from jacobiset import baselines, mesh
 from jacobiset.baselines import (
+    BINOMIAL_MAX_RADIUS,
     LOOP_MAX_TRIANGLES,
+    KernelCutWarning,
     _binomial_kernel,
     _correlate1d,
     _gaussian_kernel,
@@ -32,6 +35,7 @@ from conftest import (
     grid_triangles,
     loop_once_oracle,
     noisy_island_field,
+    twin_pair_field,
     vertex_neighbors,
     wave_field,
 )
@@ -105,6 +109,31 @@ def test_binomial_constant_bit_identical():
     assert np.array_equal(out.g, grid.g)
 
 
+def test_binomial_kernel_keeps_its_bits_and_never_overflows():
+    # Up to radius 511, float(comb) / 4.0**r keeps its bits: dividing by a
+    # power of two commutes with rounding. Past it, 4.0**r overflows, and
+    # the exact quotient still gives every tap. (Every radius up to 511
+    # keeps its bits; a sample of them keeps this test fast.)
+    for radius in [*range(1, 40), 100, 255, 256, 257, 500, 510, 511]:
+        coeffs = [math.comb(2 * radius, i) for i in range(2 * radius + 1)]
+        old = np.array(coeffs, dtype=np.float64) / 4.0**radius
+        assert np.array_equal(_binomial_kernel(radius), old)
+    for radius in (512, 600, BINOMIAL_MAX_RADIUS):
+        k = _binomial_kernel(radius)
+        assert len(k) == 2 * radius + 1 and np.isfinite(k).all()
+        assert k[radius] == math.comb(2 * radius, radius) / 4**radius
+        assert k.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_binomial_radius_beyond_the_limit_is_rejected():
+    grid = constant_grid()
+    out = binomial_filter(grid, radius=600)
+    assert np.array_equal(out.f, grid.f) and np.array_equal(out.g, grid.g)
+    for radius in (BINOMIAL_MAX_RADIUS + 1, 10**30):
+        with pytest.raises(ValueError, match=f"radius must be <= {BINOMIAL_MAX_RADIUS}"):
+            binomial_filter(grid, radius=radius)
+
+
 def test_binomial_impulse_footprint():
     f = np.zeros((5, 5))
     f[2, 2] = 1.0
@@ -168,8 +197,47 @@ def test_gaussian_impulse_matches_dense_oracle():
 
 def test_gaussian_kernel_capped_at_grid_size():
     grid = constant_grid(6, 4)
-    out = gaussian_filter(grid, 1000.0, truncation=3.0)
+    with pytest.warns(KernelCutWarning, match="exceeds the grid extent 5"):
+        out = gaussian_filter(grid, 1000.0, truncation=3.0)
     assert out.f.shape == grid.f.shape  # huge sigma still runs after capping
+
+
+def test_gaussian_kernel_is_cut_where_truncation_sigma_passes_an_axis_extent():
+    # A 6 x 4 grid has extents 5 (x) and 3 (y). truncation*sigma = 4 cuts
+    # only the y kernel, and the warning names that axis's extent.
+    grid = constant_grid(6, 4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gaussian_filter(grid, 2.0, truncation=2.0)
+        gaussian_filter(grid, 1.0, truncation=3.0)
+    assert [str(w.message) for w in caught] == [
+        "truncation*sigma = 4 exceeds the grid extent 3; "
+        "the gaussian kernel is cut at radius 3"
+    ]
+    assert all(w.category is KernelCutWarning for w in caught)
+    with pytest.warns(KernelCutWarning):
+        assert len(_gaussian_kernel(2.0, 2.0, 3)) == 7
+    assert len(_gaussian_kernel(2.0, 2.0, 4)) == 9
+
+
+def test_gaussian_infinite_sigma_or_truncation_gives_the_cut_kernel():
+    with pytest.warns(KernelCutWarning):
+        assert np.array_equal(_gaussian_kernel(math.inf, 3.0, 5), np.full(11, 1.0 / 11))
+    with pytest.warns(KernelCutWarning):
+        assert np.array_equal(_gaussian_kernel(1e308, 3.0, 5), np.full(11, 1.0 / 11))
+    with pytest.warns(KernelCutWarning):
+        assert np.array_equal(_gaussian_kernel(1.5, math.inf, 5), _gaussian_kernel(1.5, 5 / 1.5, 5))
+
+
+def test_gaussian_tiny_sigma_keeps_the_grid():
+    # x / sigma overflows off the centre tap: the kernel is [0, 1, 0], and
+    # no RuntimeWarning (an error under this suite's settings) is raised.
+    rng = np.random.default_rng(3)
+    grid = GridField(5, 4, 1.0, 1.0, rng.normal(size=20), rng.normal(size=20))
+    for sigma in (1e-300, 5e-324):
+        assert np.array_equal(_gaussian_kernel(sigma, 3.0, 4), [0.0, 1.0, 0.0])
+        out = gaussian_filter(grid, sigma)
+        assert np.allclose(out.f, grid.f, rtol=0, atol=1e-15)
 
 
 def test_gaussian_variance_reduction(rng):
@@ -490,3 +558,20 @@ def test_loop_of_a_doubled_triangle_is_rejected_as_non_manifold():
     field = TriField([(0, 0), (1, 0), (0, 1)], np.zeros((3, 2)), [(0, 1, 2), (0, 2, 1)])
     with pytest.raises(NonManifoldError):
         loop_subdivide(field, 1)
+
+
+def test_loop_step_rejects_a_shared_midpoint_edge_as_the_sort_does(monkeypatch):
+    # Each field's Loop child has a midpoint edge in four triangles. The
+    # step reports it without handing the child to the sorting
+    # constructor, with the message that the sort gives (the oracle builds
+    # the child through it).
+    doubled = TriField([(0, 0), (1, 0), (0, 1)], np.zeros((3, 2)), [(0, 1, 2), (0, 2, 1)])
+    for field, edge in ((twin_pair_field(), "(9, 10)"), (doubled, "(3, 4)")):
+        with pytest.raises(NonManifoldError) as by_sort:
+            loop_once_oracle(field)
+        assert str(by_sort.value) == f"edge {edge} shared by more than two triangles"
+        with monkeypatch.context() as patch:
+            patch.setattr(mesh, "_sorted_adjacency", None)
+            with pytest.raises(NonManifoldError) as by_step:
+                loop_subdivide(field, 1)
+        assert str(by_step.value) == str(by_sort.value)

@@ -247,6 +247,80 @@ def test_baseline_gaussian_warns_on_degenerate_kernel(identity_sgf, tmp_path, ca
     assert "exceeds the grid extent" in capsys.readouterr().err
 
 
+def test_gaussian_cut_warns_in_baseline_and_compare(tmp_path, capsys, rng):
+    # A 12 x 6 grid has extents 11 (x) and 5 (y). Each axis's kernel is cut
+    # where truncation*sigma passes that axis's extent, and both commands
+    # say so on stderr.
+    path = tmp_path / "field.sgf"
+    save_sgf(GridField(12, 6, 1.0, 1.0, rng.normal(size=72), rng.normal(size=72)), path)
+    cut = "warning: truncation*sigma = {} exceeds the grid extent {}; " \
+        "the gaussian kernel is cut at radius {}\n"
+    baseline = ["baseline", str(path), "--method", "gaussian", "--out", str(tmp_path / "g.sgf")]
+    for sigma, err in (
+        ("1.5", ""),
+        ("3", cut.format(9, 5, 5)),
+        ("3.9", cut.format(11.7, 11, 11) + cut.format(11.7, 5, 5)),
+    ):
+        assert main([*baseline, "--sigma", sigma]) == 0
+        assert capsys.readouterr().err == err
+    assert main(["compare", str(path), "--methods", "original", "gaussian"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == cut.format(3000, 11, 11) + cut.format(3000, 5, 5)
+    assert len(captured.out.strip().split("\n")) == 4
+
+
+@pytest.mark.parametrize(
+    "options, code, err",
+    [
+        (["--method", "gaussian", "--sigma", "inf"], 0, "exceeds the grid extent"),
+        (["--method", "gaussian", "--sigma", "1e308"], 0, "exceeds the grid extent"),
+        (["--method", "gaussian", "--truncation", "inf", "--sigma", "1"], 0, "cut at radius 5"),
+        (["--method", "binomial", "--radius", "512"], 0, ""),
+        (["--method", "binomial", "--radius", "600"], 0, ""),
+        (["--method", "binomial", "--radius", "4097"], 2, "radius must be <= 4096"),
+        (["--method", "binomial", "--radius", "9" * 40], 2, "radius must be <= 4096"),
+    ],
+    ids=["sigma-inf", "sigma-1e308", "truncation-inf", "radius-512", "radius-600",
+         "radius-4097", "radius-huge"],
+)
+def test_filter_options_that_overflowed_run_or_exit_2(identity_sgf, tmp_path, capsys, options, code, err):
+    out = tmp_path / "out.sgf"
+    assert main(["baseline", str(identity_sgf), *options, "--out", str(out)]) == code
+    captured = capsys.readouterr().err
+    assert err in captured and "Traceback" not in captured
+    assert out.exists() == (code == 0)
+    method = options[1]
+    argv = ["compare", str(identity_sgf), "--methods", "original", method, *options[2:]]
+    assert main([*argv, "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == 2 and "error" not in rows[0]
+    assert ("error: radius must be <= 4096" in rows[1]) == (code == 2)
+
+
+@pytest.mark.parametrize(
+    "name, data, line",
+    [
+        ("data.bsf", b"bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1 0 \xff 0\n0 1 0 1\n0 1 2\n", 4),
+        ("crlf.bsf", b"bsf 1\r\nvertices 3 triangles 1\r\n0 0 0 0\r\n1 0 0 0\r\n"
+         b"0 1 0 1\r\n0 1 \xff\r\n", 6),
+        ("data.sgf", b"sgf 1\ngrid 2 2 1 1\n0 0\n1 0\n0 \xff\n1 1\n", 5),
+        ("cr.sgf", b"sgf 1\rgrid 2 2 1 1\r0 0\r1 0\r0 1\r\xc3\r", 6),
+        ("first.bsf", b"\xff\xfebsf 1\nvertices 0 triangles 0\n", 1),
+    ],
+)
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, capsys, name, data, line):
+    path = tmp_path / name
+    path.write_bytes(data)
+    byte = data[data.index(b"\xff") if b"\xff" in data else data.index(b"\xc3")]
+    reason = "invalid start byte" if byte == 0xFF else "invalid continuation byte"
+    message = f"{path}:{line}: byte 0x{byte:02x} is not UTF-8 ({reason})"
+    assert main(["stats", str(path)]) == 2
+    assert capsys.readouterr().err == f"jacobiset stats: error: {message}\n"
+    assert main(["compare", str(path), "--methods", "original", "loop", "--format", "csv"]) == 2
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert rows == [f"{path},{m},error: {message}," for m in ("original", "loop")]
+
+
 def test_render_svg_output(island_bsf, tmp_path):
     out = tmp_path / "field.svg"
     assert main(["render", str(island_bsf), "--out", str(out)]) == 0

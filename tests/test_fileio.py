@@ -368,3 +368,39 @@ def test_hex_float_overflow_is_parse_error(tmp_path):
     with pytest.raises(ParseError, match="out of range") as err:
         load_sgf(path)
     assert err.value.line == 4
+
+
+@no_leaked_warnings
+def test_byte_that_is_not_utf8_is_parse_error_of_its_line(tmp_path, rng):
+    # The bad byte lies past the text reader's first chunk (8 KiB), so an
+    # offset into that chunk would not find its line.
+    field = wave_field(rng, 30, 20)
+    path = tmp_path / "big.bsf"
+    save_bsf(field, path)
+    lines = path.read_bytes().split(b"\n")
+    assert len(b"\n".join(lines[:399])) > 2 * 8192
+    for sep, lineno in ((b"\n", 400), (b"\r\n", 401), (b"\r", 650)):
+        broken = lines.copy()
+        broken[lineno - 1] = broken[lineno - 1].replace(b" ", b" \xe9", 1)
+        path.write_bytes(sep.join(broken))
+        for load in (load_bsf, load_field):
+            with pytest.raises(ParseError) as err:
+                load(path)
+            assert err.value.line == lineno
+            assert str(err.value).endswith("byte 0xe9 is not UTF-8 (invalid continuation byte)")
+
+
+@no_leaked_warnings
+def test_crlf_and_cr_files_load_as_lf_files_on_both_parsers(tmp_path, rng, fallbacks):
+    field = wave_field(rng, 6, 5)
+    path = tmp_path / "lf.bsf"
+    save_bsf(field, path)
+    text = path.read_bytes()
+    for sep in (b"\r\n", b"\r"):
+        path.write_bytes(text.replace(b"\n", sep))
+        assert sniff_format(path) == "bsf"
+        assert_same_field(load_bsf(path), field)
+        # A hex float sends the file to the line parser.
+        path.write_bytes(text.replace(b"\n", sep).replace(b"0.0 ", b"0x0p+0 ", 1))
+        assert_same_field(load_bsf(path), field)
+    assert fallbacks == [path, path]
