@@ -8,8 +8,13 @@
 # cell, so it ends on an oscillation guard; the variant D run reads D's
 # star links. The Loop runs write the whole subdivided field and the
 # filter runs the whole smoothed grid, so any change to either shows in
-# it. Every path is relative to $1, so two trees that behave alike write
-# byte-identical files (the manifests aside, which record times).
+# it. Each run writes its stdout to NAME.txt and its stderr to NAME.err,
+# so warnings and error messages are compared too. The gaussian runs at
+# sigma 20 and at compare's default sigma cut the kernel at the grid
+# extent. stats reads cli-in/bad-byte.bsf, which this script writes with
+# a byte that is not UTF-8, and its exit code goes to NAME.exit. Every path is relative to $1, so two trees
+# that behave alike write byte-identical files (the manifests aside, which
+# record times).
 #
 #   bash .github/cli-outputs.sh TREE
 set -euo pipefail
@@ -17,33 +22,44 @@ cd "$1"
 rm -rf cli-out
 mkdir cli-out
 jss() { PYTHONPATH=src python -W error::RuntimeWarning -m jacobiset "$@"; }
-jss stats cli-in/field.sgf > cli-out/stats-sgf.txt
-jss stats cli-in/field.bsf > cli-out/stats-bsf.txt
+# run NAME ARGS...: jss ARGS, stdout to cli-out/NAME.txt, stderr to cli-out/NAME.err.
+run() {
+  local name=$1
+  shift
+  jss "$@" > "cli-out/$name.txt" 2> "cli-out/$name.err"
+}
+run stats-sgf stats cli-in/field.sgf
+run stats-bsf stats cli-in/field.bsf
 for v in A B D; do
-  jss simplify cli-in/field.bsf --variant "$v" --threshold 0.12 \
-    --out "cli-out/simplified-$v.bsf" --report "cli-out/report-$v.json" > "cli-out/simplify-$v.txt"
+  run "simplify-$v" simplify cli-in/field.bsf --variant "$v" --threshold 0.12 \
+    --out "cli-out/simplified-$v.bsf" --report "cli-out/report-$v.json"
 done
-jss simplify cli-in/field.bsf --threshold inf \
-  --out cli-out/simplified-inf.bsf --report cli-out/report-inf.json > cli-out/simplify-inf.txt
-jss graph cli-in/field.sgf --variant D --out cli-out/graph-D.dot
-jss render cli-in/field.sgf --out cli-out/field.svg
-jss compare cli-in/field.sgf cli-in/field.bsf --methods original ca-a loop --steps 1 \
+run simplify-inf simplify cli-in/field.bsf --threshold inf \
+  --out cli-out/simplified-inf.bsf --report cli-out/report-inf.json
+run graph-D graph cli-in/field.sgf --variant D --out cli-out/graph-D.dot
+run render render cli-in/field.sgf --out cli-out/field.svg
+run compare compare cli-in/field.sgf cli-in/field.bsf --methods original ca-a loop --steps 1 \
   --threshold 0.12 --out cli-out/compare.md
-jss baseline cli-in/field.sgf --method loop --steps 2 --out cli-out/loop-sgf-2.bsf
-jss baseline cli-in/field.bsf --method loop --steps 1 --out cli-out/loop-bsf-1.bsf
-jss baseline cli-in/field.sgf --method binomial --radius 2 --boundary mirror \
+run loop-sgf-2 baseline cli-in/field.sgf --method loop --steps 2 --out cli-out/loop-sgf-2.bsf
+run loop-bsf-1 baseline cli-in/field.bsf --method loop --steps 1 --out cli-out/loop-bsf-1.bsf
+run binomial-2-mirror baseline cli-in/field.sgf --method binomial --radius 2 --boundary mirror \
   --out cli-out/binomial-2-mirror.sgf
-jss baseline cli-in/field.sgf --method gaussian --sigma 2 --truncation 2 \
+run gaussian-2-2 baseline cli-in/field.sgf --method gaussian --sigma 2 --truncation 2 \
   --out cli-out/gaussian-2-2.sgf
-jss compare cli-in/field.sgf --methods binomial gaussian --sigma 2 --boundary mirror \
+run gaussian-20 baseline cli-in/field.sgf --method gaussian --sigma 20 --out cli-out/gaussian-20.sgf
+run compare-filters compare cli-in/field.sgf --methods binomial gaussian --sigma 2 --boundary mirror \
   --out cli-out/compare-filters.md
-jss stats cli-in/plateau.bsf > cli-out/stats-plateau.txt
+run compare-gaussian-default compare cli-in/field.sgf --methods original gaussian
+run stats-plateau stats cli-in/plateau.bsf
 for v in A B C D; do
-  jss graph cli-in/plateau.bsf --variant "$v" --out "cli-out/graph-plateau-$v.json"
+  run "graph-plateau-$v" graph cli-in/plateau.bsf --variant "$v" --out "cli-out/graph-plateau-$v.json"
 done
-jss render cli-in/plateau.bsf --out cli-out/plateau.svg
+run plateau-svg render cli-in/plateau.bsf --out cli-out/plateau.svg
 for v in B C; do
-  jss simplify cli-in/plateau.bsf --variant "$v" --threshold 0.3 \
-    --out "cli-out/simplified-plateau-$v.bsf" --report "cli-out/report-plateau-$v.json" \
-    > "cli-out/simplify-plateau-$v.txt"
+  run "simplify-plateau-$v" simplify cli-in/plateau.bsf --variant "$v" --threshold 0.3 \
+    --out "cli-out/simplified-plateau-$v.bsf" --report "cli-out/report-plateau-$v.json"
 done
+printf 'bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1 0 \xff 0\n0 1 0 1\n0 1 2\n' > cli-in/bad-byte.bsf
+code=0
+run stats-bad-byte stats cli-in/bad-byte.bsf || code=$?
+echo "$code" > cli-out/stats-bad-byte.exit
