@@ -7,9 +7,11 @@ at least 1, but an axis of ``n`` samples takes at most radius ``n - 1``,
 its grid extent: where ``truncation * sigma`` exceeds it, the kernel is
 cut there and the filter warns with a :class:`KernelCutWarning`. An
 infinite sigma gives the cut uniform kernel. The binomial radius runs from
-1 to ``BINOMIAL_MAX_RADIUS``, and its kernel is never cut. Loop subdivision refines a triangle mesh 1-to-4 per step; the
-field values get the classic subdivision weights while vertex positions
-use plain midpoint refinement, which keeps the planar domain outline fixed.
+1 to ``BINOMIAL_MAX_RADIUS``, and its kernel is never cut.
+
+Loop subdivision refines a triangle mesh 1-to-4 per step; the field values
+get the classic subdivision weights while vertex positions use plain
+midpoint refinement, which keeps the planar domain outline fixed.
 """
 
 from __future__ import annotations
@@ -284,7 +286,8 @@ def _child_adjacency(field: TriField, eid, half_order):
     order. The centre child 4t+3 holds the three midpoint edges.
     Raises :class:`~jacobiset.mesh.NonManifoldError` when a midpoint edge
     lies in two parents, which only triangles on the same three vertices
-    give: the lowest such edge, which a sort of the child's slots reports.
+    give. It names the lowest such edge, as a sort of the child's slots
+    would: no half edge lies in more than two children.
     """
     m, n, n_edges = field.n_triangles, field.n_vertices, len(field.edges)
     neighbors, half_tris = _child_neighbors(field, eid)
@@ -299,8 +302,6 @@ def _child_adjacency(field: TriField, eid, half_order):
     keys = keys.take(order)
     repeated = np.flatnonzero(keys[1:] == keys[:-1])
     if len(repeated):
-        # No half edge lies in more than two children, so a sort of the
-        # child's slots reports this edge first.
         raise _non_manifold(keys[repeated[0]], span)
     n_half = 2 * n_edges
     edge_tris = np.empty((n_half + 3 * m, 2), dtype=np.int64)
