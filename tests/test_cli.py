@@ -253,8 +253,10 @@ def test_gaussian_cut_warns_in_baseline_and_compare(tmp_path, capsys, rng):
     # say so on stderr.
     path = tmp_path / "field.sgf"
     save_sgf(GridField(12, 6, 1.0, 1.0, rng.normal(size=72), rng.normal(size=72)), path)
-    cut = "warning: truncation*sigma = {} exceeds the grid extent {}; " \
+    cut = (
+        "warning: truncation*sigma = {} exceeds the grid extent {}; "
         "the gaussian kernel is cut at radius {}\n"
+    )
     baseline = ["baseline", str(path), "--method", "gaussian", "--out", str(tmp_path / "g.sgf")]
     for sigma, err in (
         ("1.5", ""),
@@ -298,21 +300,21 @@ def test_filter_options_that_overflowed_run_or_exit_2(identity_sgf, tmp_path, ca
 
 
 @pytest.mark.parametrize(
-    "name, data, line",
+    "name, data, line, reason",
     [
-        ("data.bsf", b"bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1 0 \xff 0\n0 1 0 1\n0 1 2\n", 4),
+        ("data.bsf", b"bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1 0 \xff 0\n0 1 0 1\n0 1 2\n", 4,
+         "invalid start byte"),
         ("crlf.bsf", b"bsf 1\r\nvertices 3 triangles 1\r\n0 0 0 0\r\n1 0 0 0\r\n"
-         b"0 1 0 1\r\n0 1 \xff\r\n", 6),
-        ("data.sgf", b"sgf 1\ngrid 2 2 1 1\n0 0\n1 0\n0 \xff\n1 1\n", 5),
-        ("cr.sgf", b"sgf 1\rgrid 2 2 1 1\r0 0\r1 0\r0 1\r\xc3\r", 6),
-        ("first.bsf", b"\xff\xfebsf 1\nvertices 0 triangles 0\n", 1),
+         b"0 1 0 1\r\n0 1 \xff\r\n", 6, "invalid start byte"),
+        ("data.sgf", b"sgf 1\ngrid 2 2 1 1\n0 0\n1 0\n0 \xff\n1 1\n", 5, "invalid start byte"),
+        ("cr.sgf", b"sgf 1\rgrid 2 2 1 1\r0 0\r1 0\r0 1\r\xc3\r", 6, "invalid continuation byte"),
+        ("first.bsf", b"\xff\xfebsf 1\nvertices 0 triangles 0\n", 1, "invalid start byte"),
     ],
 )
-def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, capsys, name, data, line):
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, capsys, name, data, line, reason):
     path = tmp_path / name
     path.write_bytes(data)
-    byte = data[data.index(b"\xff") if b"\xff" in data else data.index(b"\xc3")]
-    reason = "invalid start byte" if byte == 0xFF else "invalid continuation byte"
+    byte = next(b for b in data if b >= 0x80)
     message = f"{path}:{line}: byte 0x{byte:02x} is not UTF-8 ({reason})"
     assert main(["stats", str(path)]) == 2
     assert capsys.readouterr().err == f"jacobiset stats: error: {message}\n"

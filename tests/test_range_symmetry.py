@@ -159,7 +159,7 @@ def range_maps(k):
     ]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(fields(), st.sampled_from([-3, -1, 1, 2, 5]))
 def test_range_maps_act_on_the_pipeline_by_their_determinant(field, k):
     for name, value_map, scale in range_maps(k):
