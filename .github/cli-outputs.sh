@@ -11,10 +11,13 @@
 # it. Each run writes its stdout to NAME.txt and its stderr to NAME.err,
 # so warnings and error messages are compared too. The gaussian runs at
 # sigma 20 and at compare's default sigma cut the kernel at the grid
-# extent. stats reads cli-in/bad-byte.bsf, which this script writes with
-# a byte that is not UTF-8, and its exit code goes to NAME.exit. Every path is relative to $1, so two trees
-# that behave alike write byte-identical files (the manifests aside, which
-# record times).
+# extent; compare names the input on each of its cut warnings. The
+# --epsilon runs of stats, graph, render and simplify treat the triangles
+# of small determinant as degenerate (547 of field.bsf's 6,162 at 0.05).
+# stats reads cli-in/bad-byte.bsf, which this script writes with a byte
+# that is not UTF-8, and its exit code goes to NAME.exit. Every path is
+# relative to $1, so two trees that behave alike write byte-identical
+# files (the manifests aside, which record times).
 #
 #   bash .github/cli-outputs.sh TREE
 set -euo pipefail
@@ -50,6 +53,11 @@ run gaussian-20 baseline cli-in/field.sgf --method gaussian --sigma 20 --out cli
 run compare-filters compare cli-in/field.sgf --methods binomial gaussian --sigma 2 --boundary mirror \
   --out cli-out/compare-filters.md
 run compare-gaussian-default compare cli-in/field.sgf --methods original gaussian
+run stats-eps stats cli-in/field.bsf --epsilon 0.05
+run graph-B-eps graph cli-in/field.bsf --variant B --epsilon 0.05 --out cli-out/graph-B-eps.dot
+run render-eps render cli-in/field.bsf --epsilon 0.05 --out cli-out/field-eps.svg
+run simplify-eps simplify cli-in/field.bsf --threshold 0.12 --epsilon 0.05 \
+  --out cli-out/simplified-eps.bsf --report cli-out/report-eps.json
 run stats-plateau stats cli-in/plateau.bsf
 for v in A B C D; do
   run "graph-plateau-$v" graph cli-in/plateau.bsf --variant "$v" --out "cli-out/graph-plateau-$v.json"

@@ -201,10 +201,10 @@ def cmd_simplify(args):
     return EXIT_OK, _params(args, "variant", "threshold", "epsilon"), outputs
 
 
-def _filtered(grid, method: str, args):
+def _filtered(grid, method: str, args, source: str = ""):
     """``grid`` smoothed by the ``binomial`` or ``gaussian`` filter, which
     reads only its own options. A kernel cut at the grid extent is reported
-    on stderr; other warnings pass through as they came."""
+    on stderr, after ``source``; other warnings pass through as they came."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", KernelCutWarning)
         if method == "gaussian":
@@ -213,7 +213,7 @@ def _filtered(grid, method: str, args):
             smooth = binomial_filter(grid, args.radius, args.boundary)
     for w in caught:
         if issubclass(w.category, KernelCutWarning):
-            print(f"warning: {w.message}", file=sys.stderr)
+            print(f"warning: {source}{w.message}", file=sys.stderr)
         else:
             warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     return smooth
@@ -276,7 +276,7 @@ def _load_compare_input(path):
     return grid, field
 
 
-def _compare_cell(method: str, grid, field, args) -> dict:
+def _compare_cell(path, method: str, grid, field, args) -> dict:
     filters = method in ("binomial", "gaussian")
     if filters and grid is None:
         raise ValueError(f"{method} requires structured grid (SGF) input")
@@ -284,7 +284,7 @@ def _compare_cell(method: str, grid, field, args) -> dict:
         raise field
     eps = args.epsilon
     if filters:
-        smooth = _filtered(grid, method, args)
+        smooth = _filtered(grid, method, args, f"{path}: ")
         # The filters keep the grid's size and spacing: only values change.
         values = np.column_stack([smooth.f.ravel(), smooth.g.ravel()])
         return measures(field.with_values(values), eps)
@@ -305,7 +305,7 @@ def cmd_compare(args):
         grid, field = _load_compare_input(path)
         for method in args.methods:
             try:
-                results[(path, method)] = _compare_cell(method, grid, field, args)
+                results[(path, method)] = _compare_cell(path, method, grid, field, args)
             except _INPUT_ERRORS as exc:
                 results[(path, method)] = {"error": str(exc)}
 

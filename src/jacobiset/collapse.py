@@ -401,10 +401,11 @@ def simplify(
         cells = cl.cells()
         order = cells[np.argsort(-_open_sides(field, cells, cl), kind="stable")].tolist()
         chunk_end = 0
+        # Only the cell in hand leaves the worklist: each later cell of order is still selected.
         for i, c in enumerate(order):
             if i == chunk_end:
                 chunk = np.array(order[i : i + CHUNK_CELLS])
-                live = cl.mask[chunk] & (field.dets[chunk] != 0.0)
+                live = field.dets[chunk] != 0.0
                 live &= _open_sides(field, chunk, cl) > 0
                 corner_groups = groups.size[groups.label[field.triangles[chunk]]].sum(axis=1)
                 load = np.cumsum(corner_groups * live)
@@ -412,8 +413,6 @@ def simplify(
                 chunk_end = i + n
                 chunk_scores = score_cells(field, chunk[:n][live[:n]], cl, groups)
                 index = {t: k for k, t in enumerate(chunk_scores.cells)}
-            if not cl.mask[c]:
-                continue
             if field.dets[c] == 0.0:
                 cl.discard(c)  # already collapsed, nothing to apply
                 continue

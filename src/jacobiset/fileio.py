@@ -15,13 +15,15 @@ SGF holds a structured grid of samples::
 
 Floats are written with ``repr`` so a save/load round trip is bit-exact.
 
-The readers take the two header lines with ``readline`` and hand each
-data block, the next ``count`` lines of the open file, to numpy's C text
-reader (``np.loadtxt``), with no list of the file's lines. A block counts
-only if the reader raised and warned nothing and returned exactly
-``count`` rows of the expected width. Anything else - a wrong token
-count, a blank line, a short file, a hex float, ``1_0`` or a non-ASCII
-digit, an index beyond int64 - re-reads the file through the exact
+Both formats share one reader. It takes the two header lines with
+``readline`` and hands each data block the header declares, the next
+``count`` lines of the open file, to numpy's C text reader
+(``np.loadtxt``), with no list of the file's lines; then it decodes the
+rest of the file. A block counts only if the reader raised and warned
+nothing and returned exactly ``count`` rows of the expected width.
+Anything else - a wrong token count, a blank line, a short file, a hex
+float, ``1_0`` or a non-ASCII digit, an index beyond int64, a byte that
+is not UTF-8 anywhere in the file - re-reads the file through the exact
 parser. It parses each block that numpy's reader does not take whole line
 by line with ``float``/``int`` (and ``float.fromhex``), and raises
 :class:`ParseError` with the first bad line's number. It decodes the
@@ -56,6 +58,7 @@ class ParseError(ValueError):
 # The writers format this many rows with one ``%`` call.
 CHUNK_LINES = 512
 _INT64 = np.iinfo(np.int64)
+_DTYPE = {float: np.float64, int: np.int64}
 # What the fast path raises on a file it cannot take: a reader error, a
 # warning turned into an error, a block of the wrong shape, a header
 # ParseError or a UnicodeDecodeError. Each sends the file to the line
@@ -93,17 +96,18 @@ def _parse_index_row(toks, path, line) -> list:
     return row
 
 
-def _read_block(rows, count: int, width: int, dtype) -> np.ndarray:
+def _read_block(rows, count: int, width: int, kind) -> np.ndarray:
     """Parse the ``count`` text lines ``rows`` with numpy's text reader into
-    a (count, width) array. Raises one of ``_FALLBACK_ERRORS`` if the reader
-    fails or warns, or if a line was blank, missing or of another width."""
+    a (count, width) array of ``kind`` (float or int). Raises one of
+    ``_FALLBACK_ERRORS`` if the reader fails or warns, or if a line was
+    blank, missing or of another width."""
     if count == 0:
-        return np.empty((0, width), dtype=dtype)
+        return np.empty((0, width), dtype=_DTYPE[kind])
     with warnings.catch_warnings():
         # numpy 1.24-1.26 reads "5.0" as an index with a DeprecationWarning,
         # and a file that ends before the block warns "input contained no data".
         warnings.simplefilter("error")
-        block = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
+        block = np.loadtxt(rows, dtype=_DTYPE[kind], comments=None, ndmin=2)
     if block.shape != (count, width):
         raise ValueError(f"expected a {count} x {width} block, got {block.shape}")
     return block
@@ -114,12 +118,11 @@ def _parse_lines(path, lines, first: int, count: int, width: int, kind) -> np.nd
     ``kind`` (float or int). ``lines`` must hold all of them. A block that
     numpy's reader takes whole is not parsed line by line: in a hex-float
     BSF only the vertex block needs the line loop."""
-    dtype = np.float64 if kind is float else np.int64
     try:
-        return _read_block(lines[first : first + count], count, width, dtype)
+        return _read_block(lines[first : first + count], count, width, kind)
     except _FALLBACK_ERRORS:
         pass
-    out = np.empty((count, width), dtype=dtype)
+    out = np.empty((count, width), dtype=_DTYPE[kind])
     noun = "fields" if kind is float else "indices"
     for i in range(count):
         lineno = first + i + 1
@@ -135,7 +138,8 @@ def _parse_lines(path, lines, first: int, count: int, width: int, kind) -> np.nd
 
 def _bsf_header(path, head) -> tuple:
     """Check the first two lines of a BSF file (one if it has no more);
-    return (vertices, triangles)."""
+    return no metadata, the vertex and triangle blocks as (count, width,
+    kind), and what the header declares."""
     if head[0].strip() != "bsf 1":
         raise ParseError(path, 1, f"expected 'bsf 1' header, got {head[0]!r}")
     if len(head) < 2:
@@ -147,12 +151,13 @@ def _bsf_header(path, head) -> tuple:
     m = _parse_int(toks[3], path, 2)
     if n < 0 or m < 0:
         raise ParseError(path, 2, "negative count")
-    return n, m
+    return (), [(n, 4, float), (m, 3, int)], f"{n} vertex and {m} triangle"
 
 
 def _sgf_header(path, head) -> tuple:
     """Check the first two lines of an SGF file (one if it has no more);
-    return (width, height, dx, dy)."""
+    return (width, height, dx, dy), the sample block as (count, width,
+    kind), and what the header declares."""
     if head[0].strip() != "sgf 1":
         raise ParseError(path, 1, "expected 'sgf 1' header")
     if len(head) < 2:
@@ -168,7 +173,7 @@ def _sgf_header(path, head) -> tuple:
         raise ParseError(path, 2, "grid must be at least 2 x 2")
     if not _spacing_ok(dx, dy):
         raise ParseError(path, 2, _BAD_SPACING)
-    return w, h, dx, dy
+    return (w, h, dx, dy), [(w * h, 2, float)], f"{w} x {h} sample"
 
 
 _BAD_SPACING = "grid spacing must be finite and nonzero"
@@ -206,22 +211,28 @@ def _check_declared(path, lines, count: int, what: str) -> None:
         raise ParseError(path, 2, f"header declares {what} lines, file has {present}")
 
 
-def _parse_bsf(path) -> tuple:
-    """The exact BSF parser, over the file's list of lines: (samples,
-    triangles) arrays, or the :class:`ParseError` of the first bad line."""
-    lines = _read_lines(path)
-    n, m = _bsf_header(path, lines[:2])
-    _check_declared(path, lines, n + m, f"{n} vertex and {m} triangle")
-    return _parse_lines(path, lines, 2, n, 4, float), _parse_lines(path, lines, 2 + n, m, 3, int)
-
-
-def _parse_sgf(path) -> tuple:
-    """The exact SGF parser, over the file's list of lines: (width, height,
-    dx, dy, samples), or the :class:`ParseError` of the first bad line."""
-    lines = _read_lines(path)
-    w, h, dx, dy = _sgf_header(path, lines[:2])
-    _check_declared(path, lines, w * h, f"{w} x {h} sample")
-    return w, h, dx, dy, _parse_lines(path, lines, 2, w * h, 2, float)
+def _read(path, header) -> tuple:
+    """Read a file whose first two lines ``header`` checks: the header's
+    metadata followed by one array per data block it declares. The blocks
+    stream through numpy's reader, and the rest of the file is decoded too;
+    on any of ``_FALLBACK_ERRORS`` the exact parser reads the file's lines
+    and raises the :class:`ParseError` of the first bad one."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            meta, blocks, _ = header(path, [fh.readline(), fh.readline()])
+            arrays = [_read_block(islice(fh, c), c, w, kind) for c, w, kind in blocks]
+            fh.read()  # a byte after the data that is not UTF-8 falls back too
+    except _FALLBACK_ERRORS:
+        arrays = None  # parse outside the handler: its errors get no context
+    if arrays is None:
+        lines = _read_lines(path)
+        meta, blocks, declared = header(path, lines[:2])
+        _check_declared(path, lines, sum(c for c, _, _ in blocks), declared)
+        first, arrays = 2, []
+        for count, width, kind in blocks:
+            arrays.append(_parse_lines(path, lines, first, count, width, kind))
+            first += count
+    return (*meta, *arrays)
 
 
 def _fmt(x: float) -> str:
@@ -258,16 +269,7 @@ class GridField:
 
 def load_bsf(path) -> TriField:
     """Read a BSF file into a validated :class:`TriField`."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            n, m = _bsf_header(path, [fh.readline(), fh.readline()])
-            blocks = (
-                _read_block(islice(fh, n), n, 4, np.float64),
-                _read_block(islice(fh, m), m, 3, np.int64),
-            )
-    except _FALLBACK_ERRORS:
-        blocks = None  # parse outside the handler: its errors get no context
-    samples, triangles = blocks or _parse_bsf(path)
+    samples, triangles = _read(path, _bsf_header)
     return TriField(samples[:, :2], samples[:, 2:], triangles)
 
 
@@ -290,13 +292,7 @@ def save_bsf(field: TriField, path) -> None:
 
 def load_sgf(path) -> GridField:
     """Read an SGF file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            w, h, dx, dy = _sgf_header(path, [fh.readline(), fh.readline()])
-            grid = (w, h, dx, dy, _read_block(islice(fh, w * h), w * h, 2, np.float64))
-    except _FALLBACK_ERRORS:
-        grid = None  # parse outside the handler: its errors get no context
-    w, h, dx, dy, samples = grid or _parse_sgf(path)
+    w, h, dx, dy, samples = _read(path, _sgf_header)
     f, g = samples[:, 0], samples[:, 1]
     return GridField(w, h, dx, dy, f.reshape(h, w), g.reshape(h, w))
 

@@ -5,11 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from jacobiset import __version__, save_bsf, save_sgf, triangulate_structured
+from jacobiset import __version__, cli, save_bsf, save_sgf, triangulate_structured
 from jacobiset.baselines import LOOP_MAX_TRIANGLES
 from jacobiset.cli import main
 from jacobiset.fileio import GridField, load_bsf
@@ -265,10 +266,33 @@ def test_gaussian_cut_warns_in_baseline_and_compare(tmp_path, capsys, rng):
     ):
         assert main([*baseline, "--sigma", sigma]) == 0
         assert capsys.readouterr().err == err
-    assert main(["compare", str(path), "--methods", "original", "gaussian"]) == 0
+    # compare names the input each cut belongs to; a 9 x 4 grid has extents
+    # 8 and 3.
+    other = tmp_path / "other.sgf"
+    save_sgf(GridField(9, 4, 1.0, 1.0, rng.normal(size=36), rng.normal(size=36)), other)
+    assert main(["compare", str(path), str(other), "--methods", "original", "gaussian"]) == 0
     captured = capsys.readouterr()
-    assert captured.err == cut.format(3000, 11, 11) + cut.format(3000, 5, 5)
-    assert len(captured.out.strip().split("\n")) == 4
+    cut_in = "warning: {}: " + cut.removeprefix("warning: ")
+    assert captured.err == (
+        cut_in.format(path, 3000, 11, 11) + cut_in.format(path, 3000, 5, 5)
+        + cut_in.format(other, 3000, 8, 8) + cut_in.format(other, 3000, 3, 3)
+    )
+    assert len(captured.out.strip().split("\n")) == 6
+
+
+def test_filter_warning_that_is_not_a_cut_passes_through(identity_sgf, tmp_path, capsys, monkeypatch):
+    # Only a cut kernel becomes a "warning:" line on stderr; any other
+    # warning of a filter is shown as it came.
+    def noisy(grid, *options):
+        warnings.warn("not a cut", UserWarning)
+        return grid
+
+    monkeypatch.setattr(cli, "binomial_filter", noisy)
+    out = tmp_path / "out.sgf"
+    with pytest.warns(UserWarning, match="^not a cut$") as caught:
+        assert main(["baseline", str(identity_sgf), "--method", "binomial", "--out", str(out)]) == 0
+    assert [w.filename for w in caught] == [__file__]
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -188,6 +188,29 @@ def test_sgf_bad_grid_spacing_is_parse_error(tmp_path, spacing):
         assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "name, text, line, message",
+    [
+        ("only.bsf", "bsf 1", 1, "unexpected end of file"),
+        ("neg.bsf", "bsf 1\nvertices -1 triangles 0\n", 2, "negative count"),
+        ("neg.bsf", "bsf 1\nvertices 3 triangles -2\n0 0 0 0\n1 0 0 0\n0 1 0 0\n", 2,
+         "negative count"),
+        ("only.sgf", "sgf 1", 2, "unexpected end of file"),
+        ("thin.sgf", "sgf 1\ngrid 1 2 1 1\n0 0\n0 0\n", 2, "grid must be at least 2 x 2"),
+        ("flat.sgf", "sgf 1\ngrid 2 1 1 1\n0 0\n0 0\n", 2, "grid must be at least 2 x 2"),
+    ],
+)
+def test_header_error_is_parse_error_of_its_line(tmp_path, name, text, line, message):
+    path = tmp_path / name
+    path.write_text(text)
+    load, oracle = (load_bsf, load_bsf_oracle) if name.endswith(".bsf") else (load_sgf, load_sgf_oracle)
+    with pytest.raises(ParseError) as new:
+        load(path)
+    with pytest.raises(ParseError) as old:
+        oracle(path)
+    assert str(new.value) == str(old.value) == f"{path}:{line}: {message}"
+
+
 def test_sgf_negative_grid_spacing_loads(tmp_path):
     path = tmp_path / "neg.sgf"
     path.write_text("sgf 1\ngrid 2 2 -1 0.5\n0 0\n1 0\n0 1\n1 1\n")
@@ -236,11 +259,8 @@ def _no_fallback(path):
 def fallbacks(monkeypatch):
     """The paths the readers hand to their line-by-line fallback."""
     calls = []
-    for name in ("_parse_bsf", "_parse_sgf"):
-        parse = getattr(fileio, name)
-        monkeypatch.setattr(
-            fileio, name, lambda path, parse=parse: calls.append(path) or parse(path)
-        )
+    read_lines = fileio._read_lines
+    monkeypatch.setattr(fileio, "_read_lines", lambda path: calls.append(path) or read_lines(path))
     return calls
 
 
@@ -259,7 +279,7 @@ def test_bsf_matches_line_oracle(tmp_path, rng, monkeypatch):
     save_bsf(field, new)
     save_bsf_oracle(field, old)
     assert new.read_bytes() == old.read_bytes()
-    monkeypatch.setattr(fileio, "_parse_bsf", _no_fallback)
+    monkeypatch.setattr(fileio, "_read_lines", _no_fallback)
     assert_same_field(load_bsf(new), load_bsf_oracle(new))
 
 
@@ -272,7 +292,7 @@ def test_sgf_matches_line_oracle(tmp_path, rng, monkeypatch):
     save_sgf(grid, new)
     save_sgf_oracle(grid, old)
     assert new.read_bytes() == old.read_bytes()
-    monkeypatch.setattr(fileio, "_parse_sgf", _no_fallback)
+    monkeypatch.setattr(fileio, "_read_lines", _no_fallback)
     assert_same_sgf(load_sgf(new), load_sgf_oracle(new))
 
 
@@ -388,6 +408,21 @@ def test_byte_that_is_not_utf8_is_parse_error_of_its_line(tmp_path, rng):
                 load(path)
             assert err.value.line == lineno
             assert str(err.value).endswith("byte 0xe9 is not UTF-8 (invalid continuation byte)")
+    # A byte after the data, far past the reader's chunk that the data ends
+    # in, is the error of its line too.
+    grid = GridField(2, 2, 1.0, 1.0, rng.normal(size=4), rng.normal(size=4))
+    bsf, sgf = tmp_path / "tail.bsf", tmp_path / "tail.sgf"
+    save_bsf(grid.to_tri_field(), bsf)
+    save_sgf(grid, sgf)
+    tail = b"%025d\n" * 2000 % tuple(range(2000)) + b"trailing \xff\n"
+    assert len(tail) > 6 * 8192
+    for target, load, lineno in ((bsf, load_bsf, 2009), (sgf, load_sgf, 2007)):
+        target.write_bytes(target.read_bytes() + tail)
+        for read in (load, load_field):
+            with pytest.raises(ParseError) as err:
+                read(target)
+            assert err.value.line == lineno
+            assert str(err.value).endswith("byte 0xff is not UTF-8 (invalid start byte)")
 
 
 @no_leaked_warnings

@@ -59,6 +59,18 @@ def test_non_finite_rejected():
         TriField([(0, 0), (1, 0), (0, 1)], [(0, 0), (np.inf, 0), (0, 0)], [(0, 1, 2)])
 
 
+@pytest.mark.parametrize(
+    "positions, triangles, message",
+    [
+        (np.zeros((3, 3)), [(0, 1, 2)], r"positions must be \(n, 2\), got \(3, 3\)"),
+        ([(0, 0), (1, 0), (0, 1)], [(0, 1, 2, 0)], r"triangles must be \(m, 3\), got \(1, 4\)"),
+    ],
+)
+def test_wrong_array_shape_rejected(positions, triangles, message):
+    with pytest.raises(MeshError, match=message):
+        TriField(positions, np.zeros((3, 2)), triangles)
+
+
 def test_non_manifold_rejected():
     # Three triangles share edge (0, 1).
     positions = [(0, 0), (1, 0), (0, 1), (0, -1), (1, 1)]
@@ -92,6 +104,12 @@ def test_structured_constant_field_all_degenerate():
     field = triangulate_structured(3, 2, (1.0, 1.0), np.zeros(6), np.zeros(6))
     assert field.n_triangles == 4
     assert (field.dets == 0).all()
+
+
+@pytest.mark.parametrize("w, h", [(1, 2), (2, 1), (0, 0)])
+def test_structured_grid_smaller_than_2x2_rejected(w, h):
+    with pytest.raises(ValueError, match="^grid must be at least 2 x 2$"):
+        triangulate_structured(w, h, (1.0, 1.0), np.zeros(w * h), np.zeros(w * h))
 
 
 def test_structured_size_mismatch():

@@ -1,10 +1,14 @@
-"""Metamorphic oracle: maps of the range that are exact in floats.
+"""Metamorphic oracle: maps of the range and of the domain that are exact
+in floats.
 
 The Jacobi set of (f, g) is a property of the pair: it is symmetric in f
 and g and does not change under an invertible linear map of the range
 (Edelsbrunner & Harer 2002), which multiplies every determinant by the
 map's determinant. Three such maps are exact in floats: swapping f and g
 and negating g negate every determinant, and scaling f by 2**k scales it.
+Two maps of the domain are exact too: swapping x and y negates every
+determinant, and scaling x and y by 2**k scales domain areas by 4**k and
+determinants by 4**-k, so range areas stay as they are.
 
 A negation flips every orientation sign, so it swaps the roles of the
 preferred-sign rules (variant B on the mapped field is variant C on the
@@ -21,6 +25,7 @@ Float zeros are compared by value: ``-(a - b)`` and ``b - a`` are the same
 number, but not the same zero.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -29,7 +34,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from jacobiset import collapse
+from jacobiset import TriField, collapse
 from jacobiset.collapse import simplify
 from jacobiset.jacobi import (
     MAJORITY,
@@ -159,48 +164,80 @@ def range_maps(k):
     ]
 
 
+def domain_maps(k):
+    """``(name, map of the (n, 2) positions, determinant factor, domain-area
+    factor)``. Swapping x and y flips every winding, which the constructor
+    turns back, so the determinant's denominator changes sign."""
+    return [
+        ("swap x and y", lambda p: p[:, ::-1], -1.0, 1.0),
+        (f"scale x and y by 2**{k}", lambda p: p * 2.0**k, 4.0**-k, 4.0**k),
+    ]
+
+
+def scaled(measured, length_factor):
+    return {"length": length_factor * measured["length"], "components": measured["components"]}
+
+
+def check_pipeline(field, mapped, name, value_map, scale, area=1.0):
+    """Check the Jacobi set, the regions and graph of every variant, and
+    ``simplify`` end to end on ``mapped``: ``field`` with its values mapped
+    by ``value_map`` and its domain areas scaled by ``area``, so that its
+    determinants are ``scale`` times ``field``'s. Lengths scale by
+    ``sqrt(area)``, range areas by ``area * |scale|`` and hypervolumes by
+    ``area**2 * |scale|``, all exactly."""
+    check_jacobi(field, mapped, scale)
+
+    assigned = compute_jacobi_set(mapped).assigned
+    # The mapped assignment, read back on the field: equal to the
+    # field's own but at the exempt triangles checked above.
+    back = assigned if scale > 0 else negated_rows(assigned)
+    for variant in "ABCD":
+        own = variant if scale > 0 else NEGATED_VARIANT[variant]
+        regions = build_regions(mapped, assigned, variant=variant)
+        regions_back = build_regions(field, back, variant=own)
+        assert np.array_equal(regions.label, regions_back.label), (name, variant)
+        assert np.array_equal(regions.signs, np.sign(scale) * regions_back.signs)
+        graph, graph_back = build_graph(mapped, regions), build_graph(field, regions_back)
+        assert np.array_equal(graph.sign, np.sign(scale) * graph_back.sign)
+        assert np.array_equal(graph.triangle_count, graph_back.triangle_count)
+        assert graph.edges == graph_back.edges
+        for a, b, factor in (
+            (graph.domain_area, graph_back.domain_area, area),
+            (graph.range_area, graph_back.range_area, area * abs(scale)),
+            (graph.hypervolume, graph_back.hypervolume, area * area * abs(scale)),
+        ):
+            assert np.array_equal(bits(a), bits(factor * b)), (name, variant)
+
+        # simplify end to end, the threshold scaled as hypervolumes are:
+        # between the two middle hypervolumes, so that some regions go.
+        hv = np.sort(graph_back.hypervolume)
+        threshold = 0.5 * (hv[(len(hv) - 1) // 2] + hv[len(hv) // 2]) if len(hv) else 0.0
+        done, done_back = mapped.copy(), field.copy()
+        report = simplify(done, variant, area * area * abs(scale) * threshold)
+        # The field's run starts from the mapped assignment read back,
+        # so both runs select the same cells.
+        with mock.patch.object(collapse, "compute_jacobi_set", with_assignment(back)):
+            report_back = simplify(done_back, own, threshold)
+        assert np.array_equal(done.values, value_map(done_back.values)), (name, variant)
+        for key in ("status", "collapsed_cells", "flip_repairs", "iterations", "residual_cl"):
+            assert getattr(report, key) == getattr(report_back, key), (name, variant, key)
+        assert report.before == scaled(report_back.before, math.sqrt(area)), (name, variant)
+        undecided = check_jacobi(done_back, done, scale)
+        if not undecided.any():
+            assert report_back.after == measures(done_back)
+            assert report.after == scaled(report_back.after, math.sqrt(area)), (name, variant)
+
+
 @settings(max_examples=30, deadline=None)
 @given(fields(), st.sampled_from([-3, -1, 1, 2, 5]))
 def test_range_maps_act_on_the_pipeline_by_their_determinant(field, k):
     for name, value_map, scale in range_maps(k):
-        mapped = field.with_values(value_map(field.values))
-        check_jacobi(field, mapped, scale)
+        check_pipeline(field, field.with_values(value_map(field.values)), name, value_map, scale)
 
-        assigned = compute_jacobi_set(mapped).assigned
-        # The mapped assignment, read back on the field: equal to the
-        # field's own but at the exempt triangles checked above.
-        back = assigned if scale > 0 else negated_rows(assigned)
-        for variant in "ABCD":
-            own = variant if scale > 0 else NEGATED_VARIANT[variant]
-            regions = build_regions(mapped, assigned, variant=variant)
-            regions_back = build_regions(field, back, variant=own)
-            assert np.array_equal(regions.label, regions_back.label), (name, variant)
-            assert np.array_equal(regions.signs, np.sign(scale) * regions_back.signs)
-            graph, graph_back = build_graph(mapped, regions), build_graph(field, regions_back)
-            assert np.array_equal(graph.sign, np.sign(scale) * graph_back.sign)
-            assert np.array_equal(graph.triangle_count, graph_back.triangle_count)
-            assert graph.edges == graph_back.edges
-            for a, b, factor in (
-                (graph.domain_area, graph_back.domain_area, 1.0),
-                (graph.range_area, graph_back.range_area, abs(scale)),
-                (graph.hypervolume, graph_back.hypervolume, abs(scale)),
-            ):
-                assert np.array_equal(bits(a), bits(factor * b)), (name, variant)
 
-            # simplify end to end, the threshold scaled with |det|: between
-            # the two middle hypervolumes, so that some regions go.
-            hv = np.sort(graph_back.hypervolume)
-            threshold = 0.5 * (hv[(len(hv) - 1) // 2] + hv[len(hv) // 2]) if len(hv) else 0.0
-            done, done_back = mapped.copy(), field.copy()
-            report = simplify(done, variant, abs(scale) * threshold)
-            # The field's run starts from the mapped assignment read back,
-            # so both runs select the same cells.
-            with mock.patch.object(collapse, "compute_jacobi_set", with_assignment(back)):
-                report_back = simplify(done_back, own, threshold)
-            assert np.array_equal(done.values, value_map(done_back.values)), (name, variant)
-            for key in ("status", "collapsed_cells", "flip_repairs", "iterations",
-                        "residual_cl", "before"):
-                assert getattr(report, key) == getattr(report_back, key), (name, variant, key)
-            undecided = check_jacobi(done_back, done, scale)
-            if not undecided.any():
-                assert report.after == report_back.after == measures(done_back)
+@settings(max_examples=15, deadline=None)
+@given(fields(), st.sampled_from([-3, -1, 1, 2, 5]))
+def test_domain_maps_act_on_the_pipeline_by_their_determinant(field, k):
+    for name, position_map, scale, area in domain_maps(k):
+        mapped = TriField(position_map(field.positions), field.values, field.triangles)
+        check_pipeline(field, mapped, name, lambda v: v, scale, area)
