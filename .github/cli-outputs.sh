@@ -14,8 +14,11 @@
 # extent; compare names the input on each of its cut warnings. The
 # --epsilon runs of stats, graph, render and simplify treat the triangles
 # of small determinant as degenerate (547 of field.bsf's 6,162 at 0.05).
-# stats reads cli-in/bad-byte.bsf, which this script writes with a byte
-# that is not UTF-8, and its exit code goes to NAME.exit. Every path is
+# The runs on the small files this script writes into cli-in record their
+# exit codes in NAME.exit: stats on a byte that is not UTF-8 and on files
+# that end after their first line; compare --format csv on a short BSF,
+# whose error cell holds a comma and so is quoted; a binomial baseline of
+# an SGF with an inf sample. Every path is
 # relative to $1, so two trees that behave alike write byte-identical
 # files (the manifests aside, which record times).
 #
@@ -30,6 +33,12 @@ run() {
   local name=$1
   shift
   jss "$@" > "cli-out/$name.txt" 2> "cli-out/$name.err"
+}
+# run_exit NAME ARGS...: run NAME ARGS, and write its exit code to cli-out/NAME.exit.
+run_exit() {
+  local code=0
+  run "$@" || code=$?
+  echo "$code" > "cli-out/$1.exit"
 }
 run stats-sgf stats cli-in/field.sgf
 run stats-bsf stats cli-in/field.bsf
@@ -68,6 +77,12 @@ for v in B C; do
     --out "cli-out/simplified-plateau-$v.bsf" --report "cli-out/report-plateau-$v.json"
 done
 printf 'bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1 0 \xff 0\n0 1 0 1\n0 1 2\n' > cli-in/bad-byte.bsf
-code=0
-run stats-bad-byte stats cli-in/bad-byte.bsf || code=$?
-echo "$code" > cli-out/stats-bad-byte.exit
+run_exit stats-bad-byte stats cli-in/bad-byte.bsf
+printf 'bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1 0 1 0\n' > cli-in/short.bsf
+run_exit compare-csv compare cli-in/short.bsf cli-in/field.sgf --methods original binomial --format csv
+printf 'sgf 1\ngrid 3 2 1 1\ninf 0\n1 0\n2 1\n0 1\n1 1\n2 0\n' > cli-in/inf.sgf
+run_exit baseline-inf baseline cli-in/inf.sgf --method binomial --out cli-out/baseline-inf.sgf
+printf 'bsf 1' > cli-in/only.bsf
+run_exit stats-only-bsf stats cli-in/only.bsf
+printf 'sgf 1\n' > cli-in/only.sgf
+run_exit stats-only-sgf stats cli-in/only.sgf

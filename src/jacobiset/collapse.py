@@ -56,7 +56,7 @@ live worklist.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import chain
 
@@ -89,28 +89,22 @@ class CollapseStatus(Enum):
 
 @dataclass
 class CollapseReport:
+    """What a :func:`simplify` run did. The fields are the keys of
+    :meth:`to_dict`, in order; a new field is declared where its key
+    should appear."""
+
     status: CollapseStatus
+    variant: str
+    threshold: float
     collapsed_cells: int
     flip_repairs: int
     iterations: int
     residual_cl: list
     before: dict
     after: dict
-    variant: str
-    threshold: float
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "variant": self.variant,
-            "threshold": self.threshold,
-            "collapsed_cells": self.collapsed_cells,
-            "flip_repairs": self.flip_repairs,
-            "iterations": self.iterations,
-            "residual_cl": [int(t) for t in self.residual_cl],
-            "before": self.before,
-            "after": self.after,
-        }
+        return {**asdict(self), "status": self.status.value}
 
 
 class VertexGroups:
@@ -119,14 +113,14 @@ class VertexGroups:
     Collapsing an edge merges its endpoints' groups; every member of the
     merged group is assigned the common target value, so pairs glued by
     earlier collapses never drift apart. ``label[v]`` names the group of
-    ``v``; a merge gives the merged group the label of its larger part.
-    ``size[label[v]]`` counts the members of that group, and
-    ``members[label[v]]`` lists them once there are two or more.
+    ``v``; a merge gives the merged group the label of its larger part,
+    which is the id of one of its members, so ``np.bincount(label)``
+    counts the members of each group. ``members[label[v]]`` lists them
+    once there are two or more.
     """
 
     def __init__(self, n_vertices: int):
         self.label = np.arange(n_vertices, dtype=np.int64)
-        self.size = np.ones(n_vertices, dtype=np.int64)
         self.members: dict[int, list] = {}
 
     def merge(self, u: int, v: int) -> np.ndarray:
@@ -137,7 +131,6 @@ class VertexGroups:
             mu, mv = self.members.pop(lu, merged), self.members.pop(lv, [v])
             merged = mu + mv
             keep = lu if len(mu) >= len(mv) else lv
-            self.size[keep] = len(merged)
             self.members[keep] = merged
         ids = np.array(merged, dtype=np.int64)
         self.label[ids] = keep
@@ -163,11 +156,10 @@ class Worklist:
         self.entries = np.zeros(n_triangles, dtype=np.int64)
         self.changes = 0
         self.oscillated = False
-        self._size = 0
         self._snapshots = deque(maxlen=SNAPSHOT_WINDOW)
 
     def __len__(self) -> int:
-        return self._size
+        return int(np.count_nonzero(self.mask))
 
     def cells(self) -> np.ndarray:
         """The selected cells, ascending."""
@@ -201,7 +193,6 @@ class Worklist:
 
     def _stamp(self, t: int, member: bool) -> None:
         self.mask[t] = member
-        self._size += 1 if member else -1
         self.changes += 1
         self.stamp[t] = self.changes
 
@@ -407,7 +398,8 @@ def simplify(
                 chunk = np.array(order[i : i + CHUNK_CELLS])
                 live = field.dets[chunk] != 0.0
                 live &= _open_sides(field, chunk, cl) > 0
-                corner_groups = groups.size[groups.label[field.triangles[chunk]]].sum(axis=1)
+                size = np.bincount(groups.label)
+                corner_groups = size[groups.label[field.triangles[chunk]]].sum(axis=1)
                 load = np.cumsum(corner_groups * live)
                 n = max(1, int(np.searchsorted(load, CHUNK_GROUP_VERTICES, side="right")))
                 chunk_end = i + n

@@ -43,7 +43,7 @@ from itertools import islice
 
 import numpy as np
 
-from .mesh import TriField, triangulate_structured
+from .mesh import MeshError, TriField, triangulate_structured
 
 
 class ParseError(ValueError):
@@ -143,7 +143,7 @@ def _bsf_header(path, head) -> tuple:
     if head[0].strip() != "bsf 1":
         raise ParseError(path, 1, f"expected 'bsf 1' header, got {head[0]!r}")
     if len(head) < 2:
-        raise ParseError(path, 1, "unexpected end of file")
+        raise ParseError(path, 2, "unexpected end of file")
     toks = head[1].split()
     if len(toks) != 4 or toks[0] != "vertices" or toks[2] != "triangles":
         raise ParseError(path, 2, "expected 'vertices <N> triangles <M>'")
@@ -199,14 +199,16 @@ def _decode(path, data: bytes) -> str:
 
 
 def _read_lines(path) -> list:
+    """The file's lines without their newlines. A final newline ends the
+    last line and starts none, so ``bsf 1\\n`` has no line 2."""
     with open(path, "rb") as fh:
-        return _decode(path, fh.read()).split("\n")
+        return _decode(path, fh.read()).removesuffix("\n").split("\n")
 
 
 def _check_declared(path, lines, count: int, what: str) -> None:
     """Reject a header declaring more data lines than the file holds,
     before any array is sized from it."""
-    present = len(lines) - 2 - (lines[-1] == "")
+    present = len(lines) - 2
     if count > present:
         raise ParseError(path, 2, f"header declares {what} lines, file has {present}")
 
@@ -245,7 +247,9 @@ class GridField:
 
     ``f`` and ``g`` are (height, width) arrays; row index is y, column
     index is x. ``dx``/``dy`` give the sample spacing: finite and nonzero
-    (a ``ValueError`` otherwise), and negative to mirror that axis.
+    (a ``ValueError`` otherwise), and negative to mirror that axis. The
+    samples must be finite, as a :class:`TriField`'s values must be: the
+    same :class:`MeshError` otherwise.
     """
 
     width: int
@@ -260,6 +264,8 @@ class GridField:
             raise ValueError(_BAD_SPACING)
         self.f = np.asarray(self.f, dtype=np.float64).reshape(self.height, self.width)
         self.g = np.asarray(self.g, dtype=np.float64).reshape(self.height, self.width)
+        if not (np.isfinite(self.f).all() and np.isfinite(self.g).all()):
+            raise MeshError("non-finite vertex value")
 
     def to_tri_field(self) -> TriField:
         return triangulate_structured(

@@ -61,10 +61,10 @@ class RegionDecomposition:
     variant: str
     label: np.ndarray
     signs: np.ndarray = dataclass_field(repr=False)
-    count: int
 
     def __len__(self):
-        return self.count
+        # Labels are numbered by first occurrence, so the largest is the count less one.
+        return int(self.label.max()) + 1 if len(self.label) else 0
 
     @cached_property
     def regions(self) -> "_RegionList":
@@ -161,8 +161,7 @@ def build_regions(field: TriField, assigned, *, variant: str):
         del sa, sb
     label = connected_labels(m, a, b)
     del a, b
-    count = int(label.max()) + 1 if m else 0
-    return RegionDecomposition(variant=variant, label=label, signs=eff, count=count)
+    return RegionDecomposition(variant=variant, label=label, signs=eff)
 
 
 def _star_links(field: TriField, eff: np.ndarray, variant: str):

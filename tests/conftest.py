@@ -551,7 +551,10 @@ def load_bsf_oracle(path) -> TriField:
 
     if need(0).strip() != "bsf 1":
         raise ParseError(path, 1, f"expected 'bsf 1' header, got {lines[0]!r}")
-    head = need(1).split()
+    # A file that ends within or right after its first line has no line 2.
+    if len(lines) < 2 or lines[1:] == [""]:
+        raise ParseError(path, 2, "unexpected end of file")
+    head = lines[1].split()
     if len(head) != 4 or head[0] != "vertices" or head[2] != "triangles":
         raise ParseError(path, 2, "expected 'vertices <N> triangles <M>'")
     n = _parse_int(head[1], path, 2)
@@ -599,7 +602,7 @@ def load_sgf_oracle(path) -> GridField:
         lines = fh.read().split("\n")
     if not lines or lines[0].strip() != "sgf 1":
         raise ParseError(path, 1, f"expected 'sgf 1' header")
-    if len(lines) < 2:
+    if len(lines) < 2 or lines[1:] == [""]:
         raise ParseError(path, 2, "unexpected end of file")
     head = lines[1].split()
     if len(head) != 5 or head[0] != "grid":

@@ -239,6 +239,19 @@ def test_baseline_rejects_nan_grid_spacing_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", [["binomial"], ["gaussian", "--sigma", "1"]])
+def test_baseline_rejects_a_non_finite_sample_exit_2(tmp_path, capsys, method):
+    path = tmp_path / "inf.sgf"
+    path.write_text("sgf 1\ngrid 3 2 1 1\ninf 0\n1 0\n2 1\n0 1\n1 1\n2 0\n")
+    out = tmp_path / "x.sgf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["baseline", str(path), "--method", *method, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "jacobiset baseline: error: non-finite vertex value\n"
+    assert not out.exists()
+
+
 def test_baseline_gaussian_warns_on_degenerate_kernel(identity_sgf, tmp_path, capsys):
     out = tmp_path / "g.sgf"
     code = main(
@@ -680,15 +693,20 @@ def test_filters_check_only_the_options_they_read(identity_sgf, tmp_path, capsys
 
 
 def test_compare_reports_an_sgf_that_does_not_triangulate_in_every_cell(tmp_path, capsys):
-    # The grid loads, but its inf sample fails the triangulation. The filter
-    # cells report that error too, without smoothing the grid: inf - inf
-    # would raise a RuntimeWarning.
+    # The inf grid does not load. The tiny grid loads, but its spacing
+    # underflows to zero area and fails the triangulation; the filter cells
+    # report that error too, without smoothing the grid.
     path = tmp_path / "inf.sgf"
     path.write_text("sgf 1\ngrid 3 2 1 1\ninf 0\n1 0\n2 1\n0 1\n1 1\n2 0\n")
+    tiny = tmp_path / "tiny.sgf"
+    tiny.write_text("sgf 1\ngrid 3 2 1e-200 1e-200\n0 0\n1 0\n2 1\n0 1\n1 1\n2 0\n")
     methods = ["original", "ca-a", "binomial", "gaussian", "loop"]
-    assert main(["compare", str(path), "--methods", *methods, "--format", "csv"]) == 2
+    argv = ["compare", str(path), str(tiny), "--methods", *methods, "--format", "csv"]
+    assert main(argv) == 2
     rows = capsys.readouterr().out.strip().split("\n")[1:]
-    assert rows == [f"{path},{m},error: non-finite vertex value," for m in methods]
+    assert rows == [f"{path},{m},error: non-finite vertex value," for m in methods] + [
+        f"{tiny},{m},error: degenerate triangle (zero domain area) at id 0," for m in methods
+    ]
 
 
 def test_console_entry_point_runs():

@@ -342,6 +342,30 @@ def test_groups_keep_earlier_collapses_glued():
     assert not np.array_equal(field2.values[v_a], field2.values[v_b])
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_group_labels_count_their_members(seed):
+    # The sweep reads group sizes as bincount(label): that is exact only if
+    # every group's label is the id of one of its members. Merges inside
+    # one group, and of a vertex with itself, happen too.
+    rng = np.random.default_rng(seed)
+    n = 40
+    groups = VertexGroups(n)
+    oracle = {v: {v} for v in range(n)}  # vertex -> the set of its group
+    for _ in range(120):
+        u, v = rng.integers(n, size=2).tolist()
+        if rng.random() < 0.25:
+            v = int(rng.choice(sorted(oracle[u])))
+        members = groups.merge(u, v)
+        merged = oracle[u] | oracle[v]
+        for w in merged:
+            oracle[w] = merged
+        assert sorted(members.tolist()) == sorted(merged)
+        size = np.bincount(groups.label)
+        for w in range(n):
+            assert size[groups.label[w]] == len(oracle[w])
+            assert groups.label[w] in oracle[w]
+
+
 # -- oscillation guard -------------------------------------------------------
 
 
@@ -546,6 +570,17 @@ def test_report_serialization(rng):
     field, _ = noisy_island_field(rng, 12, 12, 1)
     report = simplify(field, "A", island_threshold(field))
     payload = report.to_dict()
+    assert list(payload) == [
+        "status",
+        "variant",
+        "threshold",
+        "collapsed_cells",
+        "flip_repairs",
+        "iterations",
+        "residual_cl",
+        "before",
+        "after",
+    ]
     assert payload["status"] == "completed"
     assert set(payload["before"]) == {"length", "components"}
     assert "elapsed_ms" not in payload
@@ -617,7 +652,8 @@ def test_group_budget_ends_chunks_early(monkeypatch):
 
     def recording(field, cells, cl, groups):
         cells = np.asarray(cells, dtype=np.int64)
-        loads.append((len(cells), int(groups.size[groups.label[field.triangles[cells]]].sum())))
+        size = np.bincount(groups.label)
+        loads.append((len(cells), int(size[groups.label[field.triangles[cells]]].sum())))
         return score_cells(field, cells, cl, groups)
 
     monkeypatch.setattr(collapse, "CHUNK_GROUP_VERTICES", budget)

@@ -6,6 +6,7 @@ import pytest
 
 from jacobiset import (
     DegenerateTriangleError,
+    MeshError,
     ParseError,
     load_bsf,
     load_field,
@@ -191,11 +192,16 @@ def test_sgf_bad_grid_spacing_is_parse_error(tmp_path, spacing):
 @pytest.mark.parametrize(
     "name, text, line, message",
     [
-        ("only.bsf", "bsf 1", 1, "unexpected end of file"),
+        ("only.bsf", "bsf 1", 2, "unexpected end of file"),
+        ("only.bsf", "bsf 1\n", 2, "unexpected end of file"),
         ("neg.bsf", "bsf 1\nvertices -1 triangles 0\n", 2, "negative count"),
         ("neg.bsf", "bsf 1\nvertices 3 triangles -2\n0 0 0 0\n1 0 0 0\n0 1 0 0\n", 2,
          "negative count"),
         ("only.sgf", "sgf 1", 2, "unexpected end of file"),
+        ("only.sgf", "sgf 1\n", 2, "unexpected end of file"),
+        ("empty.bsf", "", 1, "expected 'bsf 1' header, got ''"),
+        ("blank.bsf", "bsf 1\n\n0 0 0 0\n", 2, "expected 'vertices <N> triangles <M>'"),
+        ("blank.sgf", "sgf 1\n\n0 0\n", 2, "expected 'grid <W> <H> <dx> <dy>'"),
         ("thin.sgf", "sgf 1\ngrid 1 2 1 1\n0 0\n0 0\n", 2, "grid must be at least 2 x 2"),
         ("flat.sgf", "sgf 1\ngrid 2 1 1 1\n0 0\n0 0\n", 2, "grid must be at least 2 x 2"),
     ],
@@ -224,6 +230,15 @@ def test_grid_field_rejects_bad_spacing_as_the_reader_does(spacing, axis):
     dx, dy = (spacing, 1.0) if axis == 0 else (1.0, spacing)
     with pytest.raises(ValueError, match="^grid spacing must be finite and nonzero$"):
         GridField(3, 2, dx, dy, np.zeros(6), np.zeros(6))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("component", ["f", "g"])
+def test_grid_field_rejects_a_non_finite_sample_as_the_mesh_does(bad, component):
+    samples = {"f": np.zeros(6), "g": np.zeros(6)}
+    samples[component][4] = bad
+    with pytest.raises(MeshError, match="^non-finite vertex value$"):
+        GridField(3, 2, 1.0, 1.0, **samples)
 
 
 @pytest.mark.parametrize("dx, dy", [(-1.0, 1.0), (1.0, -0.5), (-2.0, -0.5)])

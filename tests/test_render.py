@@ -1,10 +1,11 @@
 import re
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from jacobiset import TriField, render_svg, triangulate_structured
+from jacobiset import TriField, compute_jacobi_set, render_svg, triangulate_structured
 
 from conftest import grid_field, quad_field, render_svg_oracle, wave_field
 
@@ -112,3 +113,18 @@ def test_overflowing_range_areas_take_full_saturation(rng):
     fills = [p.get("fill") for p in parse_svg(svg)[1]]
     assert all(re.fullmatch("#[0-9a-f]{6}", fill) for fill in fills)
     assert {"#ff0000", "#0000ff"} & set(fills)
+
+
+def test_underflowing_saturation_reference_takes_full_saturation():
+    # The median nonzero range area is 3e-320, so saturation_scale * median
+    # underflows to 0 and every triangle takes full saturation.
+    v = np.arange(9.0)
+    field = triangulate_structured(3, 3, (1, 1), 1e-160 * v, 1e-160 * (v % 3) ** 2)
+    range_areas = np.abs(field.dets) * field.domain_areas
+    assert 1e-300 * np.median(range_areas[range_areas > 0]) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svg = render_svg(field, saturation_scale=1e-300)
+    effective = compute_jacobi_set(field).effective
+    fills = [p.get("fill") for p in parse_svg(svg)[1]]
+    assert fills == ["#ff0000" if e > 0 else "#0000ff" for e in effective]
