@@ -18,7 +18,9 @@
 # exit codes in NAME.exit: stats on a byte that is not UTF-8 and on files
 # that end after their first line; compare --format csv on a short BSF,
 # whose error cell holds a comma and so is quoted; a binomial baseline of
-# an SGF with an inf sample. Every path is
+# an SGF with an inf sample; stats on a BSF with inf in a value column, on
+# a BSF with 1e999 in a position column and on an SGF with a nan sample,
+# each rejected at the line that holds it. Every path is
 # relative to $1, so two trees that behave alike write byte-identical
 # files (the manifests aside, which record times).
 #
@@ -86,3 +88,9 @@ printf 'bsf 1' > cli-in/only.bsf
 run_exit stats-only-bsf stats cli-in/only.bsf
 printf 'sgf 1\n' > cli-in/only.sgf
 run_exit stats-only-sgf stats cli-in/only.sgf
+printf 'bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1 0 inf 0\n0 1 0 1\n0 1 2\n' > cli-in/inf-value.bsf
+run_exit stats-inf-value stats cli-in/inf-value.bsf
+printf 'bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1 0 1 0\n1e999 1 0 1\n0 1 2\n' > cli-in/huge-position.bsf
+run_exit stats-huge-position stats cli-in/huge-position.bsf
+printf 'sgf 1\ngrid 3 2 1 1\n0 0\n1 0\n2 nan\n0 1\n1 1\n2 0\n' > cli-in/nan.sgf
+run_exit stats-nan-sgf stats cli-in/nan.sgf

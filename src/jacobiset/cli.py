@@ -46,7 +46,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_USAGE = 64
 
-_INPUT_ERRORS = (ParseError, MeshError, OSError, ValueError, TypeError)
+_INPUT_ERRORS = (ParseError, MeshError, OSError, ValueError)
 _FILTER_OPTIONS = ("radius", "sigma", "truncation", "boundary")
 _METHODS = ("original", "ca-a", "ca-b", "ca-c", "ca-d", "binomial", "gaussian", "loop")
 

@@ -22,14 +22,15 @@ Both formats share one reader. It takes the two header lines with
 rest of the file. A block counts only if the reader raised and warned
 nothing and returned exactly ``count`` rows of the expected width.
 Anything else - a wrong token count, a blank line, a short file, a hex
-float, ``1_0`` or a non-ASCII digit, an index beyond int64, a byte that
-is not UTF-8 anywhere in the file - re-reads the file through the exact
-parser. It parses each block that numpy's reader does not take whole line
-by line with ``float``/``int`` (and ``float.fromhex``), and raises
-:class:`ParseError` with the first bad line's number. It decodes the
-file's bytes itself, as :func:`sniff_format` does the first line's, so a
-byte that is not UTF-8 is the error of the line that holds it; ``\\r\\n``
-and ``\\r`` end a line, as in text mode. numpy's reader
+float, ``1_0`` or a non-ASCII digit, an index beyond int64, a float that
+is not finite, a byte that is not UTF-8 anywhere in the file - re-reads
+the file through the exact parser. It parses each block that numpy's
+reader does not take whole line by line with ``float``/``int`` (and
+``float.fromhex``), and raises :class:`ParseError` with the first bad
+line's number. It decodes the file's bytes itself, as
+:func:`sniff_format` does the first line's, so a byte that is not UTF-8
+is the error of the line that holds it; ``\\r\\n`` and ``\\r`` end a
+line, as in text mode. numpy's reader
 accepts only tokens that ``float``/``int`` read to the same bits, and
 splits a line on the same whitespace as ``str.split``, so both paths give
 the same arrays. The writers format a chunk of rows with one ``%`` call.
@@ -37,6 +38,7 @@ the same arrays. The writers format a chunk of rows with one ``%`` call.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import islice
@@ -60,11 +62,12 @@ CHUNK_LINES = 512
 _INT64 = np.iinfo(np.int64)
 _DTYPE = {float: np.float64, int: np.int64}
 # What the fast path raises on a file it cannot take: a reader error, a
-# warning turned into an error, a block of the wrong shape, a header
-# ParseError or a UnicodeDecodeError. Each sends the file to the line
-# parser, which raises the error with its line number or returns the
-# same arrays. So the fast path may check the header lines with their
-# newline: a header error it finds is raised again by the line parser.
+# warning turned into an error, a block of the wrong shape or with a float
+# that is not finite, a header ParseError or a UnicodeDecodeError. Each
+# sends the file to the line parser, which raises the error with its line
+# number or returns the same arrays. So the fast path may check the header
+# lines with their newline: a header error it finds is raised again by the
+# line parser.
 _FALLBACK_ERRORS = (ValueError, OverflowError, Warning)
 
 
@@ -99,8 +102,8 @@ def _parse_index_row(toks, path, line) -> list:
 def _read_block(rows, count: int, width: int, kind) -> np.ndarray:
     """Parse the ``count`` text lines ``rows`` with numpy's text reader into
     a (count, width) array of ``kind`` (float or int). Raises one of
-    ``_FALLBACK_ERRORS`` if the reader fails or warns, or if a line was
-    blank, missing or of another width."""
+    ``_FALLBACK_ERRORS`` if the reader fails or warns, if a line was
+    blank, missing or of another width, or if a float is not finite."""
     if count == 0:
         return np.empty((0, width), dtype=_DTYPE[kind])
     with warnings.catch_warnings():
@@ -110,6 +113,8 @@ def _read_block(rows, count: int, width: int, kind) -> np.ndarray:
         block = np.loadtxt(rows, dtype=_DTYPE[kind], comments=None, ndmin=2)
     if block.shape != (count, width):
         raise ValueError(f"expected a {count} x {width} block, got {block.shape}")
+    if kind is float and not np.isfinite(block).all():
+        raise ValueError("non-finite value")
     return block
 
 
@@ -130,7 +135,10 @@ def _parse_lines(path, lines, first: int, count: int, width: int, kind) -> np.nd
         if len(toks) != width:
             raise ParseError(path, lineno, f"expected {width} {noun}, got {len(toks)}")
         if kind is float:
-            out[i] = [_parse_float(t, path, lineno) for t in toks]
+            row = [_parse_float(t, path, lineno) for t in toks]
+            if not all(map(math.isfinite, row)):
+                raise ParseError(path, lineno, "non-finite value")
+            out[i] = row
         else:
             out[i] = _parse_index_row(toks, path, lineno)
     return out

@@ -191,49 +191,36 @@ class TriField:
             self._dets = dets
         return self._dets
 
-    def compute_dets(self, tids, moves=None, target=None, corners=None) -> np.ndarray:
-        """Determinants of triangles ``tids`` from the current values, or as
-        if the corners where the ``(len(tids), 3)`` mask ``moves`` is True
-        carried ``target`` (the field is unchanged): one (f, g) for all
-        triangles, or one per triangle as shape ``(len(tids), 2)``. A
-        caller that holds ``triangles[tids]`` passes it as ``corners``.
+    def compute_dets(self, tids, moves, target, corners) -> np.ndarray:
+        """Determinants of triangles ``tids``, whose rows of ``triangles``
+        are ``corners``, as if the corners where the ``(len(tids), 3)``
+        mask ``moves`` is True carried ``target`` (the field is
+        unchanged): one (f, g) for all triangles, or one per triangle as
+        shape ``(len(tids), 2)``.
 
         Value-edge cross product over domain-edge cross product. The
         numerator is exactly 0.0 whenever two vertices of the triangle
         carry identical (f, g) values; 0/area keeps that exact.
         """
-        if corners is None:
-            corners = self.triangles.take(tids, axis=0)
         w = self.values.take(corners, axis=0)
-        if moves is not None:
-            w = np.where(moves[..., None], np.asarray(target)[..., None, :], w)
+        w = np.where(moves[..., None], np.asarray(target)[..., None, :], w)
         return _edge_cross(lambda i, j: w[:, i, j]) / self._doubled_areas.take(tids)
 
-    def incident_triangles(self, vertex_ids) -> np.ndarray:
-        """Triangles with at least one vertex in ``vertex_ids`` (ascending)."""
-        return np.unique(self.star_entries(vertex_ids)[0])
-
     def point_neighbors(self, t: int) -> np.ndarray:
-        """Triangles sharing at least one vertex with ``t`` (excluding ``t``)."""
-        star = self.incident_triangles(self.triangles[t])
+        """Triangles sharing at least one vertex with ``t`` (excluding
+        ``t``). Nothing in the package calls it; it stays because the
+        benchmark's tracer wraps it."""
+        star = np.unique(self.star_entries(self.triangles[t])[0])
         return star[star != t]
 
     # -- mutation ------------------------------------------------------------
 
-    def set_vertex_values(self, vertex_ids, value, tids=None, dets=None) -> None:
-        """Assign ``value = (f, g)`` to the given vertices and refresh the
-        determinant cache of every incident triangle.
-
-        A caller that already holds the new determinants passes them as
-        ``dets`` of the triangles ``tids``, which must be
-        ``incident_triangles(vertex_ids)``; they are stored as given.
-        """
-        vids = np.asarray(vertex_ids, dtype=np.int64).ravel()
-        self.values[vids] = np.asarray(value, dtype=np.float64)
-        if self._dets is not None and len(vids):
-            if dets is None:
-                tids = self.incident_triangles(vids)
-                dets = self.compute_dets(tids)
+    def set_vertex_values(self, vertex_ids, value, tids, dets) -> None:
+        """Assign ``value = (f, g)`` to the given vertices, and store
+        ``dets`` as the cached determinants of the triangles ``tids``:
+        every triangle incident to the vertices, with the new values."""
+        self.values[np.asarray(vertex_ids, dtype=np.int64)] = np.asarray(value, dtype=np.float64)
+        if self._dets is not None:
             self._dets[tids] = dets
 
     def with_values(self, values) -> "TriField":

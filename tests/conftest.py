@@ -135,6 +135,30 @@ def vertex_stars(field) -> list:
     return [np.array(star, dtype=np.int64) for star in stars]
 
 
+# The last topology star_union read, and its vertex_stars: the collapse
+# oracles ask for the stars of one field over and over, and a field's
+# copies and with_values share its read-only triangles. The entry holds
+# the array it is keyed on, so no other array can match it.
+_STARS = [None, None]
+
+
+def star_union(field, vertex_ids) -> np.ndarray:
+    """Triangles with at least one vertex in ``vertex_ids`` (ascending),
+    from :func:`vertex_stars`, built once per ``field.triangles``."""
+    if _STARS[0] is not field.triangles:
+        _STARS[:] = field.triangles, vertex_stars(field)
+    stars = _STARS[1]
+    return np.unique(np.concatenate([stars[v] for v in vertex_ids]))
+
+
+def move_vertices(field, vertex_ids, value) -> None:
+    """``field.set_vertex_values`` with the stars and determinants of
+    :func:`star_union` and :func:`_compute_dets_oracle`."""
+    tids = star_union(field, vertex_ids)
+    dets = _compute_dets_oracle(field, tids, vertex_ids, value)
+    field.set_vertex_values(vertex_ids, value, tids, dets)
+
+
 def vertex_neighbors(field, v: int) -> np.ndarray:
     """Vertex ids joined to ``v`` by a mesh edge (ascending), read off
     `TriField.edges`."""
@@ -535,6 +559,11 @@ def _check_declared(path, lines, count: int, what: str) -> None:
         raise ParseError(path, 2, f"header declares {what} lines, file has {present}")
 
 
+def _check_finite(path, line, numbers) -> None:
+    if not all(math.isfinite(x) for x in numbers):
+        raise ParseError(path, line, "non-finite value")
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -574,6 +603,7 @@ def load_bsf_oracle(path) -> TriField:
         positions[i, 1] = _parse_float(toks[1], path, lineno)
         values[i, 0] = _parse_float(toks[2], path, lineno)
         values[i, 1] = _parse_float(toks[3], path, lineno)
+        _check_finite(path, lineno, (*positions[i], *values[i]))
     triangles = np.empty((m, 3), dtype=np.int64)
     for j in range(m):
         lineno = 3 + n + j
@@ -625,6 +655,7 @@ def load_sgf_oracle(path) -> GridField:
             raise ParseError(path, lineno, f"expected 2 fields, got {len(toks)}")
         f[i] = _parse_float(toks[0], path, lineno)
         g[i] = _parse_float(toks[1], path, lineno)
+        _check_finite(path, lineno, (f[i], g[i]))
     return GridField(w, h, dx, dy, f.reshape(h, w), g.reshape(h, w))
 
 
@@ -785,7 +816,7 @@ def evaluate_variant_oracle(
     u, v = int(edge[0]), int(edge[1])
     target = 0.5 * (field.values[u] + field.values[v])
     moved = groups.merged_members(u, v) if groups is not None else [u, v]
-    affected = field.incident_triangles(moved)
+    affected = star_union(field, moved)
 
     old_dets = field.dets[affected]
     new_dets = _compute_dets_oracle(field, affected, moved, target)
@@ -823,7 +854,7 @@ def apply_collapse_variant_oracle(
     (and to their merged group, when tracking groups)."""
     u, v = variant.edge
     moved = groups.merge(u, v) if groups is not None else [u, v]
-    field.set_vertex_values(moved, variant.target_value)
+    move_vertices(field, moved, variant.target_value)
 
 
 def flipped_cell_neighbors_oracle(field: TriField, before_signs: dict, c: int) -> list:
@@ -889,7 +920,7 @@ def simplify_oracle(
             best = find_best_collapse_variant_oracle(field, candidates, c, cl, groups)
 
             moved = groups.merged_members(*best.edge)
-            affected = field.incident_triangles(moved)
+            affected = star_union(field, moved)
             dets = field.dets[affected]
             before_signs = {
                 int(t): (1 if d > 0 else -1 if d < 0 else 0)

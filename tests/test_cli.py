@@ -94,6 +94,18 @@ def test_stats_parse_error_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_programming_error_is_not_an_input_error(identity_sgf, monkeypatch, capsys):
+    # A TypeError is a bug in a handler, not a bad input: it propagates
+    # instead of exiting 2 with "error: ...".
+    def broken(*args, **kwargs):
+        raise TypeError("handler bug")
+
+    monkeypatch.setattr(cli, "compute_jacobi_set", broken)
+    with pytest.raises(TypeError, match="handler bug"):
+        main(["stats", str(identity_sgf)])
+    assert capsys.readouterr().err == ""
+
+
 def test_usage_error_exit_64(capsys):
     assert main(["simplify"]) == 64  # missing required arguments
     assert main(["frobnicate"]) == 64
@@ -248,7 +260,7 @@ def test_baseline_rejects_a_non_finite_sample_exit_2(tmp_path, capsys, method):
         warnings.simplefilter("error", RuntimeWarning)
         code = main(["baseline", str(path), "--method", *method, "--out", str(out)])
     assert code == 2
-    assert capsys.readouterr().err == "jacobiset baseline: error: non-finite vertex value\n"
+    assert capsys.readouterr().err == f"jacobiset baseline: error: {path}:3: non-finite value\n"
     assert not out.exists()
 
 
@@ -704,7 +716,7 @@ def test_compare_reports_an_sgf_that_does_not_triangulate_in_every_cell(tmp_path
     argv = ["compare", str(path), str(tiny), "--methods", *methods, "--format", "csv"]
     assert main(argv) == 2
     rows = capsys.readouterr().out.strip().split("\n")[1:]
-    assert rows == [f"{path},{m},error: non-finite vertex value," for m in methods] + [
+    assert rows == [f"{path},{m},error: {path}:3: non-finite value," for m in methods] + [
         f"{tiny},{m},error: degenerate triangle (zero domain area) at id 0," for m in methods
     ]
 

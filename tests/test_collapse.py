@@ -26,12 +26,14 @@ from conftest import (
     bits,
     edge_endpoints,
     evaluate_variant_oracle,
+    move_vertices,
     noisy_island_field,
     open_sides_oracle,
     possible_collapse_variants_oracle,
     quad_field,
     score_cell,
     simplify_oracle,
+    star_union,
     wave_field,
 )
 
@@ -175,7 +177,7 @@ def test_possible_collapse_variants_boundary_case2():
 
 def test_evaluate_idempotent_collapse():
     field = quad_field([0, 1, 1, 0], [0, 1, 0, 1])
-    field.set_vertex_values([2], field.values[0])  # endpoints 0 and 2 equal
+    move_vertices(field, [2], field.values[0])  # endpoints 0 and 2 equal
     scores = score_cell(field, 0)
     j = scores.edges.index((0, 2))
     assert scores.flips[j] == 0
@@ -281,7 +283,7 @@ def test_apply_neighbor_dets_match_fresh_recompute():
     assert np.array_equal(field.dets, fresh.dets)
     # The kernel's simulated determinants are the ones a commit stores.
     assert np.array_equal(bits(dets), bits(fresh.dets[tids]))
-    assert np.array_equal(tids, field.incident_triangles((1, 2)))
+    assert np.array_equal(tids, star_union(field, (1, 2)))
 
 
 def test_flipped_cell_neighbors_zero_and_one_flip():
@@ -337,8 +339,8 @@ def test_groups_keep_earlier_collapses_glued():
 
     # Moving only the endpoints, the same sequence breaks the first pair.
     field2 = triangulate_structured(4, 2, (1.0, 1.0), np.arange(8.0), np.arange(8.0) ** 2)
-    field2.set_vertex_values([v_a, v_b], target1)
-    field2.set_vertex_values([v_b, v_c], 0.5 * (field2.values[v_b] + field2.values[v_c]))
+    move_vertices(field2, [v_a, v_b], target1)
+    move_vertices(field2, [v_b, v_c], 0.5 * (field2.values[v_b] + field2.values[v_c]))
     assert not np.array_equal(field2.values[v_a], field2.values[v_b])
 
 

@@ -289,7 +289,7 @@ def assert_same_sgf(a, b):
 @no_leaked_warnings
 def test_bsf_matches_line_oracle(tmp_path, rng, monkeypatch):
     field = wave_field(rng, 19, 11)
-    field.set_vertex_values([0, 5], (-0.0, 0.0))
+    field.values[[0, 5]] = (-0.0, 0.0)
     new, old = tmp_path / "new.bsf", tmp_path / "old.bsf"
     save_bsf(field, new)
     save_bsf_oracle(field, old)
@@ -395,6 +395,45 @@ def test_error_line_numbers_match_line_oracle(tmp_path, rng, fallbacks):
         assert new.value.line == old.value.line == lineno
         assert str(new.value) == str(old.value)
     assert len(fallbacks) == len(cases)
+
+
+@no_leaked_warnings
+def test_non_finite_number_is_parse_error_of_its_line(tmp_path, rng, fallbacks):
+    # numpy's reader takes nan, inf and 1e999 without a word; the reader
+    # hands such a file to the line parser, which names the first bad line.
+    field = wave_field(rng, 4, 3)
+    path = tmp_path / "ok.bsf"
+    save_bsf(field, path)
+    lines = path.read_text().split("\n")
+    sgf = tmp_path / "ok.sgf"
+    save_sgf(GridField(3, 3, 1.0, 0.5, rng.normal(size=9), rng.normal(size=9)), sgf)
+    sgf_lines = sgf.read_text().split("\n")
+    hex_row = " ".join(float(x).hex() for x in lines[2].split())
+    cases = [
+        (path, load_bsf, load_bsf_oracle, {4: "0 0 inf 0"}, 4, "non-finite value"),
+        (path, load_bsf, load_bsf_oracle, {9: "1e999 0 0 0"}, 9, "non-finite value"),
+        (path, load_bsf, load_bsf_oracle, {4: "0 0 inf 0", 6: "0 x 0 0"}, 4, "non-finite value"),
+        (path, load_bsf, load_bsf_oracle, {4: "0 x 0 0", 6: "0 0 inf 0"}, 4, "not a number: 'x'"),
+        (path, load_bsf, load_bsf_oracle, {4: "0 0 inf 0", 20: "0 y 1"}, 4, "non-finite value"),
+        (path, load_bsf, load_bsf_oracle, {3: hex_row, 5: "-inf 0 0 0"}, 5, "non-finite value"),
+        (sgf, load_sgf, load_sgf_oracle, {7: "nan 0"}, 7, "non-finite value"),
+        (sgf, load_sgf, load_sgf_oracle, {3: "0 -1e999", 5: "nan 0"}, 3, "non-finite value"),
+    ]
+    for target, load, oracle, case, lineno, message in cases:
+        broken = (lines if target == path else sgf_lines).copy()
+        for at, bad in case.items():
+            broken[at - 1] = bad
+        target.write_text("\n".join(broken))
+        with pytest.raises(ParseError) as new:
+            load(target)
+        with pytest.raises(ParseError) as old:
+            oracle(target)
+        assert str(new.value) == str(old.value) == f"{target}:{lineno}: {message}"
+    assert fallbacks == [case[0] for case in cases]
+    # A header that declares more lines than the file holds fails first.
+    path.write_text("\n".join(["bsf 1", "vertices 3 triangles 9", "0 0 inf 0"]))
+    with pytest.raises(ParseError, match=":2: header declares"):
+        load_bsf(path)
 
 
 def test_hex_float_overflow_is_parse_error(tmp_path):

@@ -17,8 +17,10 @@ from conftest import (
     edge_cross_oracle,
     edge_endpoints,
     grid_triangles,
+    move_vertices,
     quad_field,
     shoelace,
+    star_union,
     unit_triangle,
     vertex_stars,
 )
@@ -160,7 +162,7 @@ def test_point_neighbors_and_stars():
 def test_set_vertex_values_refreshes_dets():
     field = quad_field([0, 1, 1, 0], [0, 0, 1, 1])
     before = field.dets.copy()
-    field.set_vertex_values([2], (5.0, -3.0))
+    move_vertices(field, [2], (5.0, -3.0))
     fresh = TriField(field.positions, field.values, field.triangles)
     assert np.array_equal(field.dets, fresh.dets)
     assert not np.array_equal(field.dets, before)
@@ -169,7 +171,7 @@ def test_set_vertex_values_refreshes_dets():
 def test_copy_is_independent():
     field = quad_field([0, 1, 1, 0], [0, 0, 1, 1])
     dup = field.copy()
-    dup.set_vertex_values([0], (9.0, 9.0))
+    move_vertices(dup, [0], (9.0, 9.0))
     assert field.values[0, 0] == 0.0
     assert dup.values[0, 0] == 9.0
 
@@ -204,13 +206,13 @@ def test_compute_dets_of_moved_vertices_matches_set_vertex_values_bitwise(rng):
     values = field.values.copy()
     moved = [10, 11, 20]
     target = 0.5 * (field.values[10] + field.values[11])
-    tids = field.incident_triangles(moved)
-    simulated = field.compute_dets(tids, np.isin(field.triangles[tids], moved), target)
+    tids = star_union(field, moved)
+    corners = field.triangles[tids]
+    simulated = field.compute_dets(tids, np.isin(corners, moved), target, corners)
     assert np.array_equal(bits(field.values), bits(values))  # field untouched
-    dup = field.copy()
-    dup.set_vertex_values(moved, target)
-    assert np.array_equal(bits(simulated), bits(dup.dets[tids]))
-    assert np.array_equal(bits(field.compute_dets(tids)), bits(field.dets[tids]))
+    values[moved] = target
+    fresh = TriField(field.positions, values, field.triangles)
+    assert np.array_equal(bits(simulated), bits(fresh.dets[tids]))
 
 
 def _cross_input(kind, rng):
@@ -263,7 +265,9 @@ def test_cached_dets_equal_compute_dets_of_every_triangle_bitwise(rng, kind):
     else:
         field = triangulate_structured(w, h, (1.0, 1.0), 1e154 * f, 1e154 * g)
     with np.errstate(over="ignore", invalid="ignore"):
-        every = field.compute_dets(np.arange(field.n_triangles))
+        tids = np.arange(field.n_triangles)
+        no_moves = np.zeros((len(tids), 3), dtype=bool)
+        every = field.compute_dets(tids, no_moves, np.zeros(2), field.triangles)
         assert np.array_equal(bits(field.dets), bits(every))
     if kind == "huge":
         assert np.isinf(every).any() and np.isnan(every).any()
@@ -334,11 +338,11 @@ def test_with_values_shares_read_only_topology_and_owns_values(rng):
     base = _irregular_field(rng)
     base_values, base_dets = base.values.copy(), base.dets.copy()
     other = base.with_values(base.values * 2)
-    other.set_vertex_values([0, 5], (7.0, -7.0))
+    move_vertices(other, [0, 5], (7.0, -7.0))
     assert np.array_equal(bits(base.values), bits(base_values))
     assert np.array_equal(bits(base.dets), bits(base_dets))
     other_values = other.values.copy()
-    base.set_vertex_values([1], (3.0, 3.0))
+    move_vertices(base, [1], (3.0, 3.0))
     assert np.array_equal(bits(other.values), bits(other_values))
     for name in ("positions", "triangles", "domain_areas", "neighbors", "edges", "edge_triangles"):
         array = getattr(base, name)

@@ -7,7 +7,7 @@ import pytest
 
 from jacobiset import TriField, compute_jacobi_set, render_svg, triangulate_structured
 
-from conftest import grid_field, quad_field, render_svg_oracle, wave_field
+from conftest import grid_field, move_vertices, quad_field, render_svg_oracle, wave_field
 
 
 def parse_svg(svg: str):
@@ -64,7 +64,7 @@ def test_show_jacobi_toggle():
 
 def test_degenerate_tinted_at_min_saturation():
     field = triangulate_structured(3, 2, (1.0, 1.0), [0, 1, 2, 0, 1, 2], [0, 0, 0, 1, 1, 1])
-    field.set_vertex_values([4], field.values[1])  # degenerate one triangle
+    move_vertices(field, [4], field.values[1])  # degenerate one triangle
     assert (field.dets == 0).any()
     svg = render_svg(field)
     _, polygons, _ = parse_svg(svg)
