@@ -20,7 +20,12 @@
 # whose error cell holds a comma and so is quoted; a binomial baseline of
 # an SGF with an inf sample; stats on a BSF with inf in a value column, on
 # a BSF with 1e999 in a position column and on an SGF with a nan sample,
-# each rejected at the line that holds it. Every path is
+# each rejected at the line that holds it; stats on three SGFs whose
+# spacing overflows an extent or the cell area or underflows the area,
+# each rejected at line 2, on a BSF whose finite positions overflow a
+# triangle's area, and on BSFs with a vertex index out of range and a
+# repeated vertex, each rejected at the triangle's line; and graph with
+# an --out suffix that picks no format, a usage error. Every path is
 # relative to $1, so two trees that behave alike write byte-identical
 # files (the manifests aside, which record times).
 #
@@ -94,3 +99,15 @@ printf 'bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1 0 1 0\n1e999 1 0 1\n0 1 2\n' >
 run_exit stats-huge-position stats cli-in/huge-position.bsf
 printf 'sgf 1\ngrid 3 2 1 1\n0 0\n1 0\n2 nan\n0 1\n1 1\n2 0\n' > cli-in/nan.sgf
 run_exit stats-nan-sgf stats cli-in/nan.sgf
+for spacing in "1e200 1e200" "1e308 1" "1e-200 1e-200"; do
+  name="spacing-${spacing/ /-}"
+  printf 'sgf 1\ngrid 3 2 %s\n0 0\n1 0\n2 1\n0 1\n1 1\n2 0\n' "$spacing" > "cli-in/$name.sgf"
+  run_exit "stats-$name" stats "cli-in/$name.sgf"
+done
+printf 'bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1e300 0 1 0\n0 1e300 0 1\n0 1 2\n' > cli-in/far.bsf
+run_exit stats-far stats cli-in/far.bsf
+printf 'bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1 0 1 0\n0 1 0 1\n0 1 3\n' > cli-in/index.bsf
+run_exit stats-index stats cli-in/index.bsf
+printf 'bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1 0 1 0\n0 1 0 1\n0 1 1\n' > cli-in/repeated.bsf
+run_exit stats-repeated stats cli-in/repeated.bsf
+run_exit graph-txt graph cli-in/field.bsf --out cli-out/graph.txt

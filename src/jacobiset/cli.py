@@ -5,12 +5,14 @@ collapse algorithm), ``baseline`` (smoothing filters and Loop
 subdivision), ``render`` (SVG), ``graph`` (neighborhood graph export),
 and ``compare`` (measures table across inputs and methods).
 
-Exit codes: 0 success, 2 input/validation error, 64 usage error. Every
-command that writes an output file also writes ``<output>.manifest.json``
-recording the invocation (``stats`` and ``compare`` only with ``--out``).
-:func:`main` is the one place that times a command and writes its
-manifest, from the ``(exit_code, parameters, outputs)`` that the
-command's ``cmd_*`` handler returns.
+Exit codes: 0 success, 2 input/validation error, 64 usage error, which
+the parser reports before any input is read. Every command that writes
+an output file also writes ``<output>.manifest.json`` recording the
+invocation (``stats`` and ``compare`` only with ``--out``). Each
+``cmd_*`` handler returns only its exit code; :func:`main` times it and
+derives the manifest from the parsed options: the ``outputs`` are
+``--out`` and ``--report``, and the ``parameters`` every other option
+but the input(s), in parser order.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ EXIT_INPUT = 2
 EXIT_USAGE = 64
 
 _INPUT_ERRORS = (ParseError, MeshError, OSError, ValueError)
-_FILTER_OPTIONS = ("radius", "sigma", "truncation", "boundary")
 _METHODS = ("original", "ca-a", "ca-b", "ca-c", "ca-d", "binomial", "gaussian", "loop")
 
 
@@ -62,6 +63,13 @@ def _write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def _graph_path(path: str) -> str:
+    """The ``graph --out`` path, whose suffix picks the format."""
+    if not path.endswith((".dot", ".gv", ".json")):
+        raise argparse.ArgumentTypeError("must end in .dot, .gv, or .json")
+    return path
 
 
 def _add_baseline_options(p) -> None:
@@ -107,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="export the neighborhood graph")
     p.add_argument("input")
     p.add_argument("--variant", choices=VARIANTS, default="A")
-    p.add_argument("--out", required=True, help="*.dot or *.json")
+    p.add_argument("--out", type=_graph_path, required=True, help="*.dot or *.json")
     p.add_argument("--epsilon", type=float, default=0.0)
 
     p = sub.add_parser("compare", help="measures table across inputs and methods")
@@ -137,15 +145,19 @@ def main(argv=None) -> int:
     }[args.command]
     t0 = perf_counter()
     try:
-        code, parameters, outputs = handler(args)
+        code = handler(args)
     except _INPUT_ERRORS as exc:
         print(f"jacobiset {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    parameters = dict(vars(args))
+    del parameters["command"]
+    inputs = parameters.pop("inputs", None) or [parameters.pop("input")]
+    outputs = [path for path in (parameters.pop("out"), parameters.pop("report", None)) if path]
     if outputs:
         manifest = {
             "command": args.command,
             "tool_version": __version__,
-            "inputs": args.inputs if args.command == "compare" else [args.input],
+            "inputs": inputs,
             "parameters": parameters,
             "outputs": outputs,
             "elapsed_ms": (perf_counter() - t0) * 1000.0,
@@ -156,11 +168,6 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
-
-
-def _params(args, *names) -> dict:
-    """The manifest ``parameters``: the named options and their values."""
-    return {name: getattr(args, name) for name in names}
 
 
 def cmd_stats(args):
@@ -177,7 +184,7 @@ def cmd_stats(args):
     print(json.dumps(payload, indent=2))
     if args.out:
         _write_json(args.out, payload)
-    return EXIT_OK, _params(args, "epsilon"), [args.out] if args.out else []
+    return EXIT_OK
 
 
 def cmd_simplify(args):
@@ -186,19 +193,17 @@ def cmd_simplify(args):
         field, variant=args.variant, threshold=args.threshold, epsilon=args.epsilon
     )
     save_bsf(field, args.out)
-    outputs = [args.out]
     if args.report:
         # The report file stays byte-reproducible across runs; wall time
         # lives in the manifest instead.
         _write_json(args.report, report.to_dict())
-        outputs.append(args.report)
     print(
         f"simplify: {report.status.value}, collapsed {report.collapsed_cells} cells "
         f"in {report.iterations} sweeps; components "
         f"{report.before['components']} -> {report.after['components']}, "
         f"length {report.before['length']:.6g} -> {report.after['length']:.6g}"
     )
-    return EXIT_OK, _params(args, "variant", "threshold", "epsilon"), outputs
+    return EXIT_OK
 
 
 def _filtered(grid, method: str, args, source: str = ""):
@@ -222,11 +227,11 @@ def _filtered(grid, method: str, args, source: str = ""):
 def cmd_baseline(args):
     if args.method == "loop":
         save_bsf(loop_subdivide(load_field(args.input), args.steps), args.out)
-        return EXIT_OK, _params(args, "method", "steps"), [args.out]
+        return EXIT_OK
     if sniff_format(args.input) != "sgf":
         raise ValueError(f"--method {args.method} requires structured grid (SGF) input")
     save_sgf(_filtered(load_sgf(args.input), args.method, args), args.out)
-    return EXIT_OK, _params(args, "method", *_FILTER_OPTIONS), [args.out]
+    return EXIT_OK
 
 
 def cmd_render(args):
@@ -239,17 +244,10 @@ def cmd_render(args):
     )
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
-    parameters = _params(args, "show_jacobi", "saturation_scale", "epsilon")
-    return EXIT_OK, parameters, [args.out]
+    return EXIT_OK
 
 
 def cmd_graph(args):
-    if not args.out.endswith((".dot", ".gv", ".json")):
-        print(
-            "jacobiset graph: error: --out must end in .dot, .gv, or .json",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE, {}, []
     field = load_field(args.input)
     _, _, _, graph = neighborhood_graph(field, args.variant, args.epsilon)
     if args.out.endswith(".json"):
@@ -257,7 +255,7 @@ def cmd_graph(args):
     else:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(graph_to_dot(graph))
-    return EXIT_OK, _params(args, "variant", "epsilon"), [args.out]
+    return EXIT_OK
 
 
 def _load_compare_input(path):
@@ -316,10 +314,7 @@ def cmd_compare(args):
             fh.write(table)
     else:
         print(table, end="")
-    parameters = _params(
-        args, "methods", "format", "threshold", *_FILTER_OPTIONS, "steps", "epsilon"
-    )
-    return EXIT_OK if ok else EXIT_INPUT, parameters, [args.out] if args.out else []
+    return EXIT_OK if ok else EXIT_INPUT
 
 
 def _format_compare(args, results) -> str:

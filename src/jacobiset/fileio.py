@@ -24,13 +24,12 @@ nothing and returned exactly ``count`` rows of the expected width.
 Anything else - a wrong token count, a blank line, a short file, a hex
 float, ``1_0`` or a non-ASCII digit, an index beyond int64, a float that
 is not finite, a byte that is not UTF-8 anywhere in the file - re-reads
-the file through the exact parser. It parses each block that numpy's
-reader does not take whole line by line with ``float``/``int`` (and
-``float.fromhex``), and raises :class:`ParseError` with the first bad
-line's number. It decodes the file's bytes itself, as
-:func:`sniff_format` does the first line's, so a byte that is not UTF-8
-is the error of the line that holds it; ``\\r\\n`` and ``\\r`` end a
-line, as in text mode. numpy's reader
+the file through the exact parser. It parses every block line by line
+with ``float``/``int`` (and ``float.fromhex``), and raises
+:class:`ParseError` with the first bad line's number. It decodes the
+file's bytes itself, as :func:`sniff_format` does the first line's, so a
+byte that is not UTF-8 is the error of the line that holds it;
+``\\r\\n`` and ``\\r`` end a line, as in text mode. numpy's reader
 accepts only tokens that ``float``/``int`` read to the same bits, and
 splits a line on the same whitespace as ``str.split``, so both paths give
 the same arrays. The writers format a chunk of rows with one ``%`` call.
@@ -45,7 +44,7 @@ from itertools import islice
 
 import numpy as np
 
-from .mesh import MeshError, TriField, triangulate_structured
+from .mesh import MeshError, TriangleError, TriField, check_spacing, triangulate_structured
 
 
 class ParseError(ValueError):
@@ -120,13 +119,7 @@ def _read_block(rows, count: int, width: int, kind) -> np.ndarray:
 
 def _parse_lines(path, lines, first: int, count: int, width: int, kind) -> np.ndarray:
     """Parse ``lines[first:first + count]`` into a (count, width) array of
-    ``kind`` (float or int). ``lines`` must hold all of them. A block that
-    numpy's reader takes whole is not parsed line by line: in a hex-float
-    BSF only the vertex block needs the line loop."""
-    try:
-        return _read_block(lines[first : first + count], count, width, kind)
-    except _FALLBACK_ERRORS:
-        pass
+    ``kind`` (float or int). ``lines`` must hold all of them."""
     out = np.empty((count, width), dtype=_DTYPE[kind])
     noun = "fields" if kind is float else "indices"
     for i in range(count):
@@ -179,16 +172,11 @@ def _sgf_header(path, head) -> tuple:
     dy = _parse_float(toks[4], path, 2)
     if w < 2 or h < 2:
         raise ParseError(path, 2, "grid must be at least 2 x 2")
-    if not _spacing_ok(dx, dy):
-        raise ParseError(path, 2, _BAD_SPACING)
+    try:
+        check_spacing(w, h, dx, dy)
+    except ValueError as exc:
+        raise ParseError(path, 2, str(exc)) from None
     return (w, h, dx, dy), [(w * h, 2, float)], f"{w} x {h} sample"
-
-
-_BAD_SPACING = "grid spacing must be finite and nonzero"
-
-
-def _spacing_ok(dx, dy) -> bool:
-    return bool(np.isfinite(dx) and np.isfinite(dy) and dx and dy)
 
 
 def _decode(path, data: bytes) -> str:
@@ -254,8 +242,8 @@ class GridField:
     """Structured bivariate samples on a regular grid.
 
     ``f`` and ``g`` are (height, width) arrays; row index is y, column
-    index is x. ``dx``/``dy`` give the sample spacing: finite and nonzero
-    (a ``ValueError`` otherwise), and negative to mirror that axis. The
+    index is x. ``dx``/``dy`` give the sample spacing, negative to mirror
+    that axis; it must pass :func:`~jacobiset.mesh.check_spacing`. The
     samples must be finite, as a :class:`TriField`'s values must be: the
     same :class:`MeshError` otherwise.
     """
@@ -268,8 +256,7 @@ class GridField:
     g: np.ndarray
 
     def __post_init__(self):
-        if not _spacing_ok(self.dx, self.dy):
-            raise ValueError(_BAD_SPACING)
+        check_spacing(self.width, self.height, self.dx, self.dy)
         self.f = np.asarray(self.f, dtype=np.float64).reshape(self.height, self.width)
         self.g = np.asarray(self.g, dtype=np.float64).reshape(self.height, self.width)
         if not (np.isfinite(self.f).all() and np.isfinite(self.g).all()):
@@ -282,9 +269,13 @@ class GridField:
 
 
 def load_bsf(path) -> TriField:
-    """Read a BSF file into a validated :class:`TriField`."""
+    """Read a BSF file into a validated :class:`TriField`. The fault of one
+    triangle is the :class:`ParseError` of its line."""
     samples, triangles = _read(path, _bsf_header)
-    return TriField(samples[:, :2], samples[:, 2:], triangles)
+    try:
+        return TriField(samples[:, :2], samples[:, 2:], triangles)
+    except TriangleError as exc:
+        raise ParseError(path, len(samples) + 3 + exc.triangle, str(exc)) from None
 
 
 def format_rows(row_format: str, rows: np.ndarray):

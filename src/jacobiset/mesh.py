@@ -37,6 +37,8 @@ first ``dets`` then peak at 1.34 times the child's array bytes
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -48,7 +50,15 @@ class NonManifoldError(MeshError):
     """An edge is shared by more than two triangles."""
 
 
-class DegenerateTriangleError(MeshError):
+class TriangleError(MeshError):
+    """A fault of one triangle, whose id is ``triangle``."""
+
+    def __init__(self, message, triangle: int):
+        super().__init__(message)
+        self.triangle = triangle
+
+
+class DegenerateTriangleError(TriangleError):
     """A triangle has repeated vertices or zero domain area."""
 
 
@@ -88,13 +98,15 @@ class TriField:
     Every array but ``values`` is read-only.
 
     The constructor checks that positions and values are finite, indices
-    in range, no triangle repeats a vertex and none has zero area, and it
-    makes every winding counter-clockwise. The adjacency arrays come from
-    sorting the edges, which also rejects a non-manifold edge, unless a
-    builder in this package passes arrays it derived from the mesh's
-    structure through the private ``_adjacency`` argument; the constructor
-    then only swaps the neighbour slots of the triangles it flips, and it
-    keeps the builder's fresh arrays as its own without copying them.
+    in range, no triangle repeats a vertex and every area is finite and
+    nonzero, and it makes every winding counter-clockwise. A fault of one
+    triangle is a :class:`TriangleError` that carries its id. The
+    adjacency arrays come from sorting the edges, which also rejects a
+    non-manifold edge, unless a builder in this package passes arrays it
+    derived from the mesh's structure through the private ``_adjacency``
+    argument; the constructor then only swaps the neighbour slots of the
+    triangles it flips, and it keeps the builder's fresh arrays as its own
+    without copying them.
     """
 
     def __init__(self, positions, values, triangles, *, _adjacency=None):
@@ -111,25 +123,30 @@ class TriField:
             raise MeshError(f"triangles must be (m, 3), got {tri.shape}")
         n = len(pos)
         if tri.size and (tri.min() < 0 or tri.max() >= n):
-            raise MeshError("triangle vertex index out of range")
+            outside = ((tri < 0) | (tri >= n)).any(axis=1)
+            raise TriangleError("triangle vertex index out of range", _first(outside))
         repeated = (
             (tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]) | (tri[:, 0] == tri[:, 2])
         )
         if repeated.any():
-            raise DegenerateTriangleError(
-                f"degenerate triangle (repeated vertex) at id {int(np.flatnonzero(repeated)[0])}"
-            )
+            t = _first(repeated)
+            raise DegenerateTriangleError(f"degenerate triangle (repeated vertex) at id {t}", t)
 
-        # Normalize winding so every signed domain area is positive.
-        doubled = _mesh_cross(pos, tri)
+        # Normalize winding so every signed domain area is positive. Finite
+        # positions far apart can still overflow it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            doubled = _mesh_cross(pos, tri)
+        overflow = ~np.isfinite(doubled)
+        if overflow.any():
+            t = _first(overflow)
+            raise TriangleError(f"non-finite domain area at id {t}", t)
         flip = doubled < 0
         if flip.any():
             tri[flip] = tri[flip][:, [0, 2, 1]]
             np.abs(doubled, out=doubled)
         if (doubled == 0).any():
-            raise DegenerateTriangleError(
-                f"degenerate triangle (zero domain area) at id {int(np.flatnonzero(doubled == 0)[0])}"
-            )
+            t = _first(doubled == 0)
+            raise DegenerateTriangleError(f"degenerate triangle (zero domain area) at id {t}", t)
 
         self.positions = _read_only(pos)
         self.values = val
@@ -241,6 +258,10 @@ class TriField:
         return dup
 
 
+def _first(mask: np.ndarray) -> int:
+    return int(np.flatnonzero(mask)[0])
+
+
 def _check_values(val: np.ndarray, shape) -> None:
     if val.shape != shape:
         raise MeshError(f"values must match positions shape, got {val.shape}")
@@ -334,6 +355,22 @@ def _mesh_cross(points, triangles) -> np.ndarray:
     return _edge_cross(lambda i, j: points[:, j].take(triangles[:, i]))
 
 
+def check_spacing(width, height, dx, dy) -> None:
+    """Raise ``ValueError`` unless a grid of ``width x height`` samples
+    spaced ``(dx, dy)`` apart has a finite, nonzero spacing, finite
+    extents ``(width - 1) * dx`` and ``(height - 1) * dy``, and a finite,
+    nonzero cell area ``dx * dy``: otherwise its positions or its
+    triangles' domain areas overflow or vanish."""
+    dx, dy = float(dx), float(dy)
+    if not (math.isfinite(dx) and math.isfinite(dy) and dx and dy):
+        raise ValueError("grid spacing must be finite and nonzero")
+    for axis, size, extent in (("x", "W", dx * (width - 1)), ("y", "H", dy * (height - 1))):
+        if not math.isfinite(extent):
+            raise ValueError(f"grid {axis} extent ({size}-1)*d{axis} = {extent!r} must be finite")
+    if not (math.isfinite(dx * dy) and dx * dy):
+        raise ValueError(f"grid cell area dx*dy = {dx * dy!r} must be finite and nonzero")
+
+
 def triangulate_structured(width, height, spacing, f, g) -> TriField:
     """Triangulate a regular grid of ``width x height`` samples.
 
@@ -343,7 +380,8 @@ def triangulate_structured(width, height, spacing, f, g) -> TriField:
     ``f`` and ``g`` are row-major with x varying fastest; vertex (i, j)
     sits at ``(i * spacing[0], j * spacing[1])``. The adjacency arrays are
     written down from the grid in closed form, not sorted for; they equal
-    what the sort would give, for any sign of the spacing.
+    what the sort would give, for any sign of the spacing, which must
+    pass :func:`check_spacing`.
     """
     w, h = int(width), int(height)
     if w < 2 or h < 2:
@@ -353,6 +391,7 @@ def triangulate_structured(width, height, spacing, f, g) -> TriField:
     if len(f) != w * h or len(g) != w * h:
         raise ValueError(f"expected {w * h} samples per component, got {len(f)}, {len(g)}")
     dx, dy = float(spacing[0]), float(spacing[1])
+    check_spacing(w, h, dx, dy)
     xs = np.arange(w, dtype=np.float64) * dx
     ys = np.arange(h, dtype=np.float64) * dy
     positions = np.column_stack(

@@ -11,6 +11,7 @@ import pytest
 
 from jacobiset import TriField, triangulate_structured
 from jacobiset.fileio import GridField, ParseError
+from jacobiset.mesh import TriangleError
 from jacobiset import collapse
 from jacobiset.collapse import (
     CollapseReport,
@@ -30,10 +31,6 @@ from jacobiset.jacobi import (
     orientation_signs,
 )
 from jacobiset.regions import build_graph, build_regions, find_collapsible_cells
-
-
-def make_field(positions, values, triangles) -> TriField:
-    return TriField(positions, values, triangles)
 
 
 def unit_triangle(values) -> TriField:
@@ -149,6 +146,13 @@ def star_union(field, vertex_ids) -> np.ndarray:
         _STARS[:] = field.triangles, vertex_stars(field)
     stars = _STARS[1]
     return np.unique(np.concatenate([stars[v] for v in vertex_ids]))
+
+
+def point_neighbors(field, t) -> np.ndarray:
+    """Triangles sharing at least one vertex with ``t``, less ``t``
+    (ascending), from :func:`star_union`."""
+    star = star_union(field, field.triangles[t])
+    return star[star != t]
 
 
 def move_vertices(field, vertex_ids, value) -> None:
@@ -611,7 +615,10 @@ def load_bsf_oracle(path) -> TriField:
         if len(toks) != 3:
             raise ParseError(path, lineno, f"expected 3 indices, got {len(toks)}")
         triangles[j] = [_parse_int(t, path, lineno) for t in toks]
-    return TriField(positions, values, triangles)
+    try:
+        return TriField(positions, values, triangles)
+    except TriangleError as exc:
+        raise ParseError(path, 3 + n + exc.triangle, str(exc)) from None
 
 
 def save_bsf_oracle(field: TriField, path) -> None:
@@ -643,6 +650,14 @@ def load_sgf_oracle(path) -> GridField:
     dy = _parse_float(head[4], path, 2)
     if w < 2 or h < 2:
         raise ParseError(path, 2, "grid must be at least 2 x 2")
+    if not (math.isfinite(dx) and math.isfinite(dy) and dx != 0 and dy != 0):
+        raise ParseError(path, 2, "grid spacing must be finite and nonzero")
+    if not math.isfinite((w - 1) * dx):
+        raise ParseError(path, 2, f"grid x extent (W-1)*dx = {(w - 1) * dx!r} must be finite")
+    if not math.isfinite((h - 1) * dy):
+        raise ParseError(path, 2, f"grid y extent (H-1)*dy = {(h - 1) * dy!r} must be finite")
+    if not math.isfinite(dx * dy) or dx * dy == 0:
+        raise ParseError(path, 2, f"grid cell area dx*dy = {dx * dy!r} must be finite and nonzero")
     _check_declared(path, lines, w * h, f"{w} x {h} sample")
     f = np.empty(w * h, dtype=np.float64)
     g = np.empty(w * h, dtype=np.float64)

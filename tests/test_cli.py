@@ -557,7 +557,8 @@ def test_manifests_pinned(island_bsf, identity_sgf, tmp_path):
         (
             ["baseline", bsf, "--method", "loop", "--steps", "1", "--out", o["loop.bsf"]],
             [bsf],
-            {"method": "loop", "steps": 1},
+            {"method": "loop", "radius": 1, "sigma": 1000.0, "truncation": 3.0,
+             "boundary": "clamp", "steps": 1},
             [o["loop.bsf"]],
         ),
         (
@@ -565,7 +566,7 @@ def test_manifests_pinned(island_bsf, identity_sgf, tmp_path):
              "--boundary", "mirror", "--out", o["gauss.sgf"]],
             [sgf],
             {"method": "gaussian", "radius": 3, "sigma": 2.0, "truncation": 3.0,
-             "boundary": "mirror"},
+             "boundary": "mirror", "steps": 4},
             [o["gauss.sgf"]],
         ),
         (
@@ -589,6 +590,46 @@ def test_manifests_pinned(island_bsf, identity_sgf, tmp_path):
         assert manifest["parameters"] == parameters
         assert list(manifest["parameters"]) == list(parameters)
         assert manifest["outputs"] == outputs
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "{sgf}", "--epsilon", "0.5", "--out", "{tmp}/stats.json"],
+        ["simplify", "{bsf}", "--threshold", "0", "--out", "{tmp}/out.bsf",
+         "--report", "{tmp}/report.json"],
+        ["baseline", "{bsf}", "--method", "loop", "--steps", "1", "--out", "{tmp}/loop.bsf"],
+        ["baseline", "{sgf}", "--method", "binomial", "--radius", "2", "--out", "{tmp}/b.sgf"],
+        ["render", "{bsf}", "--saturation-scale", "2", "--out", "{tmp}/field.svg"],
+        ["graph", "{bsf}", "--variant", "D", "--out", "{tmp}/g.dot"],
+        ["compare", "{sgf}", "{bsf}", "--methods", "original", "ca-b", "--format", "csv",
+         "--out", "{tmp}/t.csv"],
+    ],
+    ids=["stats", "simplify", "baseline-loop", "baseline-binomial", "render", "graph", "compare"],
+)
+def test_manifest_parameters_are_the_parsed_options(island_bsf, identity_sgf, tmp_path, argv):
+    argv = [a.format(bsf=island_bsf, sgf=identity_sgf, tmp=tmp_path) for a in argv]
+    assert main(argv) == 0
+    args = cli.build_parser().parse_args(argv)
+    # The command's options as its subparser declares them.
+    (commands,) = (a for a in cli.build_parser()._actions if a.dest == "command")
+    dests = [a.dest for a in commands.choices[argv[0]]._actions]
+    names = [d for d in dests if d not in ("help", "input", "inputs", "out", "report")]
+    manifest = _manifest(tmp_path / os.path.basename(args.out))
+    assert list(manifest["parameters"]) == names
+    assert manifest["parameters"] == {name: getattr(args, name) for name in names}
+    assert manifest["outputs"] == [p for p in (args.out, getattr(args, "report", None)) if p]
+
+
+def test_graph_out_suffix_is_a_usage_error(island_bsf, tmp_path, capsys):
+    bad = tmp_path / "g.txt"
+    assert main(["graph", str(island_bsf), "--out", str(bad)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage: jacobiset graph ")
+    assert err.endswith(
+        "jacobiset graph: error: argument --out: must end in .dot, .gv, or .json\n"
+    )
+    assert not list(tmp_path.glob("g.txt*"))
 
 
 def test_no_manifest_without_output(identity_sgf, tmp_path, capsys):
@@ -651,7 +692,7 @@ def test_compare_error_rows_pinned(identity_sgf, tmp_path, capsys):
     parse = f"error: {bad_body}:4: not a number: 'x'"
     head = f"error: {bad_head}:1: unrecognized header 'hello'"
     spacing = f"error: {flat}:2: grid spacing must be finite and nonzero"
-    zero = "error: degenerate triangle (zero domain area) at id 0"
+    zero = f"error: {collinear}:6: degenerate triangle (zero domain area) at id 0"
     gone = f"error: [Errno 2] No such file or directory: '{missing}'"
     needs_grid = ["error: binomial requires structured grid (SGF) input",
                   "error: gaussian requires structured grid (SGF) input"]
@@ -705,20 +746,55 @@ def test_filters_check_only_the_options_they_read(identity_sgf, tmp_path, capsys
 
 
 def test_compare_reports_an_sgf_that_does_not_triangulate_in_every_cell(tmp_path, capsys):
-    # The inf grid does not load. The tiny grid loads, but its spacing
-    # underflows to zero area and fails the triangulation; the filter cells
-    # report that error too, without smoothing the grid.
+    # The inf grid and the tiny grid, whose cell area underflows to zero,
+    # do not load. The huge grid loads: its extents and cell area are
+    # finite, but its x positions round so that the cell of triangles 4
+    # and 5 is wider than dx, and its area overflows. That fails the
+    # triangulation, and the filter cells report it too, without
+    # smoothing the grid.
     path = tmp_path / "inf.sgf"
     path.write_text("sgf 1\ngrid 3 2 1 1\ninf 0\n1 0\n2 1\n0 1\n1 1\n2 0\n")
     tiny = tmp_path / "tiny.sgf"
     tiny.write_text("sgf 1\ngrid 3 2 1e-200 1e-200\n0 0\n1 0\n2 1\n0 1\n1 1\n2 0\n")
+    huge = tmp_path / "huge.sgf"
+    huge.write_text("sgf 1\ngrid 7 2 8.588302338216936 2.0931879946317126e+307\n" + "0 1\n" * 14)
     methods = ["original", "ca-a", "binomial", "gaussian", "loop"]
-    argv = ["compare", str(path), str(tiny), "--methods", *methods, "--format", "csv"]
+    argv = ["compare", str(path), str(tiny), str(huge), "--methods", *methods, "--format", "csv"]
     assert main(argv) == 2
     rows = capsys.readouterr().out.strip().split("\n")[1:]
-    assert rows == [f"{path},{m},error: {path}:3: non-finite value," for m in methods] + [
-        f"{tiny},{m},error: degenerate triangle (zero domain area) at id 0," for m in methods
-    ]
+    underflow = f"{tiny}:2: grid cell area dx*dy = 0.0 must be finite and nonzero"
+    assert rows == (
+        [f"{path},{m},error: {path}:3: non-finite value," for m in methods]
+        + [f"{tiny},{m},error: {underflow}," for m in methods]
+        + [f"{huge},{m},error: non-finite domain area at id 4," for m in methods]
+    )
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("area.sgf", "sgf 1\ngrid 3 2 1e200 1e200\n", "2: grid cell area dx*dy = inf must be"),
+        ("wide.sgf", "sgf 1\ngrid 3 2 1e308 1\n", "2: grid x extent (W-1)*dx = inf must be"),
+        ("tiny.sgf", "sgf 1\ngrid 3 2 1e-200 1e-200\n", "2: grid cell area dx*dy = 0.0 must"),
+        ("big.bsf", "bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1e300 0 1 0\n0 1e300 0 1\n0 1 2",
+         "6: non-finite domain area at id 0"),
+        ("out.bsf", "bsf 1\nvertices 3 triangles 2\n0 0 0 0\n1 0 1 0\n0 1 0 1\n0 1 2\n0 1 3",
+         "7: triangle vertex index out of range"),
+        ("neg.bsf", "bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1 0 1 0\n0 1 0 1\n-1 1 2",
+         "6: triangle vertex index out of range"),
+        ("twice.bsf", "bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1 0 1 0\n0 1 0 1\n0 1 1",
+         "6: degenerate triangle (repeated vertex) at id 0"),
+    ],
+    ids=["area", "wide", "tiny", "big", "out", "neg", "twice"],
+)
+def test_overflowing_geometry_and_bad_triangles_exit_2_at_their_line(
+    tmp_path, capsys, name, text, message
+):
+    # A grid's samples follow its header; their values do not matter here.
+    path = tmp_path / name
+    path.write_text(text + "\n" + "0 1\n" * 6 * name.endswith(".sgf"))
+    assert main(["stats", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"jacobiset stats: error: {path}:{message}")
 
 
 def test_console_entry_point_runs():

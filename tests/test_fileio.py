@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from jacobiset import (
-    DegenerateTriangleError,
     MeshError,
     ParseError,
     load_bsf,
@@ -71,8 +70,9 @@ def test_parse_error_reports_line(tmp_path):
 def test_repeated_index_is_degenerate_error(tmp_path):
     path = tmp_path / "bad.bsf"
     path.write_text("bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1 0 1 0\n0 1 0 1\n0 1 1\n")
-    with pytest.raises(DegenerateTriangleError, match="degenerate triangle"):
+    with pytest.raises(ParseError) as err:
         load_bsf(path)
+    assert str(err.value) == f"{path}:6: degenerate triangle (repeated vertex) at id 0"
 
 
 def test_truncated_file(tmp_path):
@@ -239,6 +239,36 @@ def test_grid_field_rejects_a_non_finite_sample_as_the_mesh_does(bad, component)
     samples[component][4] = bad
     with pytest.raises(MeshError, match="^non-finite vertex value$"):
         GridField(3, 2, 1.0, 1.0, **samples)
+
+
+@pytest.mark.parametrize(
+    "w, h, dx, dy, message",
+    [
+        (3, 2, "1e200", "1e200", "grid cell area dx*dy = inf must be finite and nonzero"),
+        (3, 2, "1e308", "1", "grid x extent (W-1)*dx = inf must be finite"),
+        (2, 3, "1", "-1e308", "grid y extent (H-1)*dy = -inf must be finite"),
+        (3, 2, "1e-200", "1e-200", "grid cell area dx*dy = 0.0 must be finite and nonzero"),
+        (2, 2, "0x1p-1074", "0.5", "grid cell area dx*dy = 0.0 must be finite and nonzero"),
+    ],
+    ids=["area-inf", "x-extent", "y-extent", "area-zero", "subnormal"],
+)
+def test_one_spacing_rule_for_the_reader_the_grid_and_the_triangulation(
+    tmp_path, w, h, dx, dy, message
+):
+    path = tmp_path / "bad.sgf"
+    path.write_text(f"sgf 1\ngrid {w} {h} {dx} {dy}\n" + "0 1\n" * (w * h))
+    for load in (load_sgf, load_sgf_oracle):
+        with pytest.raises(ParseError) as err:
+            load(path)
+        assert str(err.value) == f"{path}:2: {message}"
+    spacing = [float.fromhex(d) if d.startswith("0x") else float(d) for d in (dx, dy)]
+    zeros = np.zeros(w * h)
+    with pytest.raises(ValueError) as err:
+        GridField(w, h, *spacing, zeros, zeros)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        triangulate_structured(w, h, spacing, zeros, zeros)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("dx, dy", [(-1.0, 1.0), (1.0, -0.5), (-2.0, -0.5)])

@@ -96,8 +96,8 @@ def outcome(load, path):
 
 
 def _bad_spacing(text: str) -> bool:
-    """Whether the SGF header passes every check of the line oracle and its
-    ``dx`` or ``dy`` is not finite or is zero."""
+    """Whether the SGF header passes the line oracle's checks before the
+    spacing, and its ``dx`` or ``dy`` is not finite or is zero."""
     lines = text.split("\n")
     toks = lines[1].split() if len(lines) > 1 else []
     if lines[0].strip() != "sgf 1" or len(toks) != 5 or toks[0] != "grid":
@@ -116,12 +116,6 @@ def check_against_oracle(text: str, sgf: bool) -> None:
         path = Path(tmp) / ("m.sgf" if sgf else "m.bsf")
         path.write_text(text, encoding="utf-8")
         got = outcome(load, path)
-        if sgf and _bad_spacing(text):
-            # The reader rejects a non-finite or zero spacing at the header,
-            # before the samples; the oracle reads it, and GridField then
-            # raises ValueError, so the oracle has nothing to compare.
-            assert got == (ParseError, f"{path}:2: grid spacing must be finite and nonzero")
-            return
         want = outcome(oracle, path)
     if want[0] is OverflowError:
         # The line-by-line parser crashed on an index beyond int64 or a
@@ -159,6 +153,12 @@ def test_bad_header_spacing_matches_reader(tok, axis):
     lines[1] = " ".join(toks)
     text = "\n".join(lines)
     assert _bad_spacing(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.sgf"
+        path.write_text(text, encoding="utf-8")
+        assert outcome(load_sgf, path) == (
+            ParseError, f"{path}:2: grid spacing must be finite and nonzero"
+        )
     check_against_oracle(text, sgf=True)
 
 

@@ -32,6 +32,7 @@ from conftest import (
     grid_field,
     RULE_ROW,
     point_neighbor_sum_oracle,
+    point_neighbors,
     quad_field,
     random_sign_field,
     ring_assignment_oracle,
@@ -187,7 +188,7 @@ def test_assign_expands_rings_until_majority():
     signs[outer] = -1
     inner = np.flatnonzero(~outer)
     center_tris = [
-        t for t in inner if all(signs[u] == 0 for u in field.point_neighbors(t))
+        t for t in inner if all(signs[u] == 0 for u in point_neighbors(field, t))
     ]
     assert center_tris, "construction should leave fully degenerate-ringed triangles"
     out = assign_degenerate(field, signs)
@@ -260,7 +261,7 @@ def _rings(field, seed, count):
     ``seed``, each as a sorted list of triangle ids."""
     seen, ring, rings = {seed}, [seed], []
     for _ in range(count):
-        ring = sorted({int(v) for u in ring for v in field.point_neighbors(u)} - seen)
+        ring = sorted({int(v) for u in ring for v in point_neighbors(field, u)} - seen)
         seen.update(ring)
         rings.append(ring)
     return rings

@@ -9,7 +9,7 @@ from jacobiset import (
     loop_subdivide,
     triangulate_structured,
 )
-from jacobiset.mesh import _edge_cross, _mesh_cross, _sorted_adjacency
+from jacobiset.mesh import TriangleError, _edge_cross, _mesh_cross, _sorted_adjacency
 
 from conftest import (
     assert_same_topology,
@@ -42,6 +42,37 @@ def test_cw_triangle_normalized_to_ccw():
 def test_repeated_vertex_rejected():
     with pytest.raises(DegenerateTriangleError, match="degenerate triangle"):
         TriField([(0, 0), (1, 0), (0, 1)], np.zeros((3, 2)), [(0, 1, 1)])
+
+
+@pytest.mark.parametrize(
+    "positions, triangles, kind, triangle, message",
+    [
+        ([(0, 0), (1, 0), (0, 1)], [(0, 1, 2), (0, 1, 3)], TriangleError, 1,
+         "triangle vertex index out of range"),
+        ([(0, 0), (1, 0), (0, 1)], [(0, 1, 2), (-1, 1, 2)], TriangleError, 1,
+         "triangle vertex index out of range"),
+        ([(0, 0), (1, 0), (0, 1)], [(0, 1, 2), (2, 1, 2)], DegenerateTriangleError, 1,
+         "degenerate triangle (repeated vertex) at id 1"),
+        ([(0, 0), (1, 0), (0, 1), (2, 2)], [(0, 1, 2), (0, 1, 2), (1, 3, 2), (0, 3, 3)],
+         DegenerateTriangleError, 3, "degenerate triangle (repeated vertex) at id 3"),
+        ([(0, 0), (1, 0), (0, 1), (1e300, 0), (0, 1e300)], [(0, 1, 2), (0, 3, 4)],
+         TriangleError, 1, "non-finite domain area at id 1"),
+        # inf * 0 is nan: the first edge overflows, the second has no height.
+        ([(0, 0), (1, 0), (0, 1), (-1e308, 0), (1e308, 0)], [(0, 1, 2), (3, 4, 0)],
+         TriangleError, 1, "non-finite domain area at id 1"),
+        ([(0, 0), (1, 0), (0, 1), (2, 0)], [(0, 1, 2), (0, 1, 3)], DegenerateTriangleError, 1,
+         "degenerate triangle (zero domain area) at id 1"),
+    ],
+    ids=["index-high", "index-negative", "repeated", "repeated-after-twins", "area-inf",
+         "area-nan", "area-zero"],
+)
+def test_a_triangle_fault_carries_its_id(positions, triangles, kind, triangle, message):
+    # Positions finite but far apart overflow the area without a warning.
+    with pytest.raises(TriangleError) as err:
+        TriField(positions, np.zeros((len(positions), 2)), triangles)
+    assert type(err.value) is kind
+    assert str(err.value) == message
+    assert err.value.triangle == triangle
 
 
 def test_zero_area_rejected():
