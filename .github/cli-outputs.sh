@@ -24,8 +24,13 @@
 # spacing overflows an extent or the cell area or underflows the area,
 # each rejected at line 2, on a BSF whose finite positions overflow a
 # triangle's area, and on BSFs with a vertex index out of range and a
-# repeated vertex, each rejected at the triangle's line; and graph with
-# an --out suffix that picks no format, a usage error. Every path is
+# repeated vertex, each rejected at the triangle's line; graph with an
+# --out suffix that picks no format, a usage error; stats on two 3x2 grids
+# whose determinants would overflow (spacing 1e-160) or underflow (spacing
+# 1e150, samples of order 1e-100), read from the numerators instead; render
+# of a BSF whose two small triangles lie near x = -1e308 and x = 1e308; and
+# stats on a 7x2 SGF whose spacing passes but whose rounded x positions
+# overflow one cell's area, rejected at line 2. Every path is
 # relative to $1, so two trees that behave alike write byte-identical
 # files (the manifests aside, which record times).
 #
@@ -111,3 +116,14 @@ run_exit stats-index stats cli-in/index.bsf
 printf 'bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1 0 1 0\n0 1 0 1\n0 1 1\n' > cli-in/repeated.bsf
 run_exit stats-repeated stats cli-in/repeated.bsf
 run_exit graph-txt graph cli-in/field.bsf --out cli-out/graph.txt
+printf 'sgf 1\ngrid 3 2 1e-160 1e-160\n0 0\n1 0\n2 1\n0 1\n1 1\n2 0\n' > cli-in/tiny-cells.sgf
+run_exit stats-tiny-cells stats cli-in/tiny-cells.sgf
+printf 'sgf 1\ngrid 3 2 1e150 1e150\n0 0\n1e-100 0\n2e-100 1e-100\n0 1e-100\n1e-100 1e-100\n2e-100 0\n' \
+  > cli-in/huge-cells.sgf
+run_exit stats-huge-cells stats cli-in/huge-cells.sgf
+printf 'bsf 1\nvertices 6 triangles 2\n-1e308 0 0 0\n-9e307 0 1 0\n-1e308 1 0 1\n9e307 0 0 0\n1e308 0 1 0\n1e308 1 0 1\n0 1 2\n3 4 5\n' \
+  > cli-in/apart.bsf
+run_exit render-apart render cli-in/apart.bsf --out cli-out/apart.svg
+printf 'sgf 1\ngrid 7 2 8.588302338216936 2.0931879946317126e+307\n' > cli-in/rounded.sgf
+printf '0 1\n%.0s' {1..14} >> cli-in/rounded.sgf
+run_exit stats-rounded stats cli-in/rounded.sgf

@@ -37,6 +37,7 @@ from .fileio import (
     load_sgf,
     save_bsf,
     save_sgf,
+    sgf_field,
     sniff_format,
 )
 from .jacobi import compute_jacobi_set, jacobi_measures, measures
@@ -268,7 +269,7 @@ def _load_compare_input(path):
     except _INPUT_ERRORS as exc:
         return exc, exc
     try:
-        field = load_bsf(path) if grid is None else grid.to_tri_field()
+        field = load_bsf(path) if grid is None else sgf_field(path, grid)
     except _INPUT_ERRORS as exc:
         field = exc
     return grid, field

@@ -3,16 +3,16 @@
 The worklist algorithm selects every triangle of each region whose
 hypervolume falls below a threshold, then repeatedly collapses border
 cells: one edge of the cell is chosen and both endpoints are assigned the
-same value, which zeroes the cell's determinant. Candidate edges depend on
-how many edge neighbors are themselves selected (interior cells with all
-neighbors selected are skipped until the region has shrunk to them), and
-among the candidates the one with the fewest orientation flips in the
-point neighborhood wins, then the smallest growth of range area, then the
-lowest edge ids.
+same value, which zeroes the cell's determinant numerator. Candidate
+edges depend on how many edge neighbors are themselves selected (interior
+cells with all neighbors selected are skipped until the region has shrunk
+to them), and among the candidates the one with the fewest orientation
+flips in the point neighborhood wins, then the smallest growth of range
+area, then the lowest edge ids.
 
 Vertices merged by a collapse stay merged: later collapses that touch a
 merged vertex move its whole equal-value group together, so cells
-collapsed earlier keep a determinant of exactly zero. Oscillation guards
+collapsed earlier keep a numerator of exactly zero. Oscillation guards
 bound the repair loop that re-queues flipped neighbors: the
 :class:`Worklist` counts each cell's entries and keeps the recent
 snapshots of itself at the end of a sweep, and trips once a cell enters
@@ -23,8 +23,10 @@ times the seed count.
 Candidates are scored in chunks. At the first cell of each run of at most
 ``CHUNK_CELLS`` cells of a sweep's order, :func:`score_cells` scores every
 candidate of every cell of the run that could be collapsed at that moment,
-in one numpy pass: flips, range-area growth, the determinants after the
-move, and the triangles that would flip or leave a zero determinant. When
+in one numpy pass: flips, range-area growth, the determinant numerators
+(``TriField.numerators``) after the move, and the triangles that would
+flip or leave a zero numerator. The growth is the change of the absolute
+numerator, twice the change of range area, so it orders alike. When
 the walk reaches a cell it uses the stored scores, unless something they
 read has changed since: a commit moved a vertex of one of the candidates'
 affected triangles, or one of those triangles entered or left the
@@ -41,13 +43,13 @@ large.
 
 This gives the result of scoring each cell when the walk reaches it, bit
 for bit. The scores of a cell read only the worklist membership of its
-affected triangles and the values, groups and determinants of their
+affected triangles and the values, groups and numerators of their
 vertices, and the checks above see every change to those. The arithmetic
 is the per-cell arithmetic: one ``_edge_cross`` per triangle on the same
 values, and, for the candidates of a cell that tie on fewest flips (the
-only ones growth can order), the range-area growth of each summed by its
-own ``.sum()`` over its triangles in ascending order. A commit
-(:meth:`CellScores.commit`) stores the scored determinants of the winner,
+only ones growth can order), the growth of each summed by its own
+``.sum()`` over its triangles in ascending order. A commit
+(:meth:`CellScores.commit`) stores the scored numerators of the winner,
 which equal a recomputation after the move, and returns the triangles it
 flips and those it moves off zero; the sweep re-queues them against the
 live worklist.
@@ -213,11 +215,12 @@ class CellScores:
     cand_start[k + 1]``. Candidate ``j`` moves the merged group of
     ``edges[j]`` to ``target[j]``; the triangles with a moved vertex are
     ``tids[p]`` for ``pair_start[j] <= p < pair_start[j + 1]``,
-    ascending, and ``new_dets[p]`` is their determinant after the move.
-    ``flipped[p]`` marks the ones whose orientation crosses between
-    positive and negative (never the cell: its determinant becomes 0),
-    ``requeue[p]`` those whose determinant leaves zero, ``growth[p]`` the
-    change of range area; ``flips[j]`` counts flipped ones outside ``cl``.
+    ascending, and ``new_numerators[p]`` is their determinant numerator
+    after the move. ``flipped[p]`` marks the ones whose orientation
+    crosses between positive and negative (never the cell: its numerator
+    becomes 0), ``requeue[p]`` those whose numerator leaves zero,
+    ``growth[p]`` the change of its absolute value, twice the change of
+    range area; ``flips[j]`` counts flipped ones outside ``cl``.
     """
 
     cells: list
@@ -227,7 +230,7 @@ class CellScores:
     cand_start: list
     pair_start: list
     tids: np.ndarray
-    new_dets: np.ndarray
+    new_numerators: np.ndarray
     growth: np.ndarray
     flipped: np.ndarray
     requeue: np.ndarray
@@ -260,10 +263,10 @@ class CellScores:
         whose membership picks the candidates: each candidate moves two
         of the cell's three vertices, and each edge neighbor holds two of
         them. An edge neighbor can leave the worklist with no vertex
-        moving (the discard of a cell whose determinant is already zero);
+        moving (the discard of a cell whose numerator is already zero);
         any other affected triangle enters or leaves only when one of its
-        vertices moves, or with a zero determinant, which never counts as
-        a flip.
+        vertices moves, or with a zero numerator, which never counts as a
+        flip.
         """
         p0 = self.pair_start[self.cand_start[k]]
         p1 = self.pair_start[self.cand_start[k + 1]]
@@ -273,13 +276,15 @@ class CellScores:
         self, j: int, field: TriField, groups: VertexGroups, cl: Worklist
     ) -> tuple[list, list]:
         """Apply candidate ``j``: merge the groups of its edge, assign the
-        target value to every member, store the scored determinants and
+        target value to every member, store the scored numerators and
         stamp the moved triangles in ``cl``. The scores must have been
         made against the current field and ``groups``. Returns the
         triangles the move flips, and those it moves off zero."""
         p = self._run(j)
         tids = self.tids[p]
-        field.set_vertex_values(groups.merge(*self.edges[j]), self.target[j], tids, self.new_dets[p])
+        field.set_vertex_values(
+            groups.merge(*self.edges[j]), self.target[j], tids, self.new_numerators[p]
+        )
         cl.moved(tids)
         return tids[self.flipped[p]].tolist(), tids[self.requeue[p]].tolist()
 
@@ -337,9 +342,9 @@ def score_cells(field: TriField, cells, cl: Worklist, groups: VertexGroups) -> C
     moves = (label == end_labels[:, :1]) | (label == end_labels[:, 1:])
     end_values = field.values.take(ends, axis=0)
     target = 0.5 * (end_values[:, 0] + end_values[:, 1])
-    new_dets = field.compute_dets(tids, moves, target.take(cand, axis=0), corners)
-    old_dets = field.dets.take(tids)
-    flipped = np.sign(old_dets) * np.sign(new_dets) < 0
+    new = field.compute_numerators(moves, target.take(cand, axis=0), corners)
+    old = field.numerators.take(tids)
+    flipped = np.sign(old) * np.sign(new) < 0
     flips = np.bincount(cand[flipped & ~cl.mask.take(tids)], minlength=n_cand)
     return CellScores(
         cells=cells.tolist(),
@@ -349,10 +354,10 @@ def score_cells(field: TriField, cells, cl: Worklist, groups: VertexGroups) -> C
         cand_start=cand_start,
         pair_start=pair_start.tolist(),
         tids=tids,
-        new_dets=new_dets,
-        growth=(np.abs(new_dets) - np.abs(old_dets)) * field.domain_areas.take(tids),
+        new_numerators=new,
+        growth=np.abs(new) - np.abs(old),
         flipped=flipped,
-        requeue=~((old_dets > 0) | (old_dets < 0)) & (new_dets != 0.0),
+        requeue=~((old > 0) | (old < 0)) & (new != 0.0),
         scored_at=cl.changes,
     )
 
@@ -401,7 +406,7 @@ def simplify(
         for i, c in enumerate(order):
             if i == chunk_end:
                 chunk = np.array(order[i : i + CHUNK_CELLS])
-                live = field.dets[chunk] != 0.0
+                live = field.numerators[chunk] != 0.0
                 live &= _open_sides(field, chunk, cl) > 0
                 size = np.bincount(groups.label)
                 corner_groups = size[groups.label[field.triangles[chunk]]].sum(axis=1)
@@ -410,7 +415,7 @@ def simplify(
                 chunk_end = i + n
                 chunk_scores = score_cells(field, chunk[:n][live[:n]], cl, groups)
                 index = {t: k for k, t in enumerate(chunk_scores.cells)}
-            if field.dets[c] == 0.0:
+            if field.numerators[c] == 0.0:
                 cl.discard(c)  # already collapsed, nothing to apply
                 continue
             scores, k = chunk_scores, index.get(c)
@@ -424,7 +429,7 @@ def simplify(
             for t in flipped:
                 flip_repairs += cl.add(t)
             # A touched cell that was collapsed before must stay collapsed;
-            # re-queue it if a value move broke its zero determinant.
+            # re-queue it if a value move broke its zero numerator.
             for t in requeue:
                 if cl.entries[t]:
                     cl.add(t)

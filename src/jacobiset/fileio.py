@@ -302,6 +302,17 @@ def load_sgf(path) -> GridField:
     return GridField(w, h, dx, dy, f.reshape(h, w), g.reshape(h, w))
 
 
+def sgf_field(path, grid: GridField) -> TriField:
+    """The triangulation of ``grid``, read from the SGF file ``path``. A
+    spacing can pass :func:`~jacobiset.mesh.check_spacing` and still give
+    a cell whose rounded positions overflow its area; that fault of a
+    triangle is the :class:`ParseError` of line 2, the grid header."""
+    try:
+        return grid.to_tri_field()
+    except TriangleError as exc:
+        raise ParseError(path, 2, str(exc)) from None
+
+
 def save_sgf(grid: GridField, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"sgf 1\ngrid {grid.width} {grid.height} {_fmt(grid.dx)} {_fmt(grid.dy)}\n")
@@ -323,4 +334,4 @@ def load_field(path) -> TriField:
     """Load either format as a :class:`TriField` (SGF is triangulated)."""
     if sniff_format(path) == "bsf":
         return load_bsf(path)
-    return load_sgf(path).to_tri_field()
+    return sgf_field(path, load_sgf(path))

@@ -1,11 +1,11 @@
 """Orientation signs, degenerate assignment, and Jacobi set extraction.
 
-A triangle's orientation is the sign of its Jacobian determinant, read
-from the field's determinant array ``TriField.dets``: positive keeps the
-winding in the range, negative mirrors it, zero means the image collapsed
-to a segment or point. The Jacobi set is the set of interior mesh edges
-whose two triangles have opposite effective orientation, where degenerate
-triangles borrow a sign from their neighborhood first.
+A triangle's orientation is the sign of its Jacobian determinant, which
+is the sign of its determinant numerator ``TriField.numerators``: positive
+keeps the winding in the range, negative mirrors it, zero means the image
+collapsed to a segment or point. The Jacobi set is the set of interior
+mesh edges whose two triangles have opposite effective orientation, where
+degenerate triangles borrow a sign from their neighborhood first.
 """
 
 from __future__ import annotations
@@ -19,11 +19,17 @@ from .unionfind import connected_labels
 
 
 def orientation_signs(field: TriField, epsilon: float = 0.0) -> np.ndarray:
-    """Vector of orientation signs (+1 / 0 / -1) for all triangles."""
+    """Vector of orientation signs (+1 / 0 / -1) for all triangles: a
+    triangle whose determinant lies within ``epsilon`` of zero is
+    degenerate. The test compares the numerator N with ``epsilon`` times
+    the doubled domain area, so at ``epsilon = 0`` it is the sign of N."""
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
-    d = field.dets
-    return np.where(d > epsilon, 1, np.where(d < -epsilon, -1, 0)).astype(np.int8)
+    n = field.numerators
+    # A bound that overflows exceeds every finite N, as its true value does.
+    with np.errstate(over="ignore"):
+        bound = epsilon * field.doubled_areas
+    return np.where(n > bound, 1, np.where(n < -bound, -1, 0)).astype(np.int8)
 
 
 # Rows of the array that :func:`assign_degenerate` returns, one per rule.

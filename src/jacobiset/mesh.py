@@ -31,8 +31,13 @@ It gathers one coordinate column at a time and works in place
 forming full-size temporaries; a builder writes into the arrays it hands
 to the constructor, which keeps them; and each stage's temporaries go
 before the next stage allocates. One Loop step of a 220x110 grid and its
-first ``dets`` then peak at 1.34 times the child's array bytes
+first ``numerators`` then peak at 1.34 times the child's array bytes
 (``tracemalloc``), against 2.7 when every temporary lived to the end.
+
+The field caches each triangle's determinant numerator N (twice the
+signed range area), and the package reads every sign, zero test and range
+area from it. The determinant, N over the doubled domain area, can
+overflow or underflow where N does not; ``dets`` derives it for readers.
 """
 
 from __future__ import annotations
@@ -77,8 +82,14 @@ class TriField:
 
     Attributes
     ----------
-    domain_areas : ndarray, shape (m,)
-        Domain area of every triangle.
+    domain_areas, doubled_areas : ndarray, shape (m,)
+        Domain area of every triangle, and twice it.
+    numerators : ndarray, shape (m,)
+        Determinant numerator N of every triangle (built on first use):
+        the value-edge cross product, twice the signed range area.
+    dets : ndarray, shape (m,)
+        Jacobian determinant ``numerators / doubled_areas``, derived on
+        every read; nothing in the package reads it.
     neighbors : ndarray, shape (m, 3)
         ``neighbors[t, e]`` is the triangle across edge ``e`` of ``t``
         (edge ``e`` joins local vertices ``e`` and ``(e+1) % 3``), or -1
@@ -95,7 +106,7 @@ class TriField:
         incident to vertex ``v`` are
         ``star_tids[star_offsets[v]:star_offsets[v + 1]]``, ascending.
 
-    Every array but ``values`` is read-only.
+    Every array but ``values`` and ``numerators`` is read-only.
 
     The constructor checks that positions and values are finite, indices
     in range, no triangle repeats a vertex and every area is finite and
@@ -151,7 +162,7 @@ class TriField:
         self.positions = _read_only(pos)
         self.values = val
         self.triangles = _read_only(tri)
-        self._doubled_areas = _read_only(doubled)
+        self.doubled_areas = _read_only(doubled)
         self.domain_areas = _read_only(0.5 * doubled)
         if _adjacency is None:
             neighbors, edges, edge_tris = _sorted_adjacency(tri, n)
@@ -165,7 +176,7 @@ class TriField:
         self.edges = _read_only(edges)
         self.edge_triangles = _read_only(edge_tris)
         self._stars = None
-        self._dets = None
+        self._numerators = None
 
     @property
     def stars(self) -> tuple[np.ndarray, np.ndarray]:
@@ -200,28 +211,31 @@ class TriField:
         return len(self.triangles)
 
     @property
+    def numerators(self) -> np.ndarray:
+        """Determinant numerator of every triangle (cached)."""
+        if self._numerators is None:
+            self._numerators = _mesh_cross(self.values, self.triangles)
+        return self._numerators
+
+    @property
     def dets(self) -> np.ndarray:
-        """Jacobian determinant of the per-triangle linear map (cached)."""
-        if self._dets is None:
-            dets = _mesh_cross(self.values, self.triangles)
-            dets /= self._doubled_areas
-            self._dets = dets
-        return self._dets
+        """Jacobian determinant of every triangle's linear map: a new
+        array, ``numerators`` over the doubled domain areas."""
+        return self.numerators / self.doubled_areas
 
-    def compute_dets(self, tids, moves, target, corners) -> np.ndarray:
-        """Determinants of triangles ``tids``, whose rows of ``triangles``
-        are ``corners``, as if the corners where the ``(len(tids), 3)``
-        mask ``moves`` is True carried ``target`` (the field is
-        unchanged): one (f, g) for all triangles, or one per triangle as
-        shape ``(len(tids), 2)``.
+    def compute_numerators(self, moves, target, corners) -> np.ndarray:
+        """Determinant numerators of the triangles whose rows of
+        ``triangles`` are ``corners``, as if the corners where the
+        ``(len(corners), 3)`` mask ``moves`` is True carried ``target``
+        (the field is unchanged): one (f, g) for all triangles, or one per
+        triangle as shape ``(len(corners), 2)``.
 
-        Value-edge cross product over domain-edge cross product. The
-        numerator is exactly 0.0 whenever two vertices of the triangle
-        carry identical (f, g) values; 0/area keeps that exact.
+        A numerator is exactly 0.0 whenever two vertices of the triangle
+        carry identical (f, g) values.
         """
         w = self.values.take(corners, axis=0)
         w = np.where(moves[..., None], np.asarray(target)[..., None, :], w)
-        return _edge_cross(lambda i, j: w[:, i, j]) / self._doubled_areas.take(tids)
+        return _edge_cross(lambda i, j: w[:, i, j])
 
     def point_neighbors(self, t: int) -> np.ndarray:
         """Triangles sharing at least one vertex with ``t`` (excluding
@@ -232,13 +246,13 @@ class TriField:
 
     # -- mutation ------------------------------------------------------------
 
-    def set_vertex_values(self, vertex_ids, value, tids, dets) -> None:
+    def set_vertex_values(self, vertex_ids, value, tids, numerators) -> None:
         """Assign ``value = (f, g)`` to the given vertices, and store
-        ``dets`` as the cached determinants of the triangles ``tids``:
+        ``numerators`` as the cached numerators of the triangles ``tids``:
         every triangle incident to the vertices, with the new values."""
         self.values[np.asarray(vertex_ids, dtype=np.int64)] = np.asarray(value, dtype=np.float64)
-        if self._dets is not None:
-            self._dets[tids] = dets
+        if self._numerators is not None:
+            self._numerators[tids] = numerators
 
     def with_values(self, values) -> "TriField":
         """A field on this mesh with ``values`` at the vertices, validated
@@ -249,12 +263,12 @@ class TriField:
         dup = object.__new__(TriField)
         dup.__dict__.update(self.__dict__)
         dup.values = val
-        dup._dets = None
+        dup._numerators = None
         return dup
 
     def copy(self) -> "TriField":
         dup = self.with_values(self.values)
-        dup._dets = None if self._dets is None else self._dets.copy()
+        dup._numerators = None if self._numerators is None else self._numerators.copy()
         return dup
 
 

@@ -19,7 +19,9 @@ numbered in order of their lowest triangle id.
 
 Each node carries domain area, range area, and hypervolume (the summed
 per-triangle product of the two), the quantity thresholded to pick
-regions for collapsing. :func:`build_graph` sums them for every region
+regions for collapsing. A triangle's range area is the area of its image,
+half the absolute value of its determinant numerator
+(``TriField.numerators``). :func:`build_graph` sums them for every region
 at once, and its arrays are the one source of region measures. The
 :class:`Region` and :class:`GraphNode` views (``regions.regions``,
 ``graph.nodes``) are built from the arrays on first read.
@@ -206,7 +208,7 @@ def build_graph(field: TriField, regions: RegionDecomposition) -> NeighborhoodGr
     """Aggregate per-node metrics and connect regions that share a mesh edge."""
     label = regions.label
     areas = field.domain_areas
-    range_areas = np.abs(field.dets) * areas
+    range_areas = 0.5 * np.abs(field.numerators)
     n = len(regions)
     # Regions are numbered by first occurrence, so a region's lowest
     # triangle is where the running maximum of the labels steps up.

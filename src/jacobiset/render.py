@@ -2,9 +2,9 @@
 
 Triangles are filled red when the linear map preserves the winding and
 blue when it mirrors it; saturation grows with the triangle's range area
-relative to the median nonzero range area. Degenerate triangles take
-their neighborhood-assigned sign at a faint minimum saturation, and
-Jacobi edges are stroked black on top.
+(half its absolute determinant numerator) relative to the median nonzero
+range area. Degenerate triangles take their neighborhood-assigned sign at
+a faint minimum saturation, and Jacobi edges are stroked black on top.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def render_svg(
         raise ValueError("saturation scale must be > 0")
     js = compute_jacobi_set(field, epsilon)
 
-    range_areas = np.abs(field.dets) * field.domain_areas
+    range_areas = 0.5 * np.abs(field.numerators)
     nonzero = np.compress(range_areas > 0, range_areas)
     median = float(np.median(nonzero)) if len(nonzero) else 1.0
     scale_ref = saturation_scale * median
@@ -47,6 +47,13 @@ def render_svg(
     pos = field.positions
     # A field without vertices spans one point: the empty square canvas.
     box = (pos.min(axis=0), pos.max(axis=0)) if len(pos) else np.zeros((2, 2))
+    with np.errstate(over="ignore"):
+        span = box[1] - box[0]
+    if not np.isfinite(span).all():
+        # Finite positions far apart: halved, they span a finite width,
+        # and the pixel scale below undoes the halving.
+        pos = 0.5 * pos
+        box = 0.5 * box[0], 0.5 * box[1]
     (xmin, ymin), (xmax, ymax) = box
     w = max(xmax - xmin, 1e-30)
     h = max(ymax - ymin, 1e-30)

@@ -66,6 +66,19 @@ def twin_pair_field() -> TriField:
     return TriField(positions, np.zeros((9, 2)), triangles)
 
 
+def far_range_grid(kind) -> GridField:
+    """A 3x2 grid whose determinants leave the float range while their
+    numerators N do not. ``"tiny"``: cells of doubled area 1e-320 and N of
+    order 1, so N / area overflows. ``"huge"``: cells of doubled area
+    1e300 and N of order 1e-200, so N / area underflows to zero. At any
+    spacing, triangle 2 has the opposite orientation of the other three,
+    and the one Jacobi edge, (1, 5), is its edge to triangle 3."""
+    spacing, scale = {"tiny": (1e-160, 1.0), "huge": (1e150, 1e-100)}[kind]
+    f = scale * np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0])
+    g = scale * np.array([0.0, 0.0, 1.0, 1.0, 1.0, 0.0])
+    return GridField(3, 2, spacing, spacing, f, g)
+
+
 def random_sign_field(rng, w=6, h=6) -> TriField:
     """Structured field with i.i.d. values: a soup of mixed-sign triangles."""
     n = w * h
@@ -93,7 +106,7 @@ def noisy_island_field(rng, w=16, h=16, n_islands=3, amplitude=4.0):
         v = interior[p]
         g[v] += amplitude * (1 if rng.random() < 0.5 else -1)
     field = triangulate_structured(w, h, (1.0, 1.0), f, g)
-    return field, bool((field.dets < 0).any())
+    return field, bool((field.numerators < 0).any())
 
 
 def wave_field(rng, w, h, step=None) -> TriField:
@@ -156,11 +169,11 @@ def point_neighbors(field, t) -> np.ndarray:
 
 
 def move_vertices(field, vertex_ids, value) -> None:
-    """``field.set_vertex_values`` with the stars and determinants of
-    :func:`star_union` and :func:`_compute_dets_oracle`."""
+    """``field.set_vertex_values`` with the stars and numerators of
+    :func:`star_union` and :func:`numerators_oracle`."""
     tids = star_union(field, vertex_ids)
-    dets = _compute_dets_oracle(field, tids, vertex_ids, value)
-    field.set_vertex_values(vertex_ids, value, tids, dets)
+    numerators = numerators_oracle(field, tids, vertex_ids, value)
+    field.set_vertex_values(vertex_ids, value, tids, numerators)
 
 
 def vertex_neighbors(field, v: int) -> np.ndarray:
@@ -270,8 +283,8 @@ def graph_nodes_oracle(field, label, eff) -> list:
     """``(id, sign, domain_area, range_area, hypervolume, triangle_count)``
     of every region, one node per :func:`split_regions_oracle` region."""
     regions = split_regions_oracle(label, eff)
-    areas = field.domain_areas
-    range_areas = np.abs(field.dets) * areas
+    areas = area_oracle(field, field.positions)
+    range_areas = area_oracle(field, field.values)
     n = len(regions)
     node_area = np.bincount(label, weights=areas, minlength=n)
     node_range = np.bincount(label, weights=range_areas, minlength=n)
@@ -488,7 +501,7 @@ def render_svg_oracle(
     assignment = assign_degenerate(field, signs)
     js = extract_jacobi_set(field, signs, assignment)
 
-    range_areas = np.abs(field.dets) * field.domain_areas
+    range_areas = area_oracle(field, field.values)
     nonzero = range_areas[range_areas > 0]
     median = float(np.median(nonzero)) if len(nonzero) else 1.0
     scale_ref = saturation_scale * median
@@ -697,14 +710,22 @@ def edge_cross_oracle(p) -> np.ndarray:
     ) * (p[:, 1, 1] - p[:, 0, 1])
 
 
-def _compute_dets_oracle(field, tids, moved, target):
-    """Determinants of ``tids`` as if the vertices ``moved`` carried
-    ``target``."""
+def numerators_oracle(field, tids, moved=(), target=None) -> np.ndarray:
+    """Determinant numerators of the triangles ``tids``, as if the
+    vertices ``moved`` carried ``target``."""
     tri = field.triangles[tids]
     w = field.values[tri]
     if len(moved):
         w[(tri[:, :, None] == np.asarray(moved)).any(axis=2)] = target
-    return edge_cross_oracle(w) / field._doubled_areas[tids]
+    return edge_cross_oracle(w)
+
+
+def area_oracle(field, points) -> np.ndarray:
+    """Unsigned area of every triangle's image under ``points``: the
+    domain areas for ``field.positions``, the range areas for
+    ``field.values``. Half the :func:`edge_cross_oracle`, as the shoelace
+    sum of a triangle gives it."""
+    return 0.5 * np.abs(edge_cross_oracle(points[field.triangles]))
 
 
 @dataclass
@@ -833,11 +854,12 @@ def evaluate_variant_oracle(
     moved = groups.merged_members(u, v) if groups is not None else [u, v]
     affected = star_union(field, moved)
 
-    old_dets = field.dets[affected]
-    new_dets = _compute_dets_oracle(field, affected, moved, target)
-    crossed = np.sign(old_dets) * np.sign(new_dets) < 0
+    old = numerators_oracle(field, affected)
+    new = numerators_oracle(field, affected, moved, target)
+    crossed = np.sign(old) * np.sign(new) < 0
     flips = sum(1 for t in affected[crossed].tolist() if t != c and t not in cl)
-    delta = float(((np.abs(new_dets) - np.abs(old_dets)) * field.domain_areas[affected]).sum())
+    # Range areas, as area_oracle takes them.
+    delta = float((0.5 * np.abs(new) - 0.5 * np.abs(old)).sum())
     variant = CollapseVariantOracle(edge=(min(u, v), max(u, v)), target_value=target)
     return flips, delta, variant
 
@@ -879,8 +901,8 @@ def flipped_cell_neighbors_oracle(field: TriField, before_signs: dict, c: int) -
     for t, s0 in before_signs.items():
         if t == c or s0 == 0:
             continue
-        d = field.dets[t]
-        s1 = 1 if d > 0 else -1 if d < 0 else 0
+        n = numerators_oracle(field, [t])[0]
+        s1 = 1 if n > 0 else -1 if n < 0 else 0
         if s1 != 0 and s1 != s0:
             flipped.append(t)
     return sorted(flipped)
@@ -926,7 +948,7 @@ def simplify_oracle(
         for c in order:
             if c not in cl:
                 continue
-            if field.dets[c] == 0.0:
+            if numerators_oracle(field, [c])[0] == 0.0:
                 cl.discard(c)  # already collapsed, nothing to apply
                 continue
             if open_sides_oracle(field, cl, c) == 0:
@@ -936,10 +958,9 @@ def simplify_oracle(
 
             moved = groups.merged_members(*best.edge)
             affected = star_union(field, moved)
-            dets = field.dets[affected]
             before_signs = {
-                int(t): (1 if d > 0 else -1 if d < 0 else 0)
-                for t, d in zip(affected, dets)
+                int(t): (1 if n > 0 else -1 if n < 0 else 0)
+                for t, n in zip(affected, numerators_oracle(field, affected))
             }
             apply_collapse_variant_oracle(field, best, groups)
             collapsed += 1
@@ -951,10 +972,10 @@ def simplify_oracle(
                     history.record_entry(t)
                     flip_repairs += 1
             # A touched cell that was collapsed before must stay collapsed;
-            # re-queue it if a value move broke its zero determinant.
+            # re-queue it if a value move broke its zero numerator.
             for t in sorted(before_signs):
                 if before_signs[t] == 0 and t in history.entry_counts and t not in cl:
-                    if field.dets[t] != 0.0:
+                    if numerators_oracle(field, [t])[0] != 0.0:
                         cl.add(t)
                         history.record_entry(t)
         if not cl:

@@ -327,7 +327,7 @@ def test_loop_refuses_more_triangles_than_the_limit(monkeypatch):
         loop_subdivide(field, 3)
 
 
-# The traced peak of one Loop step and the child's first determinant pass,
+# The traced peak of one Loop step and the child's first numerator pass,
 # over the bytes of the child's arrays, reads 1.34: each stage's
 # temporaries go before the next stage allocates, and the constructor keeps
 # the arrays it is handed. Holding every temporary to the end of the step
@@ -338,11 +338,11 @@ LOOP_PEAK_OVER_CHILD = 1.5
 def test_loop_step_peak_memory_stays_near_the_child_size(rng):
     w, h = 80, 50
     field = triangulate_structured(w, h, (1.0, 1.0), rng.normal(size=w * h), rng.normal(size=w * h))
-    field.dets
+    field.numerators
     tracemalloc.start()
     try:
         child = loop_subdivide(field, 1)
-        child.dets
+        child.numerators
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -354,7 +354,7 @@ def test_loop_step_peak_memory_stays_near_the_child_size(rng):
         child.edges,
         child.edge_triangles,
         child.domain_areas,
-        child._doubled_areas,
+        child.doubled_areas,
     )
     assert peak < LOOP_PEAK_OVER_CHILD * sum(a.nbytes for a in arrays)
 

@@ -10,12 +10,19 @@ import warnings
 import numpy as np
 import pytest
 
-from jacobiset import __version__, cli, save_bsf, save_sgf, triangulate_structured
+from jacobiset import (
+    __version__,
+    cli,
+    neighborhood_graph,
+    save_bsf,
+    save_sgf,
+    triangulate_structured,
+)
 from jacobiset.baselines import LOOP_MAX_TRIANGLES
 from jacobiset.cli import main
 from jacobiset.fileio import GridField, load_bsf
 
-from conftest import noisy_island_field, wave_field
+from conftest import far_range_grid, noisy_island_field, wave_field
 
 
 @pytest.fixture
@@ -29,8 +36,6 @@ def island_bsf(tmp_path, rng):
 
 @pytest.fixture
 def island_threshold(island_bsf):
-    from jacobiset import neighborhood_graph
-
     _, _, _, graph = neighborhood_graph(load_bsf(island_bsf), "A")
     hvs = sorted(graph.hypervolume.tolist())
     return str(0.5 * (hvs[-2] + hvs[-1]))
@@ -750,8 +755,8 @@ def test_compare_reports_an_sgf_that_does_not_triangulate_in_every_cell(tmp_path
     # do not load. The huge grid loads: its extents and cell area are
     # finite, but its x positions round so that the cell of triangles 4
     # and 5 is wider than dx, and its area overflows. That fails the
-    # triangulation, and the filter cells report it too, without
-    # smoothing the grid.
+    # triangulation as the error of the grid header, and the filter cells
+    # report it too, without smoothing the grid.
     path = tmp_path / "inf.sgf"
     path.write_text("sgf 1\ngrid 3 2 1 1\ninf 0\n1 0\n2 1\n0 1\n1 1\n2 0\n")
     tiny = tmp_path / "tiny.sgf"
@@ -766,7 +771,7 @@ def test_compare_reports_an_sgf_that_does_not_triangulate_in_every_cell(tmp_path
     assert rows == (
         [f"{path},{m},error: {path}:3: non-finite value," for m in methods]
         + [f"{tiny},{m},error: {underflow}," for m in methods]
-        + [f"{huge},{m},error: non-finite domain area at id 4," for m in methods]
+        + [f"{huge},{m},error: {huge}:2: non-finite domain area at id 4," for m in methods]
     )
 
 
@@ -776,6 +781,10 @@ def test_compare_reports_an_sgf_that_does_not_triangulate_in_every_cell(tmp_path
         ("area.sgf", "sgf 1\ngrid 3 2 1e200 1e200\n", "2: grid cell area dx*dy = inf must be"),
         ("wide.sgf", "sgf 1\ngrid 3 2 1e308 1\n", "2: grid x extent (W-1)*dx = inf must be"),
         ("tiny.sgf", "sgf 1\ngrid 3 2 1e-200 1e-200\n", "2: grid cell area dx*dy = 0.0 must"),
+        # The spacing passes, but x rounds so that one cell is wider than
+        # dx, and its area overflows.
+        ("rounded.sgf", "sgf 1\ngrid 7 2 8.588302338216936 2.0931879946317126e+307",
+         "2: non-finite domain area at id 4"),
         ("big.bsf", "bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1e300 0 1 0\n0 1e300 0 1\n0 1 2",
          "6: non-finite domain area at id 0"),
         ("out.bsf", "bsf 1\nvertices 3 triangles 2\n0 0 0 0\n1 0 1 0\n0 1 0 1\n0 1 2\n0 1 3",
@@ -785,16 +794,44 @@ def test_compare_reports_an_sgf_that_does_not_triangulate_in_every_cell(tmp_path
         ("twice.bsf", "bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1 0 1 0\n0 1 0 1\n0 1 1",
          "6: degenerate triangle (repeated vertex) at id 0"),
     ],
-    ids=["area", "wide", "tiny", "big", "out", "neg", "twice"],
+    ids=["area", "wide", "tiny", "rounded", "big", "out", "neg", "twice"],
 )
 def test_overflowing_geometry_and_bad_triangles_exit_2_at_their_line(
     tmp_path, capsys, name, text, message
 ):
-    # A grid's samples follow its header; their values do not matter here.
+    # A grid's W*H samples follow its header; their values do not matter here.
+    samples = int(np.prod([int(n) for n in text.split()[3:5]])) if name.endswith(".sgf") else 0
     path = tmp_path / name
-    path.write_text(text + "\n" + "0 1\n" * 6 * name.endswith(".sgf"))
+    path.write_text(text + "\n" + "0 1\n" * samples)
     assert main(["stats", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"jacobiset stats: error: {path}:{message}")
+
+
+@pytest.mark.parametrize("kind", ["tiny", "huge"])
+@pytest.mark.parametrize("command", ["stats", "stats-eps", "render", "simplify"])
+def test_cells_whose_determinants_leave_the_float_range(tmp_path, capsys, kind, command):
+    # The determinants N / area of these grids overflow, whose RuntimeWarning
+    # pytest makes an error, or underflow to zero, which would read every
+    # triangle as degenerate. Every command reads N, and finds the Jacobi
+    # edge that unit spacing gives.
+    grid = far_range_grid(kind)
+    path = tmp_path / f"{kind}.sgf"
+    save_sgf(grid, path)
+    hv = neighborhood_graph(grid.to_tri_field())[3].hypervolume
+    argv = {
+        "stats": ["stats", str(path)],
+        "stats-eps": ["stats", str(path), "--epsilon", "0.05"],
+        "render": ["render", str(path), "--out", str(tmp_path / "out.svg")],
+        # Below this threshold lies the one-triangle region only.
+        "simplify": ["simplify", str(path), "--threshold", str(2 * float(hv.min())),
+                     "--out", str(tmp_path / "out.bsf")],
+    }[command]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if command == "stats":
+        assert json.loads(out)["components"] == 1
+    if command == "simplify":
+        assert "collapsed 1 cells" in out and "components 1 -> 0" in out
 
 
 def test_console_entry_point_runs():

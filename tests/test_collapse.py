@@ -70,11 +70,11 @@ def commit(scores, j, field, groups=None):
 
 
 def run(scores, j):
-    """Candidate ``j``'s moved triangles, their determinants after the
+    """Candidate ``j``'s moved triangles, their numerators after the
     move, and the triangles it flips and moves off zero."""
     p = slice(scores.pair_start[j], scores.pair_start[j + 1])
     tids = scores.tids[p]
-    return tids, scores.new_dets[p], tids[scores.flipped[p]], tids[scores.requeue[p]]
+    return tids, scores.new_numerators[p], tids[scores.flipped[p]], tids[scores.requeue[p]]
 
 
 def island_threshold(field):
@@ -197,8 +197,8 @@ def test_evaluate_flip_counts_against_recompute_oracle():
         probe = field.copy()
         commit(scores, j, probe)
         fresh = TriField(probe.positions, probe.values, probe.triangles)
-        s0 = np.sign(field.dets)
-        s1 = np.sign(fresh.dets)
+        s0 = np.sign(field.numerators)
+        s1 = np.sign(fresh.numerators)
         crossed = [
             t
             for t in range(field.n_triangles)
@@ -212,14 +212,14 @@ def test_evaluate_flip_counts_against_recompute_oracle():
 
 def test_evaluate_simulated_self_det_zero():
     field = fan_field()
-    assert field.dets[0] != 0.0
+    assert field.numerators[0] != 0.0
     scores = score_cell(field, 0)
     j = scores.edges.index((0, 1))
-    tids, dets, _, _ = run(scores, j)
-    assert dets[tids == 0].tolist() == [0.0]
+    tids, numerators, _, _ = run(scores, j)
+    assert numerators[tids == 0].tolist() == [0.0]
     probe = field.copy()
     commit(scores, j, probe)
-    assert probe.dets[0] == 0.0
+    assert probe.numerators[0] == 0.0
 
 
 def test_find_best_single_candidate():
@@ -266,7 +266,7 @@ def test_apply_sets_exact_zero_and_idempotent():
     j = scores.edges.index((0, 1))
     groups = VertexGroups(field.n_vertices)
     commit(scores, j, field, groups)
-    assert field.dets[0] == 0.0
+    assert field.numerators[0] == 0.0
     assert np.array_equal(field.values[0], field.values[1])
     snapshot = field.values.copy()
     commit(scores, j, field, groups)  # second application is a no-op
@@ -277,19 +277,19 @@ def test_apply_neighbor_dets_match_fresh_recompute():
     field = fan_field()
     scores = score_cell(field, 0)
     j = scores.edges.index((1, 2))
-    tids, dets, _, _ = run(scores, j)
+    tids, numerators, _, _ = run(scores, j)
     commit(scores, j, field)
     fresh = TriField(field.positions, field.values, field.triangles)
-    assert np.array_equal(field.dets, fresh.dets)
-    # The kernel's simulated determinants are the ones a commit stores.
-    assert np.array_equal(bits(dets), bits(fresh.dets[tids]))
+    assert np.array_equal(field.numerators, fresh.numerators)
+    # The kernel's simulated numerators are the ones a commit stores.
+    assert np.array_equal(bits(numerators), bits(fresh.numerators[tids]))
     assert np.array_equal(tids, star_union(field, (1, 2)))
 
 
 def test_flipped_cell_neighbors_zero_and_one_flip():
     field = fan_field()
     scores = score_cell(field, 0)
-    before = {t: int(np.sign(field.dets[t])) for t in range(field.n_triangles)}
+    before = {t: int(np.sign(field.numerators[t])) for t in range(field.n_triangles)}
     for edge, expected_flips in [((0, 1), 0), ((1, 2), 1)]:
         j = scores.edges.index(edge)
         probe = field.copy()
@@ -302,8 +302,8 @@ def test_flipped_cell_neighbors_zero_and_one_flip():
             for t in range(probe.n_triangles)
             if t != 0
             and before[t] != 0
-            and np.sign(fresh.dets[t]) != 0
-            and before[t] != np.sign(fresh.dets[t])
+            and np.sign(fresh.numerators[t]) != 0
+            and before[t] != np.sign(fresh.numerators[t])
         )
         assert flipped == crossed
 
@@ -328,14 +328,14 @@ def test_groups_keep_earlier_collapses_glued():
 
     collapse_edge((v_c, v_b))
     # All three vertices now share one value; every triangle containing
-    # two of them has an exactly zero determinant, and the stored
-    # determinants equal a recomputation.
+    # two of them has an exactly zero numerator, and the stored
+    # numerators equal a recomputation.
     assert np.array_equal(field.values[v_a], field.values[v_b])
     assert np.array_equal(field.values[v_b], field.values[v_c])
     glued = np.isin(field.triangles, [v_a, v_b, v_c]).sum(axis=1) >= 2
-    assert (field.dets[glued] == 0.0).all()
+    assert (field.numerators[glued] == 0.0).all()
     fresh = TriField(field.positions, field.values, field.triangles)
-    assert np.array_equal(bits(field.dets), bits(fresh.dets))
+    assert np.array_equal(bits(field.numerators), bits(fresh.numerators))
 
     # Moving only the endpoints, the same sequence breaks the first pair.
     field2 = triangulate_structured(4, 2, (1.0, 1.0), np.arange(8.0), np.arange(8.0) ** 2)
@@ -480,7 +480,7 @@ def test_simplify_island_completes_and_zeroes(rng):
     assert report.status is CollapseStatus.COMPLETED
     assert report.residual_cl == []
     for c in seeds:
-        assert field.dets[int(c)] == 0.0
+        assert field.numerators[int(c)] == 0.0
     assert report.after["components"] < report.before["components"]
     # Report measures match a fresh recomputation of the mutated field.
     assert measures(field) == report.after
@@ -496,7 +496,7 @@ def test_simplify_mutation_locality(rng):
     changed = np.flatnonzero((field.values != original).any(axis=1))
     # Every changed vertex belongs to some triangle that was worked on.
     touched_ok = set()
-    for c in np.flatnonzero(np.abs(field.dets) == 0):
+    for c in np.flatnonzero(field.numerators == 0):
         touched_ok.update(int(v) for v in field.triangles[c])
     for v in changed:
         assert int(v) in touched_ok
@@ -542,7 +542,7 @@ def test_simplify_final_state_has_no_eligible_cells(rng):
     assert report.status is CollapseStatus.COMPLETED
     _, _, regs, graph = neighborhood_graph(field, "A")
     leftovers = find_collapsible_cells(graph, regs, t)
-    assert all(field.dets[int(c)] == 0.0 for c in leftovers)
+    assert all(field.numerators[int(c)] == 0.0 for c in leftovers)
 
 
 def test_simplify_isolated_triangle_stalls():
@@ -710,9 +710,9 @@ def test_batch_scores_equal_scores_of_each_cell_alone(rng):
         )
         assert batch.edges[batch.best(k)] == alone.edges[alone.best(0)]
         for i, j in enumerate(candidates):
-            (tids, dets, flipped, requeue), expected = run(batch, j), run(alone, i)
+            (tids, numerators, flipped, requeue), expected = run(batch, j), run(alone, i)
             assert np.array_equal(tids, expected[0])
-            assert np.array_equal(bits(dets), bits(expected[1]))
+            assert np.array_equal(bits(numerators), bits(expected[1]))
             assert np.array_equal(flipped, expected[2])
             assert np.array_equal(requeue, expected[3])
 
@@ -723,7 +723,7 @@ def test_score_cells_of_no_cells_is_empty():
     scores = score_cells(field, [], Worklist(field.n_triangles), VertexGroups(field.n_vertices))
     assert scores.cells == scores.edges == scores.flips == []
     assert scores.cand_start == scores.pair_start == [0]
-    for name in ("target", "tids", "new_dets", "growth", "flipped", "requeue"):
+    for name in ("target", "tids", "new_numerators", "growth", "flipped", "requeue"):
         assert len(getattr(scores, name)) == 0, name
 
 

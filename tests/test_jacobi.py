@@ -25,11 +25,13 @@ from jacobiset.jacobi import (
 )
 
 from conftest import (
-    _compute_dets_oracle,
     affine_map_oracle,
     bfs_edge_components,
     bits,
+    edge_cross_oracle,
+    far_range_grid,
     grid_field,
+    numerators_oracle,
     RULE_ROW,
     point_neighbor_sum_oracle,
     point_neighbors,
@@ -103,12 +105,22 @@ def test_identical_edge_values_give_exact_zero(rng):
 
 def test_jacobian_det_is_the_cached_det_bitwise(rng):
     field = wave_field(rng, 12, 9, step=0.25)
-    dets = [_compute_dets_oracle(field, [t], [], None)[0] for t in range(field.n_triangles)]
-    assert np.array_equal(bits(dets), bits(field.dets))
-    assert 0.0 in dets  # the rounded field has exact-zero triangles
+    numerators = [numerators_oracle(field, [t])[0] for t in range(field.n_triangles)]
+    assert np.array_equal(bits(numerators), bits(field.numerators))
+    assert 0.0 in numerators  # the rounded field has exact-zero triangles
 
 
 # -- orientation -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["tiny", "huge"])
+def test_orientation_is_the_sign_of_the_numerator_whatever_the_cell_size(kind):
+    # The determinant N / area of these grids overflows ("tiny") or
+    # underflows to zero ("huge"); the signs come from N and need neither.
+    field = far_range_grid(kind).to_tri_field()
+    cross = edge_cross_oracle(field.values[field.triangles])
+    assert np.array_equal(orientation_signs(field), np.sign(cross))
+    assert measures(field)["components"] == 1
 
 
 def test_orientation_classification():

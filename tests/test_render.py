@@ -7,7 +7,14 @@ import pytest
 
 from jacobiset import TriField, compute_jacobi_set, render_svg, triangulate_structured
 
-from conftest import grid_field, move_vertices, quad_field, render_svg_oracle, wave_field
+from conftest import (
+    area_oracle,
+    grid_field,
+    move_vertices,
+    quad_field,
+    render_svg_oracle,
+    wave_field,
+)
 
 
 def parse_svg(svg: str):
@@ -65,7 +72,7 @@ def test_show_jacobi_toggle():
 def test_degenerate_tinted_at_min_saturation():
     field = triangulate_structured(3, 2, (1.0, 1.0), [0, 1, 2, 0, 1, 2], [0, 0, 0, 1, 1, 1])
     move_vertices(field, [4], field.values[1])  # degenerate one triangle
-    assert (field.dets == 0).any()
+    assert (field.numerators == 0).any()
     svg = render_svg(field)
     _, polygons, _ = parse_svg(svg)
     fills = {p.get("fill") for p in polygons}
@@ -88,7 +95,7 @@ def test_render_matches_loop_oracle_on_wave_field(rng):
 
 def test_render_matches_loop_oracle_with_degenerate_triangles(rng):
     field = wave_field(rng, 24, 14, step=0.5)
-    assert (field.dets == 0).mean() > 0.1  # MIN_SATURATION path runs
+    assert (field.numerators == 0).mean() > 0.1  # MIN_SATURATION path runs
     for kwargs in ({}, {"show_jacobi": False}, {"saturation_scale": 3.0, "epsilon": 0.05}):
         assert render_svg(field, **kwargs) == render_svg_oracle(field, **kwargs)
 
@@ -107,7 +114,7 @@ def test_overflowing_range_areas_take_full_saturation(rng):
     f, g = rng.normal(size=(2, 16)) * 1e160
     field = triangulate_structured(4, 4, (1.0, 1.0), f, g)
     with np.errstate(over="ignore", invalid="ignore"):
-        range_areas = np.abs(field.dets) * field.domain_areas
+        range_areas = area_oracle(field, field.values)
         assert np.isinf(np.median(range_areas[range_areas > 0]))
         svg = render_svg(field)
     fills = [p.get("fill") for p in parse_svg(svg)[1]]
@@ -120,7 +127,7 @@ def test_underflowing_saturation_reference_takes_full_saturation():
     # underflows to 0 and every triangle takes full saturation.
     v = np.arange(9.0)
     field = triangulate_structured(3, 3, (1, 1), 1e-160 * v, 1e-160 * (v % 3) ** 2)
-    range_areas = np.abs(field.dets) * field.domain_areas
+    range_areas = area_oracle(field, field.values)
     assert 1e-300 * np.median(range_areas[range_areas > 0]) == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -128,3 +135,17 @@ def test_underflowing_saturation_reference_takes_full_saturation():
     effective = compute_jacobi_set(field).effective
     fills = [p.get("fill") for p in parse_svg(svg)[1]]
     assert fills == ["#ff0000" if e > 0 else "#0000ff" for e in effective]
+
+
+def test_triangles_far_apart_render_on_a_finite_canvas():
+    # Each triangle is small and finite, but the domain from x = -1e308 to
+    # 1e308 is wider than the largest float.
+    positions = [(-1e308, 0), (-9e307, 0), (-1e308, 1), (9e307, 0), (1e308, 0), (1e308, 1)]
+    values = [(0, 0), (1, 0), (0, 1)] * 2
+    field = TriField(positions, values, [(0, 1, 2), (3, 4, 5)])
+    svg = render_svg(field)
+    root, polygons, _ = parse_svg(svg)
+    corners = [p.get("points").split() for p in polygons]
+    xs = [float(c.split(",")[0]) for points in corners for c in points]
+    assert xs == pytest.approx([0, 40, 0, 760, 800, 800], abs=1e-3)
+    assert root.get("width") == "800" and float(root.get("height")) == 0.0
