@@ -28,11 +28,14 @@
 # --out suffix that picks no format, a usage error; stats on two 3x2 grids
 # whose determinants would overflow (spacing 1e-160) or underflow (spacing
 # 1e150, samples of order 1e-100), read from the numerators instead; render
-# of a BSF whose two small triangles lie near x = -1e308 and x = 1e308; and
+# of a BSF whose two small triangles lie near x = -1e308 and x = 1e308;
 # stats on a 7x2 SGF whose spacing passes but whose rounded x positions
-# overflow one cell's area, rejected at line 2. Every path is
-# relative to $1, so two trees that behave alike write byte-identical
-# files (the manifests aside, which record times).
+# overflow one cell's area, rejected at line 2; and render of the 1e-160
+# grid, of a one-triangle BSF 1e-10 wide and 1e300 tall, and of a BSF of
+# two vertices 1e300 apart with no triangles, each drawn with its longer
+# side 800 pixels. Every path is relative to $1, so two trees that behave
+# alike write byte-identical files (the manifests aside, which record
+# times).
 #
 #   bash .github/cli-outputs.sh TREE
 set -euo pipefail
@@ -127,3 +130,8 @@ run_exit render-apart render cli-in/apart.bsf --out cli-out/apart.svg
 printf 'sgf 1\ngrid 7 2 8.588302338216936 2.0931879946317126e+307\n' > cli-in/rounded.sgf
 printf '0 1\n%.0s' {1..14} >> cli-in/rounded.sgf
 run_exit stats-rounded stats cli-in/rounded.sgf
+run_exit render-tiny-cells render cli-in/tiny-cells.sgf --out cli-out/tiny-cells.svg
+printf 'bsf 1\nvertices 3 triangles 1\n0 0 0 0\n1e-10 0 1 0\n0 1e300 0 1\n0 1 2\n' > cli-in/tall.bsf
+run_exit render-tall render cli-in/tall.bsf --out cli-out/tall.svg
+printf 'bsf 1\nvertices 2 triangles 0\n0 0 0 0\n0 1e300 1 1\n' > cli-in/two-vertices.bsf
+run_exit render-two-vertices render cli-in/two-vertices.bsf --out cli-out/two-vertices.svg

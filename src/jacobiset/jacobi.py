@@ -194,8 +194,6 @@ def compute_jacobi_set(field: TriField, epsilon: float = 0.0) -> JacobiSet:
 
 def jacobi_length(field: TriField, js: JacobiSet) -> float:
     """Total Euclidean length of the Jacobi edges in the domain."""
-    if len(js.edges) == 0:
-        return 0.0
     # Rows (x0, y0, x1, y1) of the two ends of each edge.
     ends = field.positions.take(js.edges, axis=0).reshape(-1, 4)
     return float(np.hypot(ends[:, 0] - ends[:, 2], ends[:, 1] - ends[:, 3]).sum())

@@ -5,6 +5,7 @@ blue when it mirrors it; saturation grows with the triangle's range area
 (half its absolute determinant numerator) relative to the median nonzero
 range area. Degenerate triangles take their neighborhood-assigned sign at
 a faint minimum saturation, and Jacobi edges are stroked black on top.
+The longer side of the domain spans ``CANVAS_WIDTH`` pixels.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .jacobi import compute_jacobi_set
 from .mesh import TriField
 
 MIN_SATURATION = 0.08
-# Width of the SVG canvas in pixels; the height follows the domain's aspect.
+# Longer side of the SVG canvas in pixels; the other follows the domain.
 CANVAS_WIDTH = 800.0
 _POLYGON = '<polygon points="%s,%s %s,%s %s,%s" fill="#%s"/>'
 _LINE = '<line x1="%s" y1="%s" x2="%s" y2="%s"/>'
@@ -44,34 +45,31 @@ def render_svg(
     median = float(np.median(nonzero)) if len(nonzero) else 1.0
     scale_ref = saturation_scale * median
 
-    pos = field.positions
-    # A field without vertices spans one point: the empty square canvas.
+    # Halved, finite positions span a finite box; halving is exact for every
+    # |x| >= 2**-1021, and the pixel scale undoes it. No vertices: one point.
+    pos = 0.5 * field.positions
     box = (pos.min(axis=0), pos.max(axis=0)) if len(pos) else np.zeros((2, 2))
-    with np.errstate(over="ignore"):
-        span = box[1] - box[0]
-    if not np.isfinite(span).all():
-        # Finite positions far apart: halved, they span a finite width,
-        # and the pixel scale below undoes the halving.
-        pos = 0.5 * pos
-        box = 0.5 * box[0], 0.5 * box[1]
     (xmin, ymin), (xmax, ymax) = box
-    w = max(xmax - xmin, 1e-30)
-    h = max(ymax - ymin, 1e-30)
-    px = CANVAS_WIDTH / w
-    canvas_height = h * px
+    span = box[1] - box[0]
+    # The longer side of the domain spans the canvas. A box too small for a
+    # finite scale (one point, or subnormal and so with no triangle) draws
+    # on the square canvas.
+    with np.errstate(divide="ignore", over="ignore"):
+        px = CANVAS_WIDTH / span.max()
+    if px == np.inf:
+        span, px = np.ones(2), CANVAS_WIDTH
+    width, height = span * px
     # Pixel coordinates, y growing downward in SVG, as text: formatted once
     # per vertex and shared by every triangle and Jacobi edge at it.
     x = _format_each((pos[:, 0] - xmin) * px)
     y = _format_each((ymax - pos[:, 1]) * px)
 
     # Red where the effective sign is +1, blue where it is -1; degenerate
-    # triangles take their assigned sign at the minimum saturation.
-    if scale_ref > 0:
-        # fmin: an infinite range area over an infinite median is NaN, and
-        # takes full saturation.
+    # triangles take their assigned sign at the minimum saturation. A
+    # reference that underflows to 0 or overflows to inf gives inf or NaN
+    # quotients, and fmin takes both to full saturation.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         sat = np.fmin(1.0, range_areas / scale_ref)
-    else:
-        sat = np.ones(field.n_triangles)
     sat[js.signs == 0] = MIN_SATURATION
     # The sign's own channel stays at 255; the other two fade from 255 to
     # 0 as saturation grows, rounded half to even.
@@ -84,14 +82,14 @@ def render_svg(
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS_WIDTH:.0f}" '
-        f'height="{canvas_height:.2f}" viewBox="0 0 {CANVAS_WIDTH:.2f} {canvas_height:.2f}">\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+        f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">\n'
         '<g stroke="none">\n',
         *format_rows(_POLYGON, polygons),
         "</g>\n",
     ]
     if show_jacobi and len(js.edges):
-        stroke = 0.004 * max(CANVAS_WIDTH, canvas_height)
+        stroke = 0.004 * CANVAS_WIDTH
         parts.append(f'<g stroke="#000000" stroke-width="{stroke:.3f}" stroke-linecap="round">\n')
         a, b = js.edges[:, 0], js.edges[:, 1]
         parts += format_rows(_LINE, np.column_stack([x.take(a), y.take(a), x.take(b), y.take(b)]))

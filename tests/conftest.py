@@ -477,6 +477,33 @@ def opposite_vertices_oracle(field, edges, edge_tris):
     return out
 
 
+def edge_test_oracle(field) -> dict:
+    """Edelsbrunner and Harer's test of each interior edge, from the values
+    alone. For an edge uv with link vertices a and b, the combination
+    h = (g(v) - g(u)) f + (f(u) - f(v)) g is constant on uv, and uv is
+    critical iff h(a) - h(u) and h(b) - h(u) have the same nonzero sign.
+
+    Maps each interior edge (u, v), u < v, to ``(verdict, t1, t2)``: its
+    two triangles, and True (critical), False (not critical) or None
+    (undecided: h(a) = h(u) or h(b) = h(u))."""
+    links: dict[tuple, list] = {}
+    for t, tri in enumerate(field.triangles.tolist()):
+        for k in range(3):
+            u, v, a = tri[k], tri[k - 2], tri[k - 1]
+            links.setdefault((min(u, v), max(u, v)), []).append((a, t))
+    f, g = field.values.T.tolist()
+    out = {}
+    for (u, v), link in links.items():
+        if len(link) != 2:
+            continue
+        (a, t1), (b, t2) = link
+        alpha, beta = g[v] - g[u], f[u] - f[v]
+        ha, hb = (alpha * (f[x] - f[u]) + beta * (g[x] - g[u]) for x in (a, b))
+        verdict = None if ha == 0 or hb == 0 else (ha > 0) == (hb > 0)
+        out[u, v] = verdict, t1, t2
+    return out
+
+
 _MIN_SATURATION = 0.08
 _RED = (255, 0, 0)
 _BLUE = (0, 0, 255)
@@ -506,21 +533,24 @@ def render_svg_oracle(
     median = float(np.median(nonzero)) if len(nonzero) else 1.0
     scale_ref = saturation_scale * median
 
+    # The longer side of the domain spans the canvas; one point draws on
+    # the square.
     pos = field.positions
     xmin, ymin = pos.min(axis=0)
     xmax, ymax = pos.max(axis=0)
-    w = max(xmax - xmin, 1e-30)
-    h = max(ymax - ymin, 1e-30)
-    px = canvas_width / w
-    canvas_height = h * px
+    w, h = float(xmax - xmin), float(ymax - ymin)
+    if max(w, h) == 0:
+        w = h = 1.0
+    px = canvas_width / max(w, h)
+    canvas_w, canvas_h = w * px, h * px
 
     def to_px(p):
         return ((p[0] - xmin) * px, (ymax - p[1]) * px)  # y grows downward in SVG
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas_width:.0f}" '
-        f'height="{canvas_height:.2f}" viewBox="0 0 {canvas_width:.2f} {canvas_height:.2f}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas_w:.0f}" '
+        f'height="{canvas_h:.2f}" viewBox="0 0 {canvas_w:.2f} {canvas_h:.2f}">',
         '<g stroke="none">',
     ]
     eff_color = {1: _RED, -1: _BLUE}
@@ -539,7 +569,7 @@ def render_svg_oracle(
     lines.append("</g>")
 
     if show_jacobi and len(js.edges):
-        stroke = 0.004 * max(canvas_width, canvas_height)
+        stroke = 0.004 * canvas_width
         lines.append(f'<g stroke="#000000" stroke-width="{stroke:.3f}" stroke-linecap="round">')
         for a, b in js.edges:
             x1, y1 = to_px(pos[a])

@@ -1,5 +1,5 @@
-"""Two facts of the Jacobi set's structure, checked with none of the code
-that computes it beyond the set itself and the A regions.
+"""Three facts of the Jacobi set's structure, checked with none of the
+code that computes it beyond the set itself and the A regions.
 
 - **Parity.** Around a vertex off the boundary, the effective signs of its
   star form a cycle of +-1 values. A cycle changes sign an even number of
@@ -8,6 +8,11 @@ that computes it beyond the set itself and the A regions.
   boundary edges. Two triangles share an A region iff some path of shared
   edges that are not Jacobi edges joins them, so the A regions are the
   faces of G inside the domain: ``len(A regions) == E - V + C`` of G.
+- **Edge test.** Edelsbrunner and Harer (2002) call an interior edge
+  critical iff the combination of f and g that is constant on it puts both
+  link vertices on the same side. Where both triangles of an edge are
+  signed, that test decides the edge as the Jacobi set does; where it
+  cannot decide, one of the triangles is degenerate.
 
 The grid fields take their boundary from the grid coordinates, and C
 from conftest's BFS. The twin pair is not a disk (two triangles on the
@@ -21,7 +26,13 @@ import pytest
 
 from jacobiset import build_regions, compute_jacobi_set, neighborhood_graph, simplify
 
-from conftest import bfs_edge_components, random_sign_field, twin_pair_field, wave_field
+from conftest import (
+    bfs_edge_components,
+    edge_test_oracle,
+    random_sign_field,
+    twin_pair_field,
+    wave_field,
+)
 
 KINDS = ["waves", "noise", "rounded 0.5", "rounded 0.25", "zero disk"]
 
@@ -67,11 +78,24 @@ def assert_euler(field, js, boundary_edges):
     assert len(build_regions(field, js.assigned, variant="A")) == faces
 
 
+def assert_edge_test(field, js):
+    jacobi = {tuple(map(int, e)) for e in js.edges}
+    tests = edge_test_oracle(field)
+    assert jacobi <= tests.keys()
+    signed = js.signs != 0
+    both_signed = {e for e, (_, t1, t2) in tests.items() if signed[t1] and signed[t2]}
+    # Between signed triangles the test decides as the Jacobi set does.
+    assert [e for e in both_signed if tests[e][0] != (e in jacobi)] == []
+    # A Jacobi edge the test leaves undecided touches a degenerate triangle.
+    assert [e for e in jacobi if tests[e][0] is None and e in both_signed] == []
+
+
 def assert_invariants(field, w, h, epsilon):
     js = compute_jacobi_set(field, epsilon)
     on_boundary, boundary_edges = grid_boundary(w, h)
     assert_parity(field, js, on_boundary)
     assert_euler(field, js, boundary_edges)
+    assert_edge_test(field, js)
 
 
 @pytest.mark.parametrize("seed", range(8))

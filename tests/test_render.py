@@ -10,6 +10,7 @@ from jacobiset import TriField, compute_jacobi_set, render_svg, triangulate_stru
 from conftest import (
     area_oracle,
     grid_field,
+    grid_triangles,
     move_vertices,
     quad_field,
     render_svg_oracle,
@@ -94,10 +95,13 @@ def test_render_matches_loop_oracle_on_wave_field(rng):
 
 
 def test_render_matches_loop_oracle_with_degenerate_triangles(rng):
-    field = wave_field(rng, 24, 14, step=0.5)
-    assert (field.numerators == 0).mean() > 0.1  # MIN_SATURATION path runs
-    for kwargs in ({}, {"show_jacobi": False}, {"saturation_scale": 3.0, "epsilon": 0.05}):
-        assert render_svg(field, **kwargs) == render_svg_oracle(field, **kwargs)
+    wide = wave_field(rng, 24, 14, step=0.5)
+    tall = wave_field(rng, 14, 24, step=0.5)
+    mirrored = triangulate_structured(24, 14, (-1.0, 0.5), *wide.values.T)
+    for field in (wide, tall, mirrored):
+        assert (field.numerators == 0).mean() > 0.1  # MIN_SATURATION path runs
+        for kwargs in ({}, {"show_jacobi": False}, {"saturation_scale": 3.0, "epsilon": 0.05}):
+            assert render_svg(field, **kwargs) == render_svg_oracle(field, **kwargs)
 
 
 def test_empty_mesh_renders_an_empty_group():
@@ -137,6 +141,16 @@ def test_underflowing_saturation_reference_takes_full_saturation():
     assert fills == ["#ff0000" if e > 0 else "#0000ff" for e in effective]
 
 
+def test_overflowing_saturation_quotient_takes_full_saturation():
+    # Every range area is 0.5 and the reference 1e-310 * 0.5, so each
+    # quotient overflows to inf.
+    field = grid_field(3, 3, lambda x, y: x, lambda x, y: y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svg = render_svg(field, saturation_scale=1e-310)
+    assert {p.get("fill") for p in parse_svg(svg)[1]} == {"#ff0000"}
+
+
 def test_triangles_far_apart_render_on_a_finite_canvas():
     # Each triangle is small and finite, but the domain from x = -1e308 to
     # 1e308 is wider than the largest float.
@@ -149,3 +163,32 @@ def test_triangles_far_apart_render_on_a_finite_canvas():
     xs = [float(c.split(",")[0]) for points in corners for c in points]
     assert xs == pytest.approx([0, 40, 0, 760, 800, 800], abs=1e-3)
     assert root.get("width") == "800" and float(root.get("height")) == 0.0
+
+
+@pytest.mark.parametrize(
+    "positions, values, triangles",
+    [
+        # Scaled to the width, this tall domain's height overflowed.
+        ([(0, 0), (1e-10, 0), (0, 1e300)], [(0, 0), (1, 0), (0, 1)], [(0, 1, 2)]),
+        # A 1e-30 floor on the width flattened every polygon to one point.
+        (
+            [(i * 1e-160, j * 1e-160) for j in range(2) for i in range(3)],
+            [(0, 0), (1, 0), (2, 1), (0, 1), (1, 1), (2, 0)],
+            grid_triangles(3, 2),
+        ),
+        ([(0, 0), (0, 1e300)], [(0, 0), (1, 1)], np.empty((0, 3), dtype=int)),
+        # 800 / 5e-311 overflows: too small a box draws on the square.
+        ([(0, 0), (1e-310, 0)], [(0, 0), (1, 1)], np.empty((0, 3), dtype=int)),
+    ],
+    ids=["tall", "tiny-cells", "two-vertices", "subnormal-box"],
+)
+def test_fields_far_from_unit_scale_fill_the_canvas(positions, values, triangles):
+    field = TriField(positions, values, triangles)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        svg = render_svg(field)
+    root, polygons, _ = parse_svg(svg)
+    assert max(float(v) for v in root.get("viewBox").split()[2:]) == 800.0
+    coords = [c for p in polygons for c in re.split("[ ,]", p.get("points"))]
+    assert len(coords) == 6 * field.n_triangles
+    assert coords == [] or set(coords) != {"0.000"}
